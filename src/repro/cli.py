@@ -689,14 +689,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
         stats = server.stats()
         server.stop()
         top_slow = TRACER.top_slow(args.top)
-        # Prefer complete trees (ones that reached the knn kernel) —
-        # cache hits produce childless serve_group spans.
-        ring = TRACER.recent()
+        # A served request leaves up to three roots: `cache` and
+        # `admit` on its caller's thread and the worker's `batch` tree,
+        # which reaches the knn kernel.  A cache hit is a childless
+        # `cache` span with hit=True and nothing else: show the newest
+        # one, then kernel-reaching trees, then whatever is left.
+        ring = TRACER.recent()[::-1]
+        hits = [s for s in ring if s.name == "cache" and s.attrs.get("hit")]
         complete = [s for s in ring if _tree_has(s, "knn")]
-        picked = complete[-args.traces :]
-        if len(picked) < args.traces:
-            rest = [s for s in ring if not _tree_has(s, "knn")]
-            picked = rest[len(picked) - args.traces :] + picked
+        rest = [s for s in ring if s not in hits and s not in complete]
+        picked = (hits[:1] + complete + rest)[: args.traces]
         traces = [s.to_dict() for s in picked]
     metrics = REGISTRY.delta(before)
     per_method: Dict[str, Dict[str, object]] = {}

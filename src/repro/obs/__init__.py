@@ -58,6 +58,7 @@ __all__ = [
     "NOOP_SPAN",
     "REGISTRY",
     "SCHEMA_VERSION",
+    "ServerSeries",
     "Span",
     "TRACER",
     "Tracer",
@@ -140,6 +141,116 @@ def record_query(
         if trace is not None and not isinstance(trace, type(NOOP_SPAN)):
             record["trace"] = trace.to_dict()
         tracer.record_slow(record)
+
+
+class ServerSeries:
+    """``KNNServer``'s metric catalog, its per-request children resolved
+    once per server.
+
+    Every request touches a handful of ``server_*`` children; resolving
+    each by name and labels (kwargs, sort, tuple build, two dict
+    lookups) per request cost more than a result-cache hit itself.  The
+    serve path's five stages own one histogram each:
+
+    ========  =============================  ===============================
+    stage     histogram                      counter
+    ========  =============================  ===============================
+    cache     ``server_hit_seconds``         ``server_cache_requests_total``
+    admit     ``server_queue_wait_seconds``  —
+    batch     ``server_batch_size``          —
+    execute   ``server_read_hold_seconds``   —
+    respond   ``server_request_seconds``     ``server_requests_total``
+    ========  =============================  ===============================
+
+    ``apply_updates`` owns ``server_write_hold_seconds``.  The rare
+    events in :attr:`EVENTS` are resolved by name when they happen.
+    """
+
+    #: event -> (counter family, help, label name or None).
+    EVENTS = {
+        "error": (
+            "server_errors_total", "serve errors by taxonomy class", "class",
+        ),
+        "retry": (
+            "server_retries_total",
+            "transient-error retries, by error class",
+            "class",
+        ),
+        "deadline_missed": (
+            "server_deadline_missed_total",
+            "requests whose deadline passed, by stage",
+            "stage",
+        ),
+        "short_circuit": (
+            "server_breaker_short_circuits_total",
+            "queries steered around an open breaker",
+            "method",
+        ),
+        "worker_restart": (
+            "server_worker_restarts_total",
+            "workers replaced by the supervisor, by reason",
+            "reason",
+        ),
+        "worker_death": (
+            "server_worker_deaths_total",
+            "worker threads killed by an injected fault",
+            None,
+        ),
+    }
+
+    def __init__(self, statuses, reg: MetricsRegistry = REGISTRY) -> None:
+        self._reg = reg
+        self.hit_seconds = reg.histogram(
+            "server_hit_seconds",
+            "submit-to-response latency of result-cache hits",
+        )
+        self.cache_hit, self.cache_miss = (
+            reg.counter(
+                "server_cache_requests_total",
+                "result-cache lookups by outcome",
+                outcome=outcome,
+            )
+            for outcome in ("hit", "miss")
+        )
+        self.queue_wait = reg.histogram(
+            "server_queue_wait_seconds",
+            "admission-to-worker queue wait of result-cache misses",
+        )
+        self.batch_size = reg.histogram(
+            "server_batch_size", "computations drained per worker dispatch"
+        )
+        self.read_hold = reg.histogram(
+            "server_read_hold_seconds",
+            "read-lock hold time per execution attempt",
+        )
+        self.write_hold = reg.histogram(
+            "server_write_hold_seconds",
+            "write-lock hold time per update batch",
+        )
+        #: status -> (``server_requests_total``, ``server_request_seconds``).
+        self.responded: Dict[str, Tuple[Counter, Histogram]] = {
+            status: (
+                reg.counter(
+                    "server_requests_total",
+                    "server requests by final status",
+                    status=status,
+                ),
+                reg.histogram(
+                    "server_request_seconds",
+                    "submit-to-response latency of requests not answered "
+                    "from the result cache",
+                    status=status,
+                ),
+            )
+            for status in statuses
+        }
+
+    def event(self, kind: str, label: Optional[str] = None) -> None:
+        """Count one rare event (a no-op while the registry is off)."""
+        if self._reg.enabled:
+            family, help, name = self.EVENTS[kind]
+            labels = {name: label} if name else {}
+            self._reg.counter(family, help, **labels).inc()
 
 
 @contextlib.contextmanager

@@ -1,10 +1,10 @@
 """Concurrent kNN query serving over warm, shared, read-only indexes.
 
 The subsystem that turns :class:`~repro.engine.engine.QueryEngine` into a
-query *service*: a :class:`KNNServer` (bounded queue, worker pool,
-deadlines, admission control) with a micro-batching dispatcher
-(:mod:`repro.server.batching`), a shared LRU result cache
-(:mod:`repro.server.cache`), workload generators
+query *service*: a :class:`KNNServer` (a shared LRU result cache,
+:mod:`repro.server.cache`, answered from on the caller's thread; behind
+it submit-time coalescing, a bounded queue, a batching worker pool and
+deadlines), workload generators
 (:mod:`repro.server.workloads`) and closed-/open-loop load drivers
 (:mod:`repro.server.loadgen`).
 
@@ -27,7 +27,6 @@ Quickstart::
 CLI equivalents: ``repro serve`` and ``repro loadtest``.
 """
 
-from repro.server.batching import BatchGroup, coalesce
 from repro.server.cache import (
     ResultCache,
     objects_fingerprint,
@@ -78,8 +77,6 @@ __all__ = [
     "ResultCache",
     "objects_fingerprint",
     "result_key",
-    "BatchGroup",
-    "coalesce",
     "WorkItem",
     "UpdateItem",
     "uniform_workload",

@@ -3,10 +3,12 @@
 A client submits a :class:`ServerRequest` (a vertex, ``k``, a method
 choice, an optional POI category and an optional deadline) and receives a
 :class:`PendingRequest` — a small thread-safe future that resolves to a
-:class:`ServerResponse` once a worker has answered, rejected or expired
-the request.  The payload of a successful response is the engine's
-ordinary :class:`~repro.engine.query.KNNResult`, so server answers are
+:class:`ServerResponse` once the request has been answered, rejected or
+expired.  The payload of a successful response is the engine's ordinary
+:class:`~repro.engine.query.KNNResult`, so server answers are
 byte-identical to direct ``QueryEngine.query`` calls on the same input.
+A result-cache miss travels to the workers as a :class:`Flight`: one
+computation and every request waiting on it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 from repro.engine.query import KNNResult
 
@@ -46,10 +48,6 @@ class ServerRequest:
     #: ``time.monotonic()`` at submission; set by the server.
     submitted_at: float = field(default=0.0, compare=False)
 
-    def coalesce_key(self):
-        """Requests sharing this key are answered by one computation."""
-        return (self.category, int(self.vertex), int(self.k), self.method)
-
     def expired(self, now: Optional[float] = None) -> bool:
         if self.deadline_s is None:
             return False
@@ -77,8 +75,8 @@ class ServerResponse:
     degraded: bool = False
     #: The method the answer degraded from (None when not degraded).
     fallback_from: Optional[str] = None
-    #: Server-side retry attempts this request's group consumed beyond
-    #: the first (0 on a clean first attempt).
+    #: Server-side retry attempts this request's computation consumed
+    #: beyond the first (0 on a clean first attempt).
     retries: int = 0
 
     @property
@@ -89,21 +87,25 @@ class ServerResponse:
 class PendingRequest:
     """A thread-safe one-shot future for a submitted request.
 
-    ``result(timeout)`` blocks until a worker (or admission control)
-    completes the request and returns the :class:`ServerResponse`; it
-    raises ``TimeoutError`` if the response does not arrive in time —
-    the request itself is *not* cancelled.
+    ``result(timeout)`` blocks until the request is completed and
+    returns the :class:`ServerResponse`; it raises ``TimeoutError`` if
+    the response does not arrive in time — the request itself is *not*
+    cancelled.  A future built with its ``response`` (a cache hit, a
+    rejection) is born complete and never allocates the event a waiter
+    would block on.
     """
 
     __slots__ = ("request", "_event", "_response")
 
-    def __init__(self, request: ServerRequest) -> None:
+    def __init__(
+        self, request: ServerRequest, response: Optional[ServerResponse] = None
+    ) -> None:
         self.request = request
-        self._event = threading.Event()
-        self._response: Optional[ServerResponse] = None
+        self._response = response
+        self._event = None if response is not None else threading.Event()
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._response is not None
 
     def complete(self, response: ServerResponse) -> None:
         """Resolve the future (first completion wins; later ones are no-ops)."""
@@ -112,10 +114,38 @@ class PendingRequest:
             self._event.set()
 
     def result(self, timeout: Optional[float] = None) -> ServerResponse:
-        if not self._event.wait(timeout):
+        if self._response is None and not self._event.wait(timeout):
+            request = self.request
             raise TimeoutError(
-                f"request {self.request.coalesce_key()} not completed "
-                f"within {timeout}s"
+                f"request (vertex={request.vertex}, k={request.k}, "
+                f"method={request.method!r}, category={request.category!r}) "
+                f"not completed within {timeout}s"
             )
-        assert self._response is not None
         return self._response
+
+
+class Flight:
+    """One admitted result-cache miss on its way through the workers.
+
+    ``state`` is the ``(engine, objects fingerprint, graph fingerprint)``
+    snapshot ``submit`` resolved ``resolved`` and ``key`` against, so the
+    worker that executes the flight repeats none of that work.
+    ``waiters[0]`` is the request that opened the flight; the rest are
+    duplicates of ``key`` that were submitted while it was in flight and
+    ride on its one computation.
+    """
+
+    __slots__ = ("key", "state", "resolved", "waiters")
+
+    def __init__(
+        self, key: tuple, state: tuple, resolved: str, leader: PendingRequest
+    ) -> None:
+        self.key = key
+        self.state = state
+        self.resolved = resolved
+        self.waiters: List[PendingRequest] = [leader]
+
+    @property
+    def request(self) -> ServerRequest:
+        """The request the computation runs for (the leader's)."""
+        return self.waiters[0].request

@@ -2,33 +2,25 @@
 
 The serving architecture follows the paper's own split between expensive
 preprocessing and microsecond queries, hardened for sustained concurrent
-load:
+load.  A request moves through five stages, the first two on the
+caller's thread (``docs/serving.md`` draws the pipeline):
 
-* **admission control** — a bounded request queue; a submit against a
-  full queue completes immediately as :data:`~repro.server.request.REJECTED`
-  instead of growing an unbounded backlog;
-* **worker pool** — N threads share one warm :class:`IndexCache` (load it
-  from a :class:`repro.store.IndexStore` and serve time performs *zero*
-  index builds — ``BUILD_COUNTERS`` proves it);
-* **micro-batching** — each worker drains up to ``max_batch`` waiting
-  requests, coalesces identical ``(category, vertex, k, method)`` keys
-  into one computation, and orders groups so same-object-set work is
-  paid once per batch (see :mod:`repro.server.batching`);
-* **result cache** — a shared LRU keyed on (graph fingerprint, object
-  fingerprint, vertex, k, method); swapping a POI category with
-  :meth:`KNNServer.with_objects` invalidates exactly the outgoing
-  entries (see :mod:`repro.server.cache`);
-* **deadlines** — a request still queued past its ``deadline_s`` is
-  answered :data:`~repro.server.request.DEADLINE_EXCEEDED` without ever
-  occupying a worker.
+* **cache** — ``submit`` resolves the method, builds the result-cache
+  key and probes the shared LRU (:mod:`repro.server.cache`); a hit is
+  answered in place and never queues, wakes a worker or waits for one;
+* **admit** — a miss joins the computation already in flight for its
+  key or opens a :class:`~repro.server.request.Flight` on the bounded
+  queue; a full queue answers ``rejected`` instead of growing a backlog;
+* **batch** — N workers over one warm :class:`IndexCache` (load it from
+  a :class:`repro.store.IndexStore` and serve time performs *zero* index
+  builds) each drain up to ``max_batch`` flights;
+* **execute** — one ``QueryEngine.query`` per flight under the read side
+  of the update lock, retried on transient errors and steered around
+  open circuit breakers; a flight whose every waiter's deadline passed
+  is answered ``deadline_exceeded`` without computing;
+* **respond** — the answer fans out to every waiter of the flight.
 
-Typical use::
-
-    engine = QueryEngine(graph, objects, store=store)   # warm indexes
-    with KNNServer(engine, workers=4) as server:
-        pending = server.submit(vertex=42, k=5)
-        response = pending.result(timeout=5.0)
-        assert response.result == engine.query(42, k=5)  # byte-identical
+``repro.server``'s package docstring has the quickstart.
 """
 
 from __future__ import annotations
@@ -37,18 +29,19 @@ import collections
 import contextlib
 import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.engine.engine import QueryEngine
 from repro.obs.tracing import span as _span
-from repro.server.batching import BatchGroup, coalesce
 from repro.server.cache import ResultCache, objects_fingerprint, result_key
 from repro.server.request import (
     DEADLINE_EXCEEDED,
     ERROR,
     OK,
     REJECTED,
+    STATUSES,
+    Flight,
     PendingRequest,
     ServerRequest,
     ServerResponse,
@@ -64,6 +57,12 @@ from repro.resilience import (
     fault_check,
     quarantine_counts,
 )
+
+#: What one category serves, swapped as a unit: (engine, objects
+#: fingerprint, graph fingerprint).
+_State = Tuple[QueryEngine, str, str]
+#: ``ResultCache.stats()`` keys that only grow; windows subtract them.
+_CACHE_TOTALS = ("hits", "misses", "evictions", "invalidations")
 
 
 class ServerClosed(RuntimeError):
@@ -141,10 +140,12 @@ class KNNServer:
     workers:
         Worker thread count.
     max_queue:
-        Bound on queued (admitted, unserved) requests — the admission
-        control knob.  Submits beyond it are answered ``rejected``.
+        Bound on queued (admitted, unserved) computations — the
+        admission control knob.  Result-cache misses beyond it are
+        answered ``rejected``; hits and duplicates of a computation
+        already in flight never queue, so it does not bound them.
     max_batch:
-        Most requests one worker drains per dispatch round.
+        Most computations one worker drains per dispatch round.
     cache_capacity:
         Result-cache entries (0 disables result caching).
     categories:
@@ -199,23 +200,32 @@ class KNNServer:
         self.max_batch = max_batch
         self.default_deadline_s = default_deadline_s
         self.cache = ResultCache(cache_capacity)
-        self._graph_fp = engine.graph.fingerprint()
-        self._engines: Dict[Optional[str], QueryEngine] = {None: engine}
-        self._objects_fp: Dict[Optional[str], str] = {
-            None: objects_fingerprint(engine.objects)
+        # category -> what it serves.  Every change (object swap, object
+        # delta, weight update) installs a *new* tuple: one dict read is
+        # a consistent snapshot without a lock, and ``is`` tells a worker
+        # whether anything moved while a miss was queued.
+        graph_fp = engine.graph.fingerprint()
+        self._states: Dict[Optional[str], _State] = {
+            None: (engine, objects_fingerprint(engine.objects), graph_fp)
         }
         for name, objects in (categories or {}).items():
-            self._engines[name] = engine.with_objects(objects)
-            self._objects_fp[name] = objects_fingerprint(objects)
-        # One mutex guards the queue, the stats and the engine/category
-        # maps; workers block on the condition, never spin.  The RW lock
-        # fences queries (readers) against live updates (the writer).
+            self._states[name] = (
+                engine.with_objects(objects),
+                objects_fingerprint(objects),
+                graph_fp,
+            )
+        # One mutex guards the queue, the in-flight map, the stats and
+        # writes to the category map; workers block on the condition,
+        # never spin.  The RW lock fences queries (readers) against live
+        # updates (the writer).
         self._update_lock = _RWLock()
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._queue: collections.deque = collections.deque()
+        self._inflight: Dict[tuple, Flight] = {}
         self._threads: List[threading.Thread] = []
         self._running = False
+        self._series = obs.ServerSeries(STATUSES)
         self._stats = collections.Counter()
         self._batch_sizes: collections.Counter = collections.Counter()
         # Flush markers: value of each lifetime statistic when
@@ -257,7 +267,7 @@ class KNNServer:
                 return self
             self._running = True
         for name in warmup_methods or ():
-            for engine in self._engines.values():
+            for engine, _, _ in list(self._states.values()):
                 resolved = engine.resolve_method(name)
                 if engine.objects:
                     engine.algorithm(resolved)
@@ -269,16 +279,16 @@ class KNNServer:
             ).start()
         return self
 
-    def _spawn_worker(self) -> threading.Thread:
+    def _spawn_worker(self) -> None:
         with self._lock:
             self._worker_seq += 1
-            name = f"knn-worker-{self._worker_seq}"
             t = threading.Thread(
-                target=self._worker_loop, name=name, daemon=True
+                target=self._worker_loop,
+                name=f"knn-worker-{self._worker_seq}",
+                daemon=True,
             )
             t.start()
             self._threads.append(t)
-        return t
 
     def stop(self, drain: bool = True, timeout: float = 10.0) -> None:
         """Stop the pool; with ``drain`` (default) serve the backlog first."""
@@ -287,22 +297,17 @@ class KNNServer:
         if self._supervisor is not None:
             self._supervisor.stop()
             self._supervisor = None
-        dropped: List[PendingRequest] = []
+        dropped: List[Flight] = []
         with self._lock:
             if not self._running:
                 return
             if not drain:
-                while self._queue:
-                    dropped.append(self._queue.popleft())
+                dropped.extend(self._queue)
+                self._queue.clear()
             self._running = False
             self._work_ready.notify_all()
-        for pending in dropped:
-            self._finish(pending, ServerResponse(
-                request=pending.request,
-                status=REJECTED,
-                error="server stopping",
-                latency_s=self._latency(pending.request),
-            ))
+        for flight in dropped:
+            self._respond(flight, REJECTED, error="server stopping")
         for t in self._threads:
             t.join(timeout)
         self._threads.clear()
@@ -321,7 +326,7 @@ class KNNServer:
         return self._running
 
     # ------------------------------------------------------------------
-    # Client surface
+    # Client surface: the cache and admit stages run on the caller
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -332,47 +337,73 @@ class KNNServer:
         category: Optional[str] = None,
         deadline_s: Optional[float] = None,
     ) -> PendingRequest:
-        """Enqueue one request; returns immediately with its future.
+        """Answer from the result cache, or enqueue; returns a future.
 
-        Admission control happens here: a full queue (or a stopped
-        server) completes the future at once with status ``rejected``.
-        Unknown categories raise :class:`UnknownCategory` — that is a
-        client programming error, not a load condition.
+        The cache is probed here, on the caller's thread: a hit comes
+        back as an already-completed future and never touches the queue
+        or a worker — also when the queue is full or every worker is
+        stalled, so ``max_queue`` bounds *misses*.  A miss joins the
+        computation in flight for its key if there is one; otherwise
+        admission control applies and a full queue completes the future
+        at once with status ``rejected``.  A method name the registry
+        does not know completes it with status ``error``.  A server that
+        is not running raises :class:`ServerClosed` and a category it
+        does not hold :class:`UnknownCategory` — client programming
+        errors, not load conditions.
+
+        The probe takes no lock against live updates and still never
+        returns a pre-update answer once ``apply_updates`` or
+        ``with_objects`` returned: the key carries both fingerprints,
+        read here as one published tuple that the writer replaces before
+        it returns; entries are only ``put`` under the read lock by a
+        worker that checked the tuple was still current; and leaving a
+        fingerprint evicts its entries (all entries on a weight change),
+        so one that comes back later — weights restored, an object
+        re-added — finds nothing left over.
         """
-        if category not in self._engines:
-            raise UnknownCategory(category, list(self._engines))
+        state = self._states.get(category)
+        if state is None:
+            raise UnknownCategory(category, list(self._states))
+        if not self._running:
+            raise ServerClosed("server is not running; call start()")
+        if deadline_s is None:
+            deadline_s = self.default_deadline_s
         request = ServerRequest(
-            vertex=int(vertex),
-            k=int(k),
-            method=method,
-            category=category,
-            deadline_s=(
-                self.default_deadline_s if deadline_s is None else deadline_s
-            ),
-            submitted_at=time.monotonic(),
+            int(vertex), int(k), method, category, deadline_s, time.monotonic()
         )
+        reg = obs.REGISTRY
+        with _span("cache", vertex=request.vertex, k=request.k) as probe:
+            try:
+                key, resolved = self._key(state, request)
+            except Exception as exc:  # a bad client-supplied method name
+                return self._answer_now(request, ERROR, self._error(exc)[0])
+            result = self.cache.get(key)
+            probe.annotate(hit=result is not None)
+        if result is not None:
+            if reg.enabled:
+                self._series.cache_hit.inc()
+            # Cached answers are never degraded (see _attempt).
+            return self._answer_now(request, OK, result=result)
+        if reg.enabled:
+            self._series.cache_miss.inc()
         pending = PendingRequest(request)
-        with self._lock:
+        with _span("admit"), self._lock:
             if not self._running:
                 raise ServerClosed("server is not running; call start()")
-            if len(self._queue) >= self.max_queue:
-                self._stats["rejected"] += 1
-                reg = obs.REGISTRY
-                if reg.enabled:
-                    reg.counter(
-                        "server_requests_total",
-                        "server requests by final status",
-                        status=REJECTED,
-                    ).inc()
-                pending.complete(ServerResponse(
-                    request=request, status=REJECTED,
-                    error=f"queue full ({self.max_queue})",
-                ))
+            flight = self._inflight.get(key)
+            # Join only a computation admitted under this very snapshot:
+            # one admitted under an older tuple may already hold an
+            # answer from before an update that has since returned.
+            if flight is not None and flight.state is state:
+                flight.waiters.append(pending)
                 return pending
-            self._stats["submitted"] += 1
-            self._queue.append(pending)
-            self._work_ready.notify()
-        return pending
+            if len(self._queue) < self.max_queue:
+                flight = Flight(key, state, resolved, pending)
+                self._inflight[key] = flight
+                self._queue.append(flight)
+                self._work_ready.notify()
+                return pending
+        return self._answer_now(request, REJECTED, f"queue full ({self.max_queue})")
 
     def query(
         self,
@@ -389,6 +420,18 @@ class KNNServer:
             vertex, k, method, category=category, deadline_s=deadline_s
         ).result(timeout)
 
+    @staticmethod
+    def _key(state: _State, request: ServerRequest) -> Tuple[tuple, str]:
+        """``(result-cache key, resolved method)`` of ``request`` on
+        ``state``.  Keyed on the planner's resolution, so "auto" and the
+        explicit method it resolves to share entries."""
+        engine, objects_fp, graph_fp = state
+        resolved = engine.resolve_method(request.method, request.k)
+        return (
+            result_key(graph_fp, objects_fp, request.vertex, request.k, resolved),
+            resolved,
+        )
+
     def with_objects(
         self, objects: Sequence[int], category: Optional[str] = None
     ) -> None:
@@ -400,14 +443,15 @@ class KNNServer:
         request can ever observe the old POI set again.  New categories
         may be installed the same way.
         """
-        new_engine = self._engines[None].with_objects(objects)
+        new_engine = self._states[None][0].with_objects(objects)
         new_fp = objects_fingerprint(objects)
         with self._lock:
-            old_fp = self._objects_fp.get(category)
-            self._engines[category] = new_engine
-            self._objects_fp[category] = new_fp
-        if old_fp is not None and old_fp != new_fp:
-            self.cache.invalidate(old_fp)
+            old = self._states.get(category)
+            # The graph fingerprint is read inside the lock a weight
+            # update republishes every category under.
+            self._states[category] = (new_engine, new_fp, self._states[None][2])
+        if old is not None and old[1] != new_fp:
+            self.cache.invalidate(old[1])
 
     def apply_updates(
         self, deltas: Sequence, category: Optional[str] = None
@@ -422,9 +466,10 @@ class KNNServer:
           engine's :meth:`~repro.engine.engine.QueryEngine.apply_updates`
           — one graph mutation plus in-place index repair.  Every other
           category engine then drops its algorithm instances (they
-          snapshot weights), the cached graph fingerprint is refreshed
-          and the *whole* result cache is invalidated: every prior
-          answer was computed on the old weights.
+          snapshot weights), every category is republished under the
+          new graph fingerprint and the *whole* result cache is
+          invalidated: every prior answer was computed on the old
+          weights.
         * **Object deltas** target exactly one ``category``'s engine;
           only cache entries under that category's outgoing object
           fingerprint are invalidated — other categories' entries stay
@@ -438,21 +483,23 @@ class KNNServer:
         with self._update_lock.write():
             hold_start = time.perf_counter()
             if weight_deltas:
-                with self._lock:
-                    default = self._engines[None]
-                    others = [
-                        e for e in self._engines.values() if e is not default
-                    ]
+                default = self._states[None][0]
                 sub = default.apply_updates(weight_deltas)
                 report.weight_changes.extend(sub.weight_changes)
                 for name, counters in sub.repaired.items():
                     report.merge_repair(name, counters)
                 report.dropped.extend(sub.dropped)
                 if sub.weights_changed:
+                    graph_fp = default.graph.fingerprint()
+                    with self._lock:
+                        for name, (engine, fp, _) in self._states.items():
+                            self._states[name] = (engine, fp, graph_fp)
+                        others = [
+                            s[0] for s in self._states.values()
+                            if s[0] is not default
+                        ]
                     for engine in others:
                         engine.invalidate_algorithms()
-                    with self._lock:
-                        self._graph_fp = default.graph.fingerprint()
                     self.cache.invalidate()
             if obj_deltas:
                 engine = self.engine_for(category)
@@ -462,43 +509,27 @@ class KNNServer:
                 report.dropped.extend(sub.dropped)
                 new_fp = objects_fingerprint(engine.objects)
                 with self._lock:
-                    old_fp = self._objects_fp.get(category)
-                    self._objects_fp[category] = new_fp
-                if old_fp is not None and old_fp != new_fp:
+                    current, old_fp, graph_fp = self._states[category]
+                    if current is engine:  # not swapped out meanwhile
+                        self._states[category] = (engine, new_fp, graph_fp)
+                if old_fp != new_fp:
                     self.cache.invalidate(old_fp)
-        reg = obs.REGISTRY
-        if reg.enabled:
-            reg.histogram(
-                "server_write_hold_seconds",
-                "write-lock hold time per update batch",
-            ).observe(time.perf_counter() - hold_start)
+        if obs.REGISTRY.enabled:
+            self._series.write_hold.observe(time.perf_counter() - hold_start)
         report.elapsed_s = time.monotonic() - start
         return report
 
     def categories(self) -> List[Optional[str]]:
-        with self._lock:
-            return list(self._engines)
+        return list(self._states)
 
     def engine_for(self, category: Optional[str] = None) -> QueryEngine:
-        with self._lock:
-            try:
-                return self._engines[category]
-            except KeyError:
-                raise UnknownCategory(category, list(self._engines)) from None
-
-    def _category_state(self, category: Optional[str]):
-        """The (engine, objects fingerprint) pair, read atomically.
-
-        Workers must never mix the two across a concurrent
-        :meth:`with_objects` swap: pairing the old engine with the new
-        fingerprint would cache the old object set's answer under the
-        new key — a stale POI served forever.
-        """
-        with self._lock:
-            return self._engines[category], self._objects_fp[category]
+        try:
+            return self._states[category][0]
+        except KeyError:
+            raise UnknownCategory(category, list(self._states)) from None
 
     # ------------------------------------------------------------------
-    # Worker internals
+    # Worker side: supervision wraps batch -> execute -> respond
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         name = threading.current_thread().name
@@ -517,36 +548,21 @@ class KNNServer:
                 fault_check("worker.stall")
                 fault_check("worker.die")
             except WorkerKilled:
-                reg = obs.REGISTRY
-                if reg.enabled:
-                    reg.counter(
-                        "server_worker_deaths_total",
-                        "worker threads killed by an injected fault",
-                    ).inc()
+                self._series.event("worker_death")
                 return
             batch = self._next_batch(name)
             if batch is None:
                 return
             if batch:
-                reg = obs.REGISTRY
-                if reg.enabled:
-                    reg.histogram(
-                        "server_batch_size",
-                        "requests drained per worker dispatch",
-                    ).observe(len(batch))
-            for group in coalesce(batch):
-                self._serve_group(group)
+                self._serve_batch(batch)
 
-    def _next_batch(
-        self, name: Optional[str] = None
-    ) -> Optional[List[PendingRequest]]:
-        """Block for work, then drain up to ``max_batch`` requests."""
+    def _next_batch(self, name: str) -> Optional[List[Flight]]:
+        """Batch stage: block for work, drain up to ``max_batch`` flights."""
         with self._work_ready:
             while self._running and not self._queue:
-                if name is not None:
-                    if name in self._abandoned:
-                        return []  # loop re-checks and exits
-                    self._heartbeats.beat(name)
+                if name in self._abandoned:
+                    return []  # loop re-checks and exits
+                self._heartbeats.beat(name)
                 self._work_ready.wait(timeout=0.1)
             if not self._queue:
                 if not self._running:
@@ -557,32 +573,266 @@ class KNNServer:
                 batch.append(self._queue.popleft())
             return batch
 
+    def _serve_batch(self, batch: List[Flight]) -> None:
+        """Run each drained flight through execute and respond."""
+        reg = obs.REGISTRY
+        series = self._series
+        with _span("batch", size=len(batch)):
+            if reg.enabled:
+                series.batch_size.observe(len(batch))
+            for flight in batch:
+                started = time.monotonic()
+                if reg.enabled:
+                    for pending in flight.waiters:
+                        series.queue_wait.observe(
+                            started - pending.request.submitted_at
+                        )
+                if self._expired_in_queue(flight, started):
+                    self._respond(flight, DEADLINE_EXCEEDED)
+                else:
+                    self._respond(flight, *self._execute(flight))
+
+    def _expired_in_queue(self, flight: Flight, now: float) -> bool:
+        """True — and the flight closed — when every waiter's deadline
+        passed before a worker got to it: stale answers are not worth a
+        worker's time."""
+        if not all(p.request.expired(now) for p in flight.waiters):
+            return False
+        with self._lock:
+            # Joining needs this lock, so no live duplicate can slip in
+            # between the decision and the close.
+            if not all(p.request.expired(now) for p in flight.waiters):
+                return False
+            self._close(flight)
+        return True
+
+    def _close(self, flight: Flight) -> None:
+        """Take ``flight`` out of the in-flight map (caller holds
+        ``_lock``); its waiter list is final from here on."""
+        if self._inflight.get(flight.key) is flight:
+            del self._inflight[flight.key]
+
+    def _execute(self, flight: Flight) -> tuple:
+        """Execute stage: attempt, and retry transient errors with
+        capped jittered backoff — but never past the earliest waiter
+        deadline; backing off into certain expiry helps nobody.
+        Returns ``_respond``'s ``(status, result, error, retries)``."""
+        request = flight.request
+        deadlines = [
+            p.request.submitted_at + p.request.deadline_s
+            for p in flight.waiters
+            if p.request.deadline_s is not None
+        ]
+        deadline = (
+            min(deadlines) if len(deadlines) == len(flight.waiters) else None
+        )
+        policy = self.retry_policy
+        retries = 0
+        with _span("execute", vertex=request.vertex, k=request.k) as span:
+            while True:
+                result, error, error_class = self._attempt(flight)
+                if error is None or not error_class.transient:
+                    break
+                if retries + 1 >= policy.max_attempts:
+                    break
+                backoff = policy.backoff_s(retries + 1)
+                if deadline is not None and time.monotonic() + backoff >= deadline:
+                    break
+                self._series.event("retry", error_class.name)
+                retries += 1
+                # Sleep outside every lock; the next attempt re-acquires
+                # the read lock so a concurrent update is never blocked
+                # by a backing-off worker.
+                time.sleep(backoff)
+            span.annotate(retries=retries)
+        return (OK if error is None else ERROR), result, error, retries
+
+    def _attempt(self, flight: Flight):
+        """One attempt at a flight's answer: ``(result, error, class)``,
+        ``error`` None on success, otherwise the formatted message with
+        its :class:`~repro.resilience.errors.ErrorClass` (which the
+        caller consults for retryability)."""
+        request = flight.request
+        state, resolved, key = flight.state, flight.resolved, flight.key
+        result = error = error_class = None
+        # The read side of the update lock: the query sees a frozen
+        # (graph weights, indexes, object sets, cache) world; a
+        # concurrent apply_updates waits for it to drain.
+        with self._update_lock.read():
+            read_start = time.perf_counter()
+            try:
+                current = self._states[request.category]
+                if current is not state:
+                    # An update or a swap landed while this miss was
+                    # queued: what submit resolved describes a world
+                    # that is gone, and an answer computed now must not
+                    # be cached under its key.
+                    state = current
+                    key, resolved = self._key(state, request)
+                result = self._guarded_query(state[0], request, resolved)
+                if not result.degraded:
+                    # A degraded answer is exact but carries fallback
+                    # provenance; caching it would keep reporting
+                    # "degraded" long after the primary recovered.
+                    self.cache.put(key, result)
+            except Exception as exc:  # answer the waiters, not the worker
+                error, error_class = self._error(exc)
+        if obs.REGISTRY.enabled:
+            self._series.read_hold.observe(time.perf_counter() - read_start)
+        return result, error, error_class
+
+    def _guarded_query(
+        self, engine: QueryEngine, request: ServerRequest, resolved: str
+    ):
+        """``engine.query`` behind ``resolved``'s circuit breaker.
+
+        An open breaker steers the query around the method via
+        ``avoid_methods`` instead of letting it fail again; a fallback
+        success still counts as a *primary* failure so the breaker keeps
+        tracking the broken method.
+        """
+        breaker = self._breakers.get(resolved)
+        if breaker is None:
+            with self._lock:
+                breaker = self._breakers.setdefault(resolved, CircuitBreaker(
+                    failure_threshold=self.breaker_threshold,
+                    cooldown_s=self.breaker_cooldown_s,
+                ))
+        allowed = breaker.allow()
+        if not allowed:
+            self._series.event("short_circuit", resolved)
+        try:
+            result = engine.query(
+                request.vertex,
+                request.k,
+                method=request.method,
+                avoid_methods=(
+                    frozenset() if allowed else frozenset((resolved,))
+                ),
+            )
+        except Exception:
+            if allowed:
+                breaker.record_failure()
+            raise
+        if allowed:
+            if result.fallback_from == resolved:
+                breaker.record_failure()
+            else:
+                breaker.record_success()
+        return result
+
+    def _error(self, exc: Exception):
+        """``(message, ErrorClass)`` of a serve error, counted."""
+        error_class = classify(exc)
+        self._series.event("error", error_class.name)
+        return f"{type(exc).__name__}: {exc}", error_class
+
+    def _respond(
+        self, flight: Flight, status: str, result=None, error=None, retries=0
+    ) -> None:
+        """Respond stage: close the flight, answer every waiter.
+
+        Deadlines are re-checked *after* execution: a request whose
+        deadline passed while its query ran gets ``deadline_exceeded``,
+        not a late success the client has already given up on.
+        """
+        with _span("respond", waiters=len(flight.waiters)):
+            with self._lock:
+                self._close(flight)
+            now = time.monotonic()
+            responses = []
+            for pending in flight.waiters:
+                request = pending.request
+                answer, message = status, error
+                if status == OK and request.expired(now):
+                    answer = DEADLINE_EXCEEDED
+                    message = (
+                        f"expired after {request.deadline_s}s "
+                        "(completed too late)"
+                    )
+                elif status == DEADLINE_EXCEEDED:
+                    message = f"expired after {request.deadline_s}s in queue"
+                if answer == DEADLINE_EXCEEDED:
+                    self._series.event(
+                        "deadline_missed",
+                        "queued" if status == DEADLINE_EXCEEDED else "executing",
+                    )
+                ok = answer == OK
+                responses.append(ServerResponse(
+                    request,
+                    answer,
+                    result if ok else None,
+                    message,
+                    now - request.submitted_at,
+                    coalesced=ok and pending is not flight.waiters[0],
+                    degraded=ok and result.degraded,
+                    fallback_from=result.fallback_from if ok else None,
+                    retries=retries,
+                ))
+            self._record(responses, retries)
+            for pending, response in zip(flight.waiters, responses):
+                pending.complete(response)
+
+    def _answer_now(
+        self, request: ServerRequest, status: str, error=None, result=None
+    ) -> PendingRequest:
+        """A request answered on the caller's thread — a cache hit, a
+        rejection, a bad method name: a future that is born complete."""
+        latency = time.monotonic() - request.submitted_at
+        response = ServerResponse(
+            request, status, result, error, latency, cache_hit=result is not None
+        )
+        self._record((response,))
+        return PendingRequest(request, response)
+
+    def _record(self, responses: Sequence[ServerResponse], retries: int = 0) -> None:
+        """Account for one answered group (a caller-thread answer is a
+        group of one) under a single ``_lock`` acquisition."""
+        with self._lock:
+            stats = self._stats
+            self._batch_sizes[len(responses)] += 1
+            if retries:
+                stats["retries"] += retries
+            for response in responses:
+                stats[response.status] += 1
+                if response.cache_hit:
+                    stats["cache_hits"] += 1
+                if response.coalesced:
+                    stats["coalesced_hits"] += 1
+                if response.degraded:
+                    stats["degraded"] += 1
+        if obs.REGISTRY.enabled:
+            series = self._series
+            for response in responses:
+                total, seconds = series.responded[response.status]
+                total.inc()
+                if response.cache_hit:
+                    seconds = series.hit_seconds
+                seconds.observe(response.latency_s)
+
+    # ------------------------------------------------------------------
+    # Supervision
+    # ------------------------------------------------------------------
     def _check_workers(self) -> None:
         """Supervisor hook: replace dead workers, abandon wedged ones.
 
-        A dead thread (uncaught exception, injected ``worker.die``) is
-        removed and replaced.  A wedged thread — alive but silent for
-        longer than ``wedge_timeout_s`` — cannot be killed from outside
-        in Python, so it is *abandoned*: marked to exit at its next
-        checkpoint and replaced immediately, restoring pool capacity
-        without waiting for the stall to clear.
+        A wedged thread — alive but silent for longer than
+        ``wedge_timeout_s`` — cannot be killed from outside in Python,
+        so it is *abandoned*: marked to exit at its next checkpoint and
+        replaced at once, without waiting for the stall to clear.
         """
         if not self._running:
             return
         with self._lock:
             threads = list(self._threads)
-        stale: List[tuple] = []
         for t in threads:
             if not t.is_alive():
-                stale.append((t, "died"))
-                continue
-            age = self._heartbeats.age_s(t.name)
-            if age is not None and age > self.wedge_timeout_s:
-                stale.append((t, "wedged"))
-        if not stale:
-            return
-        reg = obs.REGISTRY
-        for t, reason in stale:
+                reason = "died"
+            else:
+                age = self._heartbeats.age_s(t.name)
+                if age is None or age <= self.wedge_timeout_s:
+                    continue
+                reason = "wedged"
             with self._lock:
                 if t in self._threads:
                     self._threads.remove(t)
@@ -591,278 +841,27 @@ class KNNServer:
                 self._stats["worker_restarts"] += 1
                 self._stats[f"worker_restarts_{reason}"] += 1
             self._heartbeats.drop(t.name)
-            if reg.enabled:
-                reg.counter(
-                    "server_worker_restarts_total",
-                    "workers replaced by the supervisor, by reason",
-                    reason=reason,
-                ).inc()
+            self._series.event("worker_restart", reason)
             self._spawn_worker()
-
-    def _breaker(self, method: str) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(method)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.breaker_threshold,
-                    cooldown_s=self.breaker_cooldown_s,
-                )
-                self._breakers[method] = breaker
-            return breaker
-
-    def _latency(self, request: ServerRequest) -> float:
-        return time.monotonic() - request.submitted_at
-
-    def _finish(self, pending: PendingRequest, response: ServerResponse) -> None:
-        with self._lock:
-            self._stats[response.status] += 1
-            if response.cache_hit:
-                self._stats["cache_hits"] += 1
-            if response.coalesced:
-                self._stats["coalesced_hits"] += 1
-            if response.degraded:
-                self._stats["degraded"] += 1
-        reg = obs.REGISTRY
-        if reg.enabled:
-            reg.counter(
-                "server_requests_total",
-                "server requests by final status",
-                status=response.status,
-            ).inc()
-            if response.latency_s is not None:
-                reg.histogram(
-                    "server_request_seconds",
-                    "submit-to-response latency",
-                    status=response.status,
-                ).observe(response.latency_s)
-        pending.complete(response)
-
-    def _serve_group(self, group: BatchGroup) -> None:
-        """Answer every waiter of one coalesced group."""
-        with self._lock:
-            self._batch_sizes[len(group.waiters)] += 1
-        now = time.monotonic()
-        reg = obs.REGISTRY
-        if reg.enabled:
-            wait_h = reg.histogram(
-                "server_queue_wait_seconds", "submit-to-worker queue wait"
-            )
-            for pending in group.waiters:
-                wait_h.observe(now - pending.request.submitted_at)
-            reg.histogram(
-                "server_group_size", "waiters per coalesced group"
-            ).observe(len(group.waiters))
-        live: List[PendingRequest] = []
-        for pending in group.waiters:
-            if pending.request.expired(now):
-                if reg.enabled:
-                    reg.counter(
-                        "server_deadline_missed_total",
-                        "requests whose deadline passed, by stage",
-                        stage="queued",
-                    ).inc()
-                self._finish(pending, ServerResponse(
-                    request=pending.request,
-                    status=DEADLINE_EXCEEDED,
-                    error=f"expired after {pending.request.deadline_s}s in queue",
-                    latency_s=now - pending.request.submitted_at,
-                ))
-            else:
-                live.append(pending)
-        if not live:
-            return
-        # Retry budget: transient errors are retried with capped jittered
-        # backoff, but never past the earliest waiter deadline — backing
-        # off into certain expiry helps nobody.
-        deadlines = [
-            p.request.submitted_at + p.request.deadline_s
-            for p in live
-            if p.request.deadline_s is not None
-        ]
-        deadline = min(deadlines) if len(deadlines) == len(live) else None
-        policy = self.retry_policy
-        retries = 0
-        attempt = 0
-        while True:
-            attempt += 1
-            result, cache_hit, error, error_class = self._attempt_group(group)
-            if error is None or not error_class.transient:
-                break
-            if attempt >= policy.max_attempts:
-                break
-            backoff = policy.backoff_s(attempt)
-            if deadline is not None and time.monotonic() + backoff >= deadline:
-                break
-            if reg.enabled:
-                reg.counter(
-                    "server_retries_total",
-                    "transient-error retries, by error class",
-                    **{"class": error_class.name},
-                ).inc()
-            retries += 1
-            # Sleep outside every lock; the next attempt re-acquires the
-            # read lock so a concurrent update is never blocked by a
-            # backing-off worker.
-            time.sleep(backoff)
-        if retries:
-            with self._lock:
-                self._stats["retries"] += retries
-        # Re-check deadlines *after* execution: a request whose deadline
-        # passed while its query ran gets deadline_exceeded, not a late
-        # success the client has already given up on.
-        now = time.monotonic()
-        for i, pending in enumerate(live):
-            if error is None and pending.request.expired(now):
-                if reg.enabled:
-                    reg.counter(
-                        "server_deadline_missed_total",
-                        "requests whose deadline passed, by stage",
-                        stage="executing",
-                    ).inc()
-                response = ServerResponse(
-                    request=pending.request,
-                    status=DEADLINE_EXCEEDED,
-                    error=(
-                        f"expired after {pending.request.deadline_s}s "
-                        "(completed too late)"
-                    ),
-                    latency_s=now - pending.request.submitted_at,
-                    retries=retries,
-                )
-            elif error is not None:
-                response = ServerResponse(
-                    request=pending.request, status=ERROR, error=error,
-                    latency_s=self._latency(pending.request),
-                    retries=retries,
-                )
-            else:
-                response = ServerResponse(
-                    request=pending.request,
-                    status=OK,
-                    result=result,
-                    latency_s=self._latency(pending.request),
-                    cache_hit=cache_hit,
-                    coalesced=i > 0,
-                    degraded=result.degraded,
-                    fallback_from=result.fallback_from,
-                    retries=retries,
-                )
-            self._finish(pending, response)
-
-    def _attempt_group(self, group: BatchGroup):
-        """One attempt at computing a group's answer.
-
-        Returns ``(result, cache_hit, error, error_class)`` — ``error``
-        is None on success, otherwise the formatted message with its
-        :class:`~repro.resilience.errors.ErrorClass` (which the caller
-        consults for retryability).  The circuit breaker of the resolved
-        method gates the attempt: an open breaker steers the query
-        around the method via ``avoid_methods`` instead of letting it
-        fail again; a fallback success still counts as a *primary*
-        failure so the breaker keeps tracking the broken method.
-        """
-        reg = obs.REGISTRY
-        cache_hit = False
-        result = None
-        error: Optional[str] = None
-        error_class = None
-        breaker = None
-        allowed = False
-        # The read side of the update lock: queries in this section see
-        # a frozen (graph weights, indexes, object sets, cache) world; a
-        # concurrent apply_updates waits for it to drain.
-        with self._update_lock.read():
-            read_start = time.perf_counter()
-            with _span(
-                "serve_group",
-                vertex=group.vertex,
-                k=group.k,
-                waiters=len(group.waiters),
-            ):
-                try:
-                    engine, objects_fp = self._category_state(group.category)
-                    key = result_key(
-                        self._graph_fp,
-                        objects_fp,
-                        group.vertex,
-                        group.k,
-                        # Cache under the planner's resolution so "auto"
-                        # and the explicit method it resolves to share
-                        # entries.  This can raise (UnknownMethod on a
-                        # bad client-supplied name), so it runs inside
-                        # the answer-the-waiters guard.
-                        resolved := engine.resolve_method(group.method, group.k),
-                    )
-                    result = self.cache.get(key)
-                    if result is not None:
-                        cache_hit = True
-                    else:
-                        breaker = self._breaker(resolved)
-                        allowed = breaker.allow()
-                        if not allowed and reg.enabled:
-                            reg.counter(
-                                "server_breaker_short_circuits_total",
-                                "queries steered around an open breaker",
-                                method=resolved,
-                            ).inc()
-                        result = engine.query(
-                            group.vertex,
-                            group.k,
-                            method=group.method,
-                            avoid_methods=(
-                                frozenset() if allowed
-                                else frozenset((resolved,))
-                            ),
-                        )
-                        if allowed:
-                            if result.fallback_from == resolved:
-                                breaker.record_failure()
-                            else:
-                                breaker.record_success()
-                        if not result.degraded:
-                            # A degraded answer is exact but carries
-                            # fallback provenance; caching it would keep
-                            # reporting "degraded" long after the
-                            # primary method recovered.
-                            self.cache.put(key, result)
-                except Exception as exc:  # answer waiters, not the worker
-                    if breaker is not None and allowed:
-                        breaker.record_failure()
-                    result = None
-                    error_class = classify(exc)
-                    error = f"{type(exc).__name__}: {exc}"
-                    if reg.enabled:
-                        reg.counter(
-                            "server_errors_total",
-                            "serve errors by taxonomy class",
-                            **{"class": error_class.name},
-                        ).inc()
-        if reg.enabled:
-            reg.histogram(
-                "server_read_hold_seconds",
-                "read-lock hold time per served group",
-            ).observe(time.perf_counter() - read_start)
-            if error is None:
-                reg.counter(
-                    "server_cache_requests_total",
-                    "result-cache lookups by outcome",
-                    outcome="hit" if cache_hit else "miss",
-                ).inc()
-        return result, cache_hit, error, error_class
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @staticmethod
-    def _batch_summary(sizes: Dict[int, int], coalesced: int) -> Dict[str, object]:
+    def _section(counts, sizes, cache) -> Dict[str, object]:
+        """The ``counts``/``batch``/``cache`` triple of a stats report."""
         dispatches = sum(sizes.values())
         requests = sum(n * c for n, c in sizes.items())
         return {
-            "dispatches": dispatches,
-            "mean_group_size": round(requests / dispatches, 3)
-            if dispatches
-            else 0.0,
-            "coalesced_hits": coalesced,
+            "counts": dict(counts),
+            "batch": {
+                "dispatches": dispatches,
+                "mean_group_size": round(requests / dispatches, 3)
+                if dispatches
+                else 0.0,
+                "coalesced_hits": counts.get("coalesced_hits", 0),
+            },
+            "cache": cache,
         }
 
     def stats(self) -> Dict[str, object]:
@@ -874,43 +873,36 @@ class KNNServer:
         since the last :meth:`flush_stats` call (the whole lifetime if
         it never ran), so an operator tailing a long-lived server can
         see current behaviour instead of history-dominated averages.
+        ``batch["dispatches"]`` counts answered groups: a computation
+        with everyone who waited on it, or one request answered on its
+        caller's thread.
         """
+        cache = self.cache.stats()
         with self._lock:
-            counts = dict(self._stats)
-            sizes = dict(self._batch_sizes)
             queued = len(self._queue)
-            window_counts = dict(self._stats - self._flush_stats)
-            window_sizes = dict(self._batch_sizes - self._flush_batch_sizes)
-            cache_marker = dict(self._flush_cache)
-        cache_stats = self.cache.stats()
-        window_cache: Dict[str, object] = {}
-        for key, value in cache_stats.items():
-            if key in ("hits", "misses", "evictions", "invalidations"):
-                window_cache[key] = value - cache_marker.get(key, 0)
-            elif key != "hit_rate":
-                window_cache[key] = value
-        wh, wm = window_cache.get("hits", 0), window_cache.get("misses", 0)
+            counts = collections.Counter(self._stats)
+            sizes = collections.Counter(self._batch_sizes)
+            # flush_stats replaces the markers, never edits them
+            flushed_counts, flushed_sizes, flushed_cache = (
+                self._flush_stats, self._flush_batch_sizes, self._flush_cache
+            )
+        window_cache = dict(cache)
+        for key in _CACHE_TOTALS:
+            window_cache[key] -= flushed_cache.get(key, 0)
+        wh, wm = window_cache["hits"], window_cache["misses"]
         window_cache["hit_rate"] = round(wh / (wh + wm), 4) if wh + wm else 0.0
         return {
             "queued": queued,
             "workers": self.workers,
             "max_queue": self.max_queue,
             "max_batch": self.max_batch,
-            "counts": counts,
-            "batch": self._batch_summary(
-                sizes, counts.get("coalesced_hits", 0)
+            **self._section(counts, sizes, cache),
+            "since_flush": self._section(
+                counts - flushed_counts, sizes - flushed_sizes, window_cache
             ),
-            "cache": cache_stats,
-            "since_flush": {
-                "counts": window_counts,
-                "batch": self._batch_summary(
-                    window_sizes, window_counts.get("coalesced_hits", 0)
-                ),
-                "cache": window_cache,
-            },
             # Hot-path kernel the serving engine resolves queries on
             # ("array" unless the operator forced the reference loops).
-            "kernel": getattr(self._engines[None], "kernel", None),
+            "kernel": getattr(self._states[None][0], "kernel", None),
         }
 
     def flush_stats(self) -> Dict[str, object]:
@@ -924,11 +916,8 @@ class KNNServer:
         with self._lock:
             self._flush_stats = collections.Counter(self._stats)
             self._flush_batch_sizes = collections.Counter(self._batch_sizes)
-            self._flush_cache = {
-                k: v
-                for k, v in self.cache.stats().items()
-                if k in ("hits", "misses", "evictions", "invalidations")
-            }
+            cache_stats = self.cache.stats()
+            self._flush_cache = {k: cache_stats[k] for k in _CACHE_TOTALS}
         return snapshot
 
     def health(self) -> Dict[str, object]:
@@ -950,13 +939,13 @@ class KNNServer:
                 for method, breaker in self._breakers.items()
             }
             restarts = {
-                reason: self._stats.get(f"worker_restarts_{reason}", 0)
+                reason: self._stats[f"worker_restarts_{reason}"]
                 for reason in ("died", "wedged")
-                if self._stats.get(f"worker_restarts_{reason}", 0)
+                if self._stats[f"worker_restarts_{reason}"]
             }
-            restarts_total = self._stats.get("worker_restarts", 0)
+            restarts_total = self._stats["worker_restarts"]
         alive = sum(1 for t in threads if t.is_alive())
-        store = getattr(self._engines[None].workbench, "store", None)
+        store = getattr(self._states[None][0].workbench, "store", None)
         plan = current_plan()
         degraded = (
             any(s["state"] != "closed" for s in breakers.values())

@@ -15,7 +15,9 @@ its own function-scoped network instead of touching the session-scoped
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -430,6 +432,17 @@ class TestServerUpdates:
         kwargs.setdefault("workers", 2)
         return KNNServer(engine, **kwargs)
 
+    @staticmethod
+    def _await_progress(done, by, timeout_s=10.0):
+        """Block until every reader finished ``by`` more requests — a
+        count, not a sleep, so what the readers get to see does not
+        depend on how the scheduler treats them."""
+        targets = [n + by for n in done]
+        deadline = time.monotonic() + timeout_s
+        while any(n < target for n, target in zip(done, targets)):
+            assert time.monotonic() < deadline, "readers stalled"
+            time.sleep(0.001)
+
     def test_weight_update_invalidates_whole_cache(self):
         g = fresh_graph(seed=61)
         objects = sorted(uniform_objects(g, density=0.03, seed=5))
@@ -444,6 +457,7 @@ class TestServerUpdates:
             assert server.cache.stats()["size"] == 0
             response = server.query(10, 4, "ine")
             assert not response.cache_hit
+            assert response.result == server.engine_for().query(10, 4, "ine")
             truth = ine_knn(g, objects, 10, 4)
             got = [(n.distance, n.vertex) for n in response.result.neighbors]
             assert got == [(float(d), int(v)) for d, v in truth]
@@ -462,6 +476,7 @@ class TestServerUpdates:
             assert server.query(10, 4, "ine", category="fuel").cache_hit
             response = server.query(10, 4, "ine")
             assert not response.cache_hit
+            assert response.result == server.engine_for().query(10, 4, "ine")
             truth = ine_knn(g, objects + [free[0]], 10, 4)
             got = [(n.distance, n.vertex) for n in response.result.neighbors]
             assert got == [(float(d), int(v)) for d, v in truth]
@@ -552,9 +567,12 @@ class TestServerUpdates:
         with self._server(g, objects_a, workers=3) as server:
             stop = threading.Event()
             observed = []
+            hits = []
             observed_lock = threading.Lock()
 
-            def reader():
+            done = [0, 0, 0]
+
+            def reader(me):
                 i = 0
                 while not stop.is_set():
                     q = pool[i % len(pool)]
@@ -567,8 +585,13 @@ class TestServerUpdates:
                         ]
                         with observed_lock:
                             observed.append((q, got))
+                            hits.append(response.cache_hit)
+                    done[me] += 1
 
-            readers = [threading.Thread(target=reader) for _ in range(3)]
+            readers = [
+                threading.Thread(target=reader, args=(me,))
+                for me in range(len(done))
+            ]
             for t in readers:
                 t.start()
             for round_ in range(6):
@@ -576,6 +599,10 @@ class TestServerUpdates:
                 server.with_objects(
                     objects_b if round_ % 2 == 0 else objects_a
                 )
+                # Twice round the pool: every key is asked again in the
+                # state it was just cached in, so the next update races
+                # readers that are being answered from the cache.
+                self._await_progress(done, 2 * len(pool))
             # final state: weights w1, objects a
             server.apply_updates(w1)
             server.with_objects(objects_a)
@@ -584,6 +611,7 @@ class TestServerUpdates:
                 t.join()
 
             assert observed, "readers never completed a query"
+            assert any(hits) and not all(hits)
             for q, got in observed:
                 valid = [
                     truths[(q, oname, wname)]
@@ -598,6 +626,137 @@ class TestServerUpdates:
                     for n in response.result.neighbors
                 ]
                 assert got == truths[(q, "a", "w1")], q
+
+
+    def test_miss_queued_across_an_update_is_not_cached_under_its_old_key(self):
+        """A miss carries the key ``submit`` built into the queue.  If an
+        update lands before a worker reaches it, the answer belongs to
+        the new state: cached under the old key it would be served as a
+        hit once the object set came back to the old fingerprint."""
+        g = fresh_graph(250, seed=71)
+        q, k = 47, 4
+        objects = sorted(set(uniform_objects(g, density=0.04, seed=5)) - {q})
+        v = next(
+            int(t)
+            for t in g.edge_target[g.vertex_start[q]:g.vertex_start[q + 1]]
+            if int(t) not in objects
+        )
+        without_v = [(float(d), int(x)) for d, x in ine_knn(g, objects, q, k)]
+        with_v = [(float(d), int(x)) for d, x in ine_knn(g, objects + [v], q, k)]
+        assert with_v != without_v
+
+        def answer(response):
+            assert response.ok
+            return [(n.distance, n.vertex) for n in response.result.neighbors]
+
+        server = self._server(g, objects, workers=1)
+        with server._lock:
+            server._running = True  # accept submits, no worker draining
+        try:
+            queued = server.submit(q, k, "ine")
+            server.apply_updates([add_object(v)])
+            server._spawn_worker()
+            assert answer(queued.result(timeout=10)) == with_v
+            server.apply_updates([remove_object(v)])
+            assert answer(server.query(q, k, "ine")) == without_v
+        finally:
+            server.stop()
+
+    def test_cached_hot_keys_never_serve_an_update_that_returned(self):
+        """Readers hammer one *cached* key — answered on their own
+        threads, outside the update lock — while a writer walks through
+        states whose answers all differ.  An answer may belong to the
+        state current when the request was submitted or to any later
+        one (the request raced that update), never to one an
+        ``apply_updates`` that had already returned replaced.
+        """
+        n, q, k = 250, 47, 4
+        g = fresh_graph(n, seed=71)
+        shadow = fresh_graph(n, seed=71)  # identical; never served
+        objects = sorted(
+            set(uniform_objects(g, density=0.04, seed=5)) - {q}
+        )
+        incident = range(int(g.vertex_start[q]), int(g.vertex_start[q + 1]))
+        neighbours = [int(g.edge_target[j]) for j in incident]
+        base = [float(g.edge_weight[j]) for j in incident]
+        extra = [v for v in neighbours if v not in objects][:2]
+        assert extra, "query vertex needs an object-free neighbour"
+
+        def stretch(factor):
+            # Every path out of q starts on an incident edge, so each
+            # factor moves every distance in the answer.
+            return [
+                set_weight(q, v, w * factor)
+                for v, w in zip(neighbours, base)
+            ]
+
+        batches = []
+        for i, v in enumerate(extra):
+            batches += [stretch(1.1 + 0.2 * i), [add_object(v)]]
+        for i, v in enumerate(extra):
+            batches += [stretch(1.6 + 0.2 * i), [remove_object(v)]]
+        present = list(objects)
+        truths = [ine_knn(shadow, present, q, k)]
+        for batch in batches:
+            object_deltas, weight_deltas = split_deltas(batch)
+            shadow.apply_weight_deltas(weight_deltas)
+            for delta in object_deltas:
+                if delta.kind == "add":
+                    present.append(delta.vertex)
+                else:
+                    present.remove(delta.vertex)
+            truths.append(ine_knn(shadow, present, q, k))
+        truths = [[(float(d), int(v)) for d, v in t] for t in truths]
+        assert all(a != b for a, b in zip(truths, truths[1:]))
+
+        with self._server(g, objects, workers=2) as server:
+            assert server.query(q, k, "ine").ok  # the key is hot
+            returned = [0]  # update batches that have returned
+            stop = threading.Event()
+            observed = []
+            done = [0, 0, 0]
+
+            def reader(me):
+                while not stop.is_set():
+                    floor = returned[0]
+                    response = server.query(q, k, "ine", timeout=10.0)
+                    observed.append((
+                        floor,
+                        response.cache_hit,
+                        [(n.distance, n.vertex)
+                         for n in response.result.neighbors]
+                        if response.ok else response.status,
+                    ))
+                    done[me] += 1
+
+            readers = [
+                threading.Thread(target=reader, args=(me,))
+                for me in range(len(done))
+            ]
+            # Switch threads every few bytecodes: a reader is preempted
+            # between reading the category's state and probing the cache.
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in readers:
+                    t.start()
+                self._await_progress(done, 5)
+                for batch in batches:
+                    server.apply_updates(batch)
+                    returned[0] += 1
+                    # The key is hot again before the next update races it.
+                    self._await_progress(done, 5)
+            finally:
+                sys.setswitchinterval(interval)
+                stop.set()
+            for t in readers:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in readers)
+
+        assert any(hit for _, hit, _ in observed)
+        for floor, _, got in observed:
+            assert got in truths[floor:], (floor, got)
+        assert {floor for floor, _, _ in observed} >= {0, len(batches)}
 
 
 # ----------------------------------------------------------------------

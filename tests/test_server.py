@@ -3,6 +3,7 @@ the serving acceptance criteria (speedup, zero builds, identical answers)."""
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -23,7 +24,6 @@ from repro.server import (
     ServerResponse,
     UnknownCategory,
     category_switching_workload,
-    coalesce,
     diurnal_workload,
     hotspot_workload,
     objects_fingerprint,
@@ -110,34 +110,26 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# Batching / coalescing
+# The future
 # ----------------------------------------------------------------------
-def _pending(vertex, k=5, method="auto", category=None):
-    return PendingRequest(
-        ServerRequest(vertex=vertex, k=k, method=method, category=category)
-    )
+class TestPendingRequest:
+    REQUEST = ServerRequest(vertex=1, k=5)
 
+    def test_completes_once_and_wakes_the_waiter(self):
+        pending = PendingRequest(self.REQUEST)
+        assert not pending.done()
+        with pytest.raises(TimeoutError, match="vertex=1"):
+            pending.result(timeout=0.01)
+        first = ServerResponse(request=self.REQUEST, status=OK)
+        pending.complete(first)
+        pending.complete(ServerResponse(request=self.REQUEST, status=ERROR))
+        assert pending.done() and pending.result(0) is first
 
-class TestCoalesce:
-    def test_identical_requests_collapse(self):
-        batch = [_pending(1), _pending(1), _pending(2)]
-        groups = coalesce(batch)
-        assert [(g.vertex, len(g.waiters)) for g in groups] == [(1, 2), (2, 1)]
-        assert groups[0].coalesced == 1
-
-    def test_different_k_or_method_do_not_collapse(self):
-        batch = [_pending(1, k=5), _pending(1, k=10), _pending(1, method="ine")]
-        assert len(coalesce(batch)) == 3
-
-    def test_groups_ordered_by_category(self):
-        batch = [
-            _pending(1, category="a"),
-            _pending(2, category="b"),
-            _pending(3, category="a"),
-            _pending(4, category="b"),
-        ]
-        categories = [g.category for g in coalesce(batch)]
-        assert categories == ["a", "a", "b", "b"]
+    def test_born_complete_allocates_no_event(self):
+        response = ServerResponse(request=self.REQUEST, status=REJECTED)
+        pending = PendingRequest(self.REQUEST, response)
+        assert pending._event is None
+        assert pending.done() and pending.result(0) is response
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +341,143 @@ class TestKNNServer:
 
 
 # ----------------------------------------------------------------------
+# The caller-thread cache stage and submit-time coalescing
+# ----------------------------------------------------------------------
+class TestCallerThreadHits:
+    @pytest.fixture(autouse=True)
+    def _no_leaked_plan(self):
+        from repro.resilience import clear_plan
+
+        clear_plan()
+        yield
+        clear_plan()
+
+    def test_hit_answered_while_queue_full_and_workers_stalled(self, engine):
+        from repro.resilience import FaultPlan, FaultSpec, plan_installed
+
+        plan = FaultPlan(seed=1, specs=(
+            FaultSpec("worker.stall", probability=1.0, stall_s=0.5),
+        ))
+        with make_server(
+            engine, workers=1, max_queue=1, supervise=False
+        ) as server:
+            assert server.query(7, 5).ok  # fills the cache
+            with plan_installed(plan):
+                # The worker serves this one, then wedges at its next
+                # checkpoint with the queue empty.
+                assert server.query(8, 5).ok
+                queued = server.submit(9, 5)  # the one queue slot
+                hit = server.submit(7, 5)
+                assert hit.done()
+                assert hit.result(0).ok and hit.result(0).cache_hit
+                rejected = server.submit(10, 5)
+                assert rejected.result(0).status == REJECTED
+                assert not queued.done()
+            assert queued.result(timeout=5).ok
+
+    def test_hits_never_reach_a_worker(self, engine):
+        from repro.obs import REGISTRY
+
+        def worker_side():
+            return (
+                REGISTRY.histogram("server_batch_size").count,
+                REGISTRY.histogram("server_queue_wait_seconds").count,
+            )
+
+        with make_server(engine) as server:
+            assert not server.query(7, 5).cache_hit
+            before = worker_side()
+            for _ in range(100):
+                assert server.query(7, 5).cache_hit
+            assert worker_side() == before
+
+    def test_one_cache_lookup_and_one_group_per_request(self, engine):
+        from repro.obs import REGISTRY
+
+        def lookups(outcome):
+            return REGISTRY.counter(
+                "server_cache_requests_total", outcome=outcome
+            ).value
+
+        before = lookups("hit"), lookups("miss")
+        with make_server(engine, workers=1) as server:
+            assert not server.query(7, 5).cache_hit  # probed at submit,
+            for _ in range(4):                       # served by a worker
+                assert server.query(7, 5).cache_hit
+            stats = server.stats()
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (4, 1)
+        assert (lookups("hit"), lookups("miss")) == (
+            before[0] + 4, before[1] + 1
+        )
+        # Every answer is one group: the computation, then four
+        # caller-thread hits of size one.
+        assert stats["batch"]["dispatches"] == 5
+        assert stats["batch"]["mean_group_size"] == 1.0
+        assert stats["counts"]["cache_hits"] == 4
+
+    def test_duplicates_in_flight_share_one_computation(
+        self, engine, monkeypatch
+    ):
+        gate = threading.Event()
+        executing = threading.Event()
+        computed = []
+        original = engine.query
+
+        def gated_query(vertex, *args, **kwargs):
+            computed.append(vertex)
+            executing.set()
+            assert gate.wait(timeout=10)
+            return original(vertex, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "query", gated_query)
+        with make_server(engine, workers=1) as server:
+            sevens = [server.submit(7, 5)]
+            assert executing.wait(timeout=10)
+            # Duplicates of the key being executed, and of one queued
+            # behind it, all ride on the computation already in flight.
+            sevens += [server.submit(7, 5) for _ in range(3)]
+            eights = [server.submit(8, 5) for _ in range(2)]
+            assert server.stats()["queued"] == 1
+            gate.set()
+            responses = [p.result(timeout=10) for p in sevens + eights]
+            stats = server.stats()
+        assert computed == [7, 8]
+        assert all(r.ok and not r.cache_hit for r in responses)
+        assert [r.coalesced for r in responses] == [
+            False, True, True, True, False, True,
+        ]
+        assert len({id(r.result) for r in responses[:4]}) == 1
+        assert stats["batch"]["coalesced_hits"] == 4
+        assert stats["batch"]["dispatches"] == 2
+        assert stats["batch"]["mean_group_size"] == 3.0
+        assert stats["cache"]["misses"] == 6  # one lookup per request
+
+    def test_with_objects_mid_submit_reads_engine_and_fingerprint_as_one(
+        self, road400, engine, monkeypatch
+    ):
+        """The swap lands between submit reading the category and its
+        cache probe.  Pairing the old engine with the new fingerprint
+        would cache the old object set's answer under the new key — a
+        stale POI served forever."""
+        replacement = uniform_objects(road400, density=0.05, seed=12)
+        truth = QueryEngine(road400, replacement).query(7, 5)
+        assert truth != engine.query(7, 5)
+        resolve = engine.resolve_method
+        with make_server(engine, workers=1) as server:
+
+            def swapping_resolve(method="auto", k=1):
+                monkeypatch.setattr(engine, "resolve_method", resolve)
+                server.with_objects(replacement)
+                return resolve(method, k)
+
+            monkeypatch.setattr(engine, "resolve_method", swapping_resolve)
+            raced = server.query(7, 5)
+            assert raced.ok and raced.result == truth
+            after = server.query(7, 5)
+            assert after.cache_hit and after.result == truth
+
+
+# ----------------------------------------------------------------------
 # Engine edge cases the server leans on
 # ----------------------------------------------------------------------
 class TestEngineEdgeCases:
@@ -521,6 +650,11 @@ class TestServingAcceptance:
         server = KNNServer(engine, workers=4)
         server.start(warmup_methods=["auto"])
         builds_before = sum(BUILD_COUNTERS.as_dict().values())
+        # The served run is ~30 ms; a generation-2 collection of the heap
+        # the whole test session has grown takes 70-80 ms, and whether
+        # its allocation count comes due inside the run is an accident
+        # of everything that ran before.  Start from a collected heap.
+        gc.collect()
         try:
             report = run_closed_loop(server, items, concurrency=16)
         finally:
