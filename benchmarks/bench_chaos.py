@@ -17,7 +17,7 @@ Gates (any failure exits 1; the JSON records all of them):
 
 * availability — ``ok / requests >= 0.99`` under the plan;
 * zero wrong answers — non-degraded OK responses byte-identical to the
-  fault-free truth (same method, same kernel); degraded responses exact
+  fault-free truth (same method, same code); degraded responses exact
   under :func:`~repro.knn.base.verify_knn_result` (the repo's
   cross-method agreement standard: distances within 1e-9 relative,
   vertex ids free only under distance ties) and flagged via provenance;
@@ -112,7 +112,7 @@ def check_answers(responses, truths) -> Dict[str, int]:
             ) != len(truth):
                 out["wrong"] += 1
         elif response.result.as_tuples() != truth.as_tuples():
-            # Same method, same kernel: byte-identical or it's wrong.
+            # Same method, same code: byte-identical or it's wrong.
             out["wrong"] += 1
     return out
 
@@ -133,8 +133,8 @@ def main() -> int:
 
     run_started = time.time()
     graph = road_network(vertices, seed=args.seed)
-    # Density 0.02 >= the planner threshold: "auto" resolves to INE on
-    # the array kernel, so kernel.sssp faults hit the primary method.
+    # Density 0.02 >= the planner threshold: "auto" resolves to INE,
+    # so kernel.sssp faults hit the primary method.
     objects = uniform_objects(graph, density=0.02, seed=args.seed + 1)
     items = hotspot_workload(
         graph, requests, k, hot_vertices=32, seed=args.seed + 2

@@ -3,6 +3,12 @@
 Paper shape: PHL is the consistent winner (orders of magnitude over
 Dijkstra), materialized G-tree next; TNR and CH converge at high density;
 all methods converge as density grows.
+
+The "Dijk" oracle is the library's one Dijkstra — a C-level
+whole-frontier search, an order of magnitude faster than the per-edge
+loop the figure ran it on before PR 20 (docs/benchmarks.md) — so its
+gap to PHL is one order of magnitude here, not two, and smallest at k=1
+where IER verifies one or two candidates.
 """
 
 from repro.experiments import figures
@@ -26,12 +32,11 @@ def test_fig04_shape(benchmark, nw):
     print(by_k.format_text())
     print(by_d.format_text())
     # PHL wins (within measurement noise) everywhere and is fastest on
-    # average; Dijkstra loses by >10x at every k.
+    # average; Dijkstra loses at every k, by >10x from k=5.
     labels = ("Dijk", "MGtree", "PHL", "TNR", "CH")
     for k in KS:
         assert by_k.at("PHL", k) <= 1.1 * min(by_k.at(name, k) for name in labels)
-        assert by_k.at("Dijk", k) > 5 * by_k.at("PHL", k)
-    assert by_k.at("Dijk", 10) > 10 * by_k.at("PHL", 10)
+        assert by_k.at("Dijk", k) > (3 if k == 1 else 10) * by_k.at("PHL", k)
     assert by_k.mean("PHL") == min(by_k.mean(name) for name in labels)
     # MGtree is the runner-up on average.
     assert by_k.mean("MGtree") < by_k.mean("TNR")

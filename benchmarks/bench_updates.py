@@ -7,7 +7,7 @@ Three sections, written to ``BENCH_updates.json``:
   (POI churn + travel-weight drift) is applied incrementally through
   ``QueryEngine.apply_updates``; the answers of every method are then
   compared *byte-identical* against instances rebuilt from scratch over
-  the final graph/object state, on both kernels.  Index repair is also
+  the final graph/object state.  Index repair is also
   checked structurally: repaired G-tree / ROAD matrices must compare
   ``np.array_equal`` with a pinned-partition rebuild.
 * **speedup** — single-POI deltas at 10k vertices: one
@@ -57,7 +57,6 @@ from repro.updates import ObjectDelta, set_weight  # noqa: E402
 
 from report import write_report  # noqa: E402
 
-KERNELS = ("python", "array")
 #: Methods under the byte-identity gate (>= 3 required by the issue).
 EQUIVALENCE_METHODS = ("ine", "gtree", "road", "ier-gt")
 
@@ -90,92 +89,86 @@ def random_delta_stream(graph, objects, rng, n_object, n_weight):
     return deltas
 
 
-def rebuild_instances(graph, objects, kernel, gtree_partition, road_partition,
-                      seed):
+def rebuild_instances(graph, objects, gtree_partition, road_partition, seed):
     """Method instances built from scratch over the *current* graph state.
 
     The G-tree and ROAD rebuilds are pinned to the incremental indexes'
     partition hierarchies — the exact claim in-place repair makes is
     "identical to rebuilding this tree over the new weights".
     """
-    gt = GTree(graph, seed=seed, kernel=kernel, partition=gtree_partition)
+    gt = GTree(graph, seed=seed, partition=gtree_partition)
     rd = RoadIndex(graph, seed=seed, partition=road_partition)
     return gt, rd, {
-        "ine": INE(graph, objects, kernel=kernel),
-        "gtree": GTreeKNN(gt, objects, kernel=kernel),
+        "ine": INE(graph, objects),
+        "gtree": GTreeKNN(gt, objects),
         "road": RoadKNN(rd, objects),
         "ier-gt": IER(graph, objects, GTreeOracle(gt)),
     }
 
 
 def bench_equivalence(args, failures: List[str]) -> Dict:
-    out: Dict[str, Dict] = {}
-    for kernel in KERNELS:
-        graph = road_network(args.eq_vertices, seed=args.seed)
-        rng = np.random.default_rng(args.seed + 10)
-        objects = uniform_objects(graph, args.density, seed=args.seed,
-                                  minimum=args.k)
-        engine = QueryEngine(graph, objects, kernel=kernel)
-        for method in EQUIVALENCE_METHODS:
-            engine.algorithm(method)  # warm every instance pre-delta
-        gtree_partition = engine.workbench.gtree.partition
-        road_partition = engine.workbench.road.partition
+    graph = road_network(args.eq_vertices, seed=args.seed)
+    rng = np.random.default_rng(args.seed + 10)
+    objects = uniform_objects(graph, args.density, seed=args.seed,
+                              minimum=args.k)
+    engine = QueryEngine(graph, objects)
+    for method in EQUIVALENCE_METHODS:
+        engine.algorithm(method)  # warm every instance pre-delta
+    gtree_partition = engine.workbench.gtree.partition
+    road_partition = engine.workbench.road.partition
 
-        deltas = random_delta_stream(
-            graph, objects, rng, args.object_deltas, args.weight_deltas
-        )
-        report = engine.apply_updates(deltas)
-        gt2, rd2, rebuilt = rebuild_instances(
-            graph, engine.objects, kernel, gtree_partition, road_partition,
-            args.seed,
-        )
-        gtree_ok = all(
-            np.array_equal(a.matrix.m, b.matrix.m)
-            for a, b in zip(engine.workbench.gtree.nodes, gt2.nodes)
-        )
-        road_ok = all(
-            np.array_equal(a.shortcut_matrix, b.shortcut_matrix)
-            for a, b in zip(engine.workbench.road.rnets, rd2.rnets)
-        )
-        if not gtree_ok:
-            failures.append(f"[{kernel}] repaired gtree matrices != rebuild")
-        if not road_ok:
-            failures.append(f"[{kernel}] repaired road matrices != rebuild")
+    deltas = random_delta_stream(
+        graph, objects, rng, args.object_deltas, args.weight_deltas
+    )
+    report = engine.apply_updates(deltas)
+    gt2, rd2, rebuilt = rebuild_instances(
+        graph, engine.objects, gtree_partition, road_partition, args.seed
+    )
+    gtree_ok = all(
+        np.array_equal(a.matrix.m, b.matrix.m)
+        for a, b in zip(engine.workbench.gtree.nodes, gt2.nodes)
+    )
+    road_ok = all(
+        np.array_equal(a.shortcut_matrix, b.shortcut_matrix)
+        for a, b in zip(engine.workbench.road.rnets, rd2.rnets)
+    )
+    if not gtree_ok:
+        failures.append("repaired gtree matrices != rebuild")
+    if not road_ok:
+        failures.append("repaired road matrices != rebuild")
 
-        queries = rng.integers(0, graph.num_vertices, size=args.queries)
-        identical = {m: True for m in EQUIVALENCE_METHODS}
-        for method in EQUIVALENCE_METHODS:
-            for q in queries.tolist():
-                inc = [
-                    (n.distance, n.vertex)
-                    for n in engine.query(q, args.k, method=method).neighbors
-                ]
-                ref = [
-                    (float(d), int(v))
-                    for d, v in rebuilt[method].knn(q, args.k)
-                ]
-                if inc != ref:  # byte-identical: exact floats, exact ids
-                    identical[method] = False
-                    failures.append(
-                        f"[{kernel}] {method} drift on q={q}: "
-                        f"{inc!r} != {ref!r}"
-                    )
-                    break
-        out[kernel] = {
-            "vertices": graph.num_vertices,
-            "queries": len(queries),
-            "k": args.k,
-            "deltas": len(deltas),
-            "update_report": report.to_dict(),
-            "gtree_matrices_identical": gtree_ok,
-            "road_matrices_identical": road_ok,
-            "answers_identical": identical,
-        }
-        status = "ok" if all(identical.values()) and gtree_ok and road_ok \
-            else "DRIFT"
-        print(f"  equivalence[{kernel}]  methods={list(identical)}  "
-              f"deltas={len(deltas)}  {status}")
-    return out
+    queries = rng.integers(0, graph.num_vertices, size=args.queries)
+    identical = {m: True for m in EQUIVALENCE_METHODS}
+    for method in EQUIVALENCE_METHODS:
+        for q in queries.tolist():
+            inc = [
+                (n.distance, n.vertex)
+                for n in engine.query(q, args.k, method=method).neighbors
+            ]
+            ref = [
+                (float(d), int(v))
+                for d, v in rebuilt[method].knn(q, args.k)
+            ]
+            if inc != ref:  # byte-identical: exact floats, exact ids
+                identical[method] = False
+                failures.append(
+                    f"{method} drift on q={q}: {inc!r} != {ref!r}"
+                )
+                break
+    status = "ok" if all(identical.values()) and gtree_ok and road_ok \
+        else "DRIFT"
+    print(f"  equivalence  methods={list(identical)}  "
+          f"deltas={len(deltas)}  {status}")
+    return {
+        "vertices": graph.num_vertices,
+        "queries": len(queries),
+        "k": args.k,
+        "deltas": len(deltas),
+        "update_report": report.to_dict(),
+        "gtree_matrices_identical": gtree_ok,
+        "road_matrices_identical": road_ok,
+        "answers_identical": identical,
+    }
 
 
 def bench_speedup(args, failures: List[str]) -> Dict:
@@ -188,7 +181,7 @@ def bench_speedup(args, failures: List[str]) -> Dict:
     # harness runtime and the AssociationDirectory path is already under
     # the equivalence gate above.
     methods = ("ine", "gtree", "ier-gt")
-    engine = QueryEngine(graph, objects, kernel="array")
+    engine = QueryEngine(graph, objects)
     t0 = time.perf_counter()
     gtree_index = engine.workbench.gtree
     gtree_build_s = time.perf_counter() - t0
@@ -207,13 +200,13 @@ def bench_speedup(args, failures: List[str]) -> Dict:
         t_incremental = min(t_incremental, time.perf_counter() - start)
 
     # The fallback cost: rebuild each instance's object index from
-    # scratch (INE flags/array, occurrence list, IER R-tree).
+    # scratch (INE object array, occurrence list, IER R-tree).
     final_objects = list(engine.objects)
     t_rebuild = float("inf")
     for _ in range(2):
         start = time.perf_counter()
-        INE(graph, final_objects, kernel="array")
-        GTreeKNN(gtree_index, final_objects, kernel="array")
+        INE(graph, final_objects)
+        GTreeKNN(gtree_index, final_objects)
         IER(graph, final_objects, GTreeOracle(gtree_index))
         t_rebuild = min(t_rebuild, time.perf_counter() - start)
     speedup = t_rebuild / t_incremental if t_incremental > 0 else float("inf")
@@ -266,7 +259,7 @@ def bench_mixed_load(args) -> Dict:
         graph = road_network(args.mix_vertices, seed=args.seed)
         objects = uniform_objects(graph, args.density, seed=args.seed,
                                   minimum=args.k)
-        engine = QueryEngine(graph, objects, kernel="array")
+        engine = QueryEngine(graph, objects)
         reads, update_items = mixed_update_workload(
             graph, args.mix_reads, args.k, objects,
             updates=updates, seed=args.seed + 30,

@@ -6,7 +6,7 @@ CI workflow used to carry: every smoke leg runs its benchmark, then::
 
     python benchmarks/check_report.py <bench> <report.json>
 
-``<bench>`` is one of ``server``, ``updates``, ``kernels``, ``obs``,
+``<bench>`` is one of ``server``, ``updates``, ``obs``,
 ``profile``, ``chaos``, ``scale``.  Each checker re-asserts what its
 benchmark already gated at run time — a report that *reads* green must
 also *check* green, so a report-writing regression (dropped field,
@@ -78,20 +78,17 @@ def check_server(report: Dict) -> str:
 
 def check_updates(report: Dict) -> str:
     _shared_checks(report, "updates")
-    for kernel, eq in report["equivalence"].items():
-        _require(
-            eq["gtree_matrices_identical"],
-            f"gtree matrices differ after repair ({kernel})",
-        )
-        _require(
-            eq["road_matrices_identical"],
-            f"road matrices differ after repair ({kernel})",
-        )
-        _require(
-            all(eq["answers_identical"].values()),
-            f"answers differ after repair ({kernel}): "
-            f"{eq['answers_identical']}",
-        )
+    eq = report["equivalence"]
+    _require(
+        eq["gtree_matrices_identical"], "gtree matrices differ after repair"
+    )
+    _require(
+        eq["road_matrices_identical"], "road matrices differ after repair"
+    )
+    _require(
+        all(eq["answers_identical"].values()),
+        f"answers differ after repair: {eq['answers_identical']}",
+    )
     speedup = report["speedup"]
     _require(
         speedup["meets_5x_floor"],
@@ -101,31 +98,6 @@ def check_updates(report: Dict) -> str:
         f"ok: repair {speedup['speedup']:.1f}x vs rebuild, weight repair "
         f"{speedup['weight_repair_speedup_vs_gtree_build']:.1f}x "
         f"vs gtree build"
-    )
-
-
-def check_kernels(report: Dict) -> str:
-    _shared_checks(report, "kernels")
-    for section, flag in (
-        ("p2p_dijkstra", "distances_identical"),
-        ("ine_knn", "answers_identical"),
-    ):
-        stats = report[section]
-        _require(stats[flag], f"{section}: kernels disagree")
-        _require(
-            stats["settled_counters_identical"],
-            f"{section}: settled counters differ",
-        )
-        _require(stats["speedup"] > 0, f"{section}: speedup not positive")
-    _require(
-        report["gtree_build"]["worst_rel_error_vs_dijkstra"] < 1e-9,
-        f"gtree distances drifted: "
-        f"{report['gtree_build']['worst_rel_error_vs_dijkstra']}",
-    )
-    return (
-        f"ok: p2p {report['p2p_dijkstra']['speedup']:.1f}x, "
-        f"ine {report['ine_knn']['speedup']:.1f}x, "
-        f"gtree build {report['gtree_build']['speedup']:.1f}x"
     )
 
 
@@ -235,7 +207,6 @@ def check_scale(report: Dict) -> str:
 CHECKERS: Dict[str, Callable[[Dict], str]] = {
     "server": check_server,
     "updates": check_updates,
-    "kernels": check_kernels,
     "obs": check_obs,
     "profile": check_profile,
     "chaos": check_chaos,

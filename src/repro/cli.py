@@ -122,10 +122,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         return 2
     graph, objects, engine = _engine_and_objects(args)
     query = args.query if args.query is not None else graph.num_vertices // 2
-    print(
-        f"{graph}, |O|={len(objects)}, query={query}, k={args.k}, "
-        f"kernel={engine.kernel}"
-    )
+    print(f"{graph}, |O|={len(objects)}, query={query}, k={args.k}")
     methods = args.methods or engine.available_methods()
     reference: Optional[List[float]] = None
     reference_method: Optional[str] = None
@@ -159,10 +156,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(error, file=sys.stderr)
         return 2
     graph = _build_graph(args)
-    engine = QueryEngine(
-        graph, [], seed=args.seed, store=_open_store(args),
-        kernel=getattr(args, "kernel", None),
-    )
+    engine = QueryEngine(graph, [], seed=args.seed, store=_open_store(args))
     queries = random_queries(graph, args.queries, seed=args.seed)
     methods = args.methods or engine.available_methods()
     densities = args.densities or [0.001, 0.01, 0.1]
@@ -380,10 +374,7 @@ def _engine_and_objects(args: argparse.Namespace):
         objects = uniform_objects(
             graph, args.density, seed=args.seed, minimum=args.k
         )
-    engine = QueryEngine(
-        graph, objects, seed=args.seed, store=store,
-        kernel=getattr(args, "kernel", None),
-    )
+    engine = QueryEngine(graph, objects, seed=args.seed, store=store)
     return graph, objects, engine
 
 
@@ -818,9 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--co", help="DIMACS .co coordinate file")
         p.add_argument("--travel-time", action="store_true",
                        help="use travel-time edge weights")
-        p.add_argument("--kernel", choices=("python", "array"),
-                       help="hot-path kernel (default: array; 'python' runs "
-                            "the reference per-edge loops)")
         p.add_argument("--graph-key",
                        help="load the graph from a store artifact (requires "
                             "--store; flat artifacts load zero-copy via mmap)")

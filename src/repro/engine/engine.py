@@ -30,7 +30,11 @@ from repro.engine.query import (
     as_queries,
     normalise_query,
 )
-from repro.engine.registry import MethodUnavailable, get_method
+from repro.engine.registry import (
+    TERMINAL_METHOD,
+    MethodUnavailable,
+    get_method,
+)
 from repro.engine.workbench import IndexCache
 from repro.graph.graph import Graph
 from repro.knn.base import KNNAlgorithm
@@ -53,14 +57,6 @@ class QueryEngine:
     density_threshold:
         Override for the auto planner's INE/IER crossover density
         (default :data:`repro.engine.planner.AUTO_DENSITY_THRESHOLD`).
-    kernel:
-        Hot-path kernel for query algorithms and index builds:
-        ``"array"`` (the resolved default — allocation-free, vectorised,
-        whole-frontier kernels) or ``"python"`` (the reference per-edge
-        loops).  Both kernels return identical answers; ``explain``
-        reports the kernel each method ran on.  When the engine creates
-        its own :class:`IndexCache` the knob also selects the index
-        build kernel; an existing workbench keeps its own.
     store:
         Optional :class:`repro.store.IndexStore`.  Indexes are then
         loaded from disk when a matching artifact exists and saved after
@@ -82,11 +78,7 @@ class QueryEngine:
         road_levels: Optional[int] = None,
         density_threshold: Optional[float] = None,
         store=None,
-        kernel: Optional[str] = None,
     ) -> None:
-        from repro.kernels.config import resolve_kernel
-
-        self.kernel = resolve_kernel(kernel)
         if workbench is None:
             if isinstance(graph_or_workbench, IndexCache):
                 workbench = graph_or_workbench
@@ -97,7 +89,6 @@ class QueryEngine:
                     tau=tau,
                     road_levels=road_levels,
                     store=store,
-                    kernel=self.kernel,
                 )
             else:
                 raise ValueError("provide a graph or a workbench")
@@ -152,24 +143,14 @@ class QueryEngine:
         get_method(method)  # raises UnknownMethod with the known list
         return method
 
-    def method_kernel(self, method: str) -> Optional[str]:
-        """The kernel ``method`` runs on here, or None if it has no knob."""
-        spec = get_method(method)
-        return self.kernel if spec.supports_kernel else None
-
     def algorithm(self, method: str, **kwargs) -> KNNAlgorithm:
         """The cached algorithm instance for ``method`` (built on first use).
-
-        Kernel-aware methods receive the engine's resolved ``kernel``
-        unless the caller overrides it explicitly in ``kwargs``.
 
         Thread-safe: server workers sharing one engine double-check
         under a lock, so concurrent first uses construct each instance
         exactly once (the underlying road-network indexes are likewise
         built once — ``IndexCache`` holds per-kind build locks).
         """
-        if "kernel" not in kwargs and get_method(method).supports_kernel:
-            kwargs["kernel"] = self.kernel
         key = (method, tuple(sorted(kwargs.items())))
         alg = self._algorithms.get(key)
         if alg is None:
@@ -186,7 +167,6 @@ class QueryEngine:
             workbench=self.workbench,
             objects=objects,
             density_threshold=self.density_threshold,
-            kernel=self.kernel,
         )
 
     # ------------------------------------------------------------------
@@ -198,7 +178,7 @@ class QueryEngine:
         Needed after the shared graph's weights change out from under
         this engine — e.g. a sibling engine over the same workbench ran
         :meth:`apply_updates` — because instances snapshot weight-derived
-        state at construction (INE's flat weight lists, oracle caches).
+        state at construction (flat weight lists, oracle caches).
         """
         with self._algorithms_lock:
             self._algorithms.clear()
@@ -354,19 +334,17 @@ class QueryEngine:
                 # — and several algorithms cannot even be constructed
                 # over it (IER's R-tree needs at least one object), so
                 # short-circuit before any algorithm instance is built.
-                kernel = self.method_kernel(resolved)
                 obs.record_query(
-                    resolved, 0.0, c, kernel=kernel,
-                    vertex=q.vertex, k=q.k, trace=qspan,
+                    resolved, 0.0, c, vertex=q.vertex, k=q.k, trace=qspan,
                 )
                 return KNNResult(
                     query=q, method=resolved, neighbors=(), counters=c,
-                    time_s=0.0, kernel=kernel,
+                    time_s=0.0,
                 )
             last_error: Optional[BaseException] = None
             if resolved not in avoid_methods:
                 try:
-                    return self._execute(q, resolved, None, c, qspan)
+                    return self._execute(q, resolved, c, qspan)
                 except Exception as exc:
                     if not classify(exc).degradable:
                         raise
@@ -375,13 +353,10 @@ class QueryEngine:
             # Degraded path: the planner's choice failed (or an open
             # circuit breaker told us not to try it).  Built lazily so
             # the healthy hot path never pays for it.
-            for name, kernel_override in self.fallback_chain(
-                resolved, avoid_methods
-            ):
+            for name in self.fallback_chain(resolved, avoid_methods):
                 try:
                     result = self._execute(
-                        q, name, kernel_override, c, qspan,
-                        fallback_from=resolved,
+                        q, name, c, qspan, fallback_from=resolved
                     )
                 except Exception as exc:
                     if not classify(exc).degradable:
@@ -404,28 +379,24 @@ class QueryEngine:
 
     def fallback_chain(
         self, resolved: str, avoid_methods: frozenset = frozenset()
-    ) -> List[tuple]:
-        """Ordered ``(method, kernel_override)`` rungs to try after
-        ``resolved`` failed.
+    ) -> List[str]:
+        """Ordered method names to try after ``resolved`` failed.
 
         Planner preference order first (skipping ``resolved``, avoided
-        and unavailable methods), then the terminal rung: plain INE on
-        the pure-python kernel, which needs no prebuilt index and no
+        and unavailable methods), then the terminal rung
+        :data:`~repro.engine.registry.TERMINAL_METHOD`: INE on the
+        per-edge reference loop, which needs no prebuilt index and no
         array backend — it can always answer, just slowly.
         """
-        chain: List[tuple] = []
+        chain: List[str] = []
         for name in LOW_DENSITY_METHODS:
             if name == resolved or name in avoid_methods:
                 continue
             if self.workbench.method_availability(name) is not None:
                 continue
-            chain.append((name, None))
-        terminal = ("ine", "python")
-        tried_terminal = (
-            resolved == "ine" or ("ine", None) in chain
-        ) and self.kernel == "python"
-        if not tried_terminal:
-            chain.append(terminal)
+            chain.append(name)
+        if resolved != TERMINAL_METHOD:
+            chain.append(TERMINAL_METHOD)
         return chain
 
     def _note_method_error(self, name: str, exc: BaseException) -> None:
@@ -442,22 +413,13 @@ class QueryEngine:
         self,
         q: KNNQuery,
         method: str,
-        kernel_override: Optional[str],
         c: Counters,
         qspan,
         fallback_from: Optional[str] = None,
     ) -> KNNResult:
         """Run one method end to end (ensure index, search, paths)."""
         with _span("ensure", method=method):
-            if (
-                kernel_override is not None
-                and get_method(method).supports_kernel
-            ):
-                kernel: Optional[str] = kernel_override
-                alg = self.algorithm(method, kernel=kernel_override)
-            else:
-                kernel = self.method_kernel(method)
-                alg = self.algorithm(method)
+            alg = self.algorithm(method)
         with _span("knn", method=method) as kspan:
             start = time.perf_counter()
             raw = alg.knn(q.vertex, q.k, counters=c)
@@ -481,13 +443,11 @@ class QueryEngine:
         if degraded:
             qspan.annotate(degraded=True, fallback_from=fallback_from)
         obs.record_query(
-            method, elapsed, c, kernel=kernel,
-            vertex=q.vertex, k=q.k, trace=qspan,
+            method, elapsed, c, vertex=q.vertex, k=q.k, trace=qspan,
         )
         return KNNResult(
             query=q, method=method, neighbors=neighbors, counters=c,
-            time_s=elapsed, kernel=kernel,
-            degraded=degraded, fallback_from=fallback_from,
+            time_s=elapsed, degraded=degraded, fallback_from=fallback_from,
         )
 
     def batch(

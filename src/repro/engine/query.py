@@ -68,9 +68,6 @@ class KNNResult:
     neighbors: Tuple[Neighbor, ...]
     counters: Counters
     time_s: float
-    #: Hot-path kernel the method ran on (``"python"`` / ``"array"``), or
-    #: ``None`` for methods without a kernel knob.
-    kernel: Optional[str] = None
     #: True when the answer came from a fallback method because the
     #: planner's choice failed (or was avoided by an open circuit
     #: breaker).  The answer is still exact — every method is — but the

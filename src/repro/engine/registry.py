@@ -36,6 +36,7 @@ from repro.knn.ine import INE
 from repro.knn.road_knn import RoadKNN
 from repro.pathfinding.astar import AStarOracle
 from repro.pathfinding.dijkstra import DijkstraOracle
+from repro.reference import ReferenceINE
 
 
 class MethodUnavailable(RuntimeError):
@@ -80,9 +81,6 @@ class MethodSpec:
     #: Position in the paper's main-comparison lineup (None = auxiliary
     #: variant that is constructible but not part of the default set).
     main_rank: Optional[int] = None
-    #: Whether the builder accepts the ``kernel="python"|"array"`` knob
-    #: (the engine forwards its resolved kernel only to these methods).
-    supports_kernel: bool = False
 
     def availability(self, bench) -> Optional[str]:
         """``None`` if runnable on ``bench``, else the reason it is not."""
@@ -105,7 +103,6 @@ def register_method(
     requires: Sequence[str] = (),
     check: Optional[AvailabilityCheck] = None,
     main_rank: Optional[int] = None,
-    supports_kernel: bool = False,
     replace: bool = False,
 ) -> Callable[[Callable[..., KNNAlgorithm]], Callable[..., KNNAlgorithm]]:
     """Decorator registering ``builder(bench, objects, **kwargs)`` under ``name``."""
@@ -120,7 +117,6 @@ def register_method(
             requires=tuple(requires),
             check=check,
             main_rank=main_rank,
-            supports_kernel=supports_kernel,
         )
         return builder
 
@@ -179,7 +175,6 @@ def _silc_check(bench) -> Optional[str]:
     "ine",
     summary="Incremental Network Expansion (Dijkstra-style, no road index)",
     main_rank=0,
-    supports_kernel=True,
 )
 def _build_ine(bench, objects, **kwargs):
     return INE(bench.graph, objects, **kwargs)
@@ -190,7 +185,6 @@ def _build_ine(bench, objects, **kwargs):
     summary="G-tree hierarchy traversal with occurrence lists",
     requires=("gtree",),
     main_rank=2,
-    supports_kernel=True,
 )
 def _build_gtree(bench, objects, **kwargs):
     return GTreeKNN(bench.gtree, objects, **kwargs)
@@ -212,7 +206,6 @@ def _build_road(bench, objects, **kwargs):
     requires=("silc",),
     check=_silc_check,
     main_rank=5,
-    supports_kernel=True,
 )
 def _build_disbrw(bench, objects, **kwargs):
     return DistanceBrowsing(bench.silc, objects, **kwargs)
@@ -223,7 +216,6 @@ def _build_disbrw(bench, objects, **kwargs):
     summary="Distance Browsing over SILC (Object Hierarchy candidates)",
     requires=("silc",),
     check=_silc_check,
-    supports_kernel=True,
 )
 def _build_disbrw_oh(bench, objects, **kwargs):
     return DistanceBrowsing(
@@ -234,12 +226,9 @@ def _build_disbrw_oh(bench, objects, **kwargs):
 @register_method(
     "ier-dijk",
     summary="IER with a plain Dijkstra oracle (the original, VLDB 2003)",
-    supports_kernel=True,
 )
-def _build_ier_dijk(bench, objects, kernel=None, **kwargs):
-    return IER(
-        bench.graph, objects, DijkstraOracle(bench.graph, kernel=kernel), **kwargs
-    )
+def _build_ier_dijk(bench, objects, **kwargs):
+    return IER(bench.graph, objects, DijkstraOracle(bench.graph), **kwargs)
 
 
 @register_method("ier-astar", summary="IER with an A* oracle")
@@ -283,3 +272,18 @@ def _build_ier_ch(bench, objects, **kwargs):
 )
 def _build_ier_tnr(bench, objects, **kwargs):
     return IER(bench.graph, objects, bench.tnr, **kwargs)
+
+
+#: The engine's terminal degradation rung (see
+#: :meth:`QueryEngine.fallback_chain`): needs no prebuilt index and shares
+#: no code path with the kernels, so it can always answer — just slowly.
+TERMINAL_METHOD = "ine-graph"
+
+
+@register_method(
+    TERMINAL_METHOD,
+    summary="INE on the per-edge reference loop (the paper's Fig. 7 "
+            "'Graph' rung; the terminal degradation rung)",
+)
+def _build_ine_graph(bench, objects, **kwargs):
+    return ReferenceINE(bench.graph, objects, **kwargs)

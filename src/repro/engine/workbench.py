@@ -67,11 +67,6 @@ class IndexCache:
         Optional :class:`repro.store.IndexStore`.  When set, every index
         property first tries to load a matching artifact from disk and
         saves freshly built indexes back — see :meth:`_obtain`.
-    kernel:
-        Build-kernel knob forwarded to the kernel-aware index
-        constructors (G-tree's bulk build, TNR's bulk transit table).
-        ``None`` resolves to the process default (``array``); pass
-        ``"python"`` to force the reference builders.
     """
 
     def __init__(
@@ -81,14 +76,10 @@ class IndexCache:
         tau: Optional[int] = None,
         road_levels: Optional[int] = None,
         store=None,
-        kernel: Optional[str] = None,
     ) -> None:
-        from repro.kernels.config import resolve_kernel
-
         self.graph = graph
         self.seed = seed
         self.store = store
-        self.kernel = resolve_kernel(kernel)
         self._tau = tau
         self._road_levels = road_levels
         self._gtree: Optional[GTree] = None
@@ -233,15 +224,10 @@ class IndexCache:
     # ------------------------------------------------------------------
     @property
     def gtree(self) -> GTree:
-        # The build kernel keys the artifact: the two kernels partition
-        # differently (multilevel vs geometric), so their trees are
-        # distinct — both exact — and must not be served interchangeably.
         return self._ensure("gtree", lambda: self._obtain(
             "gtree",
-            {"tau": self._tau, "seed": self.seed, "kernel": self.kernel},
-            lambda: GTree(
-                self.graph, tau=self._tau, seed=self.seed, kernel=self.kernel
-            ),
+            {"tau": self._tau, "seed": self.seed},
+            lambda: GTree(self.graph, tau=self._tau, seed=self.seed),
         ))
 
     @property
@@ -320,8 +306,6 @@ class IndexCache:
         # while holding tnr's — safe because dependency edges only point
         # one way (ch never locks a dependant), so the lock order is
         # acyclic.  The same holds for hub_labels -> ch.
-        # The transit table's values are kernel-independent (both builds
-        # are exact), so the artifact key deliberately omits the kernel.
         return self._ensure("tnr", lambda: self._obtain(
             "tnr",
             {"num_transit": None, "grid_size": 32, "locality_cells": 4},
@@ -331,7 +315,6 @@ class IndexCache:
                 num_transit=None,
                 grid_size=32,
                 locality_cells=4,
-                kernel=self.kernel,
             ),
             deps={"ch": self.ch} if self.store is not None else None,
         ))

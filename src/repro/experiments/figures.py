@@ -35,6 +35,7 @@ from repro.objects import (
     uniform_objects,
 )
 from repro.objects.indexes import object_index_costs
+from repro.reference import ReferenceINE
 from repro.utils.counters import Counters
 
 DEFAULT_K = 10
@@ -149,27 +150,36 @@ def fig07_ine_ablation(
     num_queries: int = 30,
     seed: int = 0,
 ) -> Tuple[ExperimentResult, ExperimentResult]:
-    """INE query time across the four implementation rungs."""
+    """INE query time across the paper's four implementation rungs
+    (the reference loops) and, as a fifth series, the production INE —
+    the whole-frontier kernel one rung past the paper's ladder."""
     labels = {
         "first_cut": "1st Cut",
         "pqueue": "PQueue",
         "settled": "Settled",
         "graph": "Graph",
     }
+
+    def rungs(objs):
+        algs = {
+            label: ReferenceINE(graph, objs, variant=v)
+            for v, label in labels.items()
+        }
+        algs["Production"] = INE(graph, objs)
+        return algs
+
     queries = random_queries(graph, num_queries, seed)
-    objects = uniform_objects(graph, default_density, seed=seed)
-    variants = {v: INE(graph, objects, variant=v) for v in labels}
+    variants = rungs(uniform_objects(graph, default_density, seed=seed))
     by_k = ExperimentResult("Fig 7(a) INE ablation vs k", "k", "query time (us)")
     for k in ks:
-        for variant, label in labels.items():
-            by_k.add(label, k, measure_query_time(variants[variant], queries, k))
+        for label, alg in variants.items():
+            by_k.add(label, k, measure_query_time(alg, queries, k))
     by_d = ExperimentResult(
         "Fig 7(b) INE ablation vs density", "density", "query time (us)"
     )
     for density in densities:
         objs = uniform_objects(graph, density, seed=seed, minimum=default_k)
-        for variant, label in labels.items():
-            alg = INE(graph, objs, variant=variant)
+        for label, alg in rungs(objs).items():
             by_d.add(label, density, measure_query_time(alg, queries, default_k))
     return by_k, by_d
 

@@ -114,8 +114,10 @@ def build_report() -> str:
         "Each choice roughly halves query time; final implementation 6-7x "
         "faster than the first cut.  Reproduced directionally: the "
         "decrease-key heap is the big cost in CPython (~1.5-2x), the final "
-        "configuration is fastest; total improvement ~1.7x (interpreter "
-        "overhead compresses constant-factor effects).",
+        "configuration is fastest of the four; total improvement ~1.7x "
+        "(interpreter overhead compresses constant-factor effects).  The "
+        "fifth series, Production, is the library's INE: the whole-frontier "
+        "C kernel one rung past the paper's ladder.",
         a, b,
     )
 

@@ -219,7 +219,7 @@ def _geometric_bisect(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Median-cut bisection on the wider coordinate axis (vectorised).
 
-    The array-kernel partitioner: road networks are embedded planar
+    The G-tree build's partitioner: road networks are embedded planar
     graphs, so cutting at the weighted median of the wider axis yields
     cuts whose border counts match the multilevel partitioner's (measured
     on the synthetic suite) at a tiny fraction of its cost — every step
@@ -247,8 +247,8 @@ def partition_graph(
     what keeps G-tree/ROAD border sets small.
 
     ``method`` selects the bisection kernel: ``"multilevel"`` (the
-    coarsen/grow/refine scheme above, reference) or ``"geometric"``
-    (vectorised median cuts, used by array-kernel index builds).
+    coarsen/grow/refine scheme above, ROAD's) or ``"geometric"``
+    (vectorised median cuts, used by the G-tree build).
     """
     if fanout < 2:
         raise ValueError("fanout must be at least 2")

@@ -36,11 +36,9 @@ from scipy.sparse.csgraph import floyd_warshall as _floyd_warshall
 
 from repro.graph.graph import Graph
 from repro.graph.partition import recursive_partition
-from repro.kernels.config import resolve_kernel
 from repro.updates import RepairUnavailable
 from repro.utils.arrays import concat_ragged, ragged_row
 from repro.utils.counters import BUILD_COUNTERS, Counters, NULL_COUNTERS
-from repro.utils.pqueue import BinaryHeap
 
 INF = float("inf")
 
@@ -236,8 +234,8 @@ class GTreeNode:
         "pos_in_parent",
         "own_border_pos",
         "vertex_pos",
-        "leaf_adj",
         "leaf_csr",
+        "leaf_lists",
     )
 
     def __init__(self, node_id: int, parent: int, level: int) -> None:
@@ -254,8 +252,11 @@ class GTreeNode:
         self.pos_in_parent: np.ndarray = np.empty(0, dtype=np.int64)
         self.own_border_pos: np.ndarray = np.empty(0, dtype=np.int64)
         self.vertex_pos: Optional[Dict[int, int]] = None  # leaf only
-        self.leaf_adj: Optional[List[List[Tuple[int, float]]]] = None
-        self.leaf_csr = None  # array-kernel cache of leaf_adj as scipy CSR
+        # Lazy leaf-search caches (leaf only): the leaf subgraph plus its
+        # exact border clique as a scipy CSR, and the same CSR as flat
+        # python lists.  Weight repair drops both together.
+        self.leaf_csr = None
+        self.leaf_lists: Optional[Tuple[list, list, list]] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -276,12 +277,10 @@ class GTree:
         to 512 for US).  Default picks ``max(32, ~sqrt(V))`` similarly.
     matrix_backend:
         One of ``"array"`` (default), ``"hash_tuple"``, ``"hash_packed"``.
-    kernel:
-        ``"array"`` (resolved default) builds with the bulk kernels:
-        vectorised geometric partitioning, vectorised minigraph assembly
-        and multi-source C Dijkstra — an order of magnitude faster than
-        ``"python"``, the reference per-edge build.  Both produce exact
-        global distance matrices; query answers are identical.
+
+    The build is array-native throughout: vectorised geometric
+    partitioning, vectorised minigraph assembly, multi-source C Dijkstra
+    and closed-form min-plus corrections — no per-edge Python work.
     """
 
     name = "gtree"
@@ -293,7 +292,6 @@ class GTree:
         tau: Optional[int] = None,
         matrix_backend: str = "array",
         seed: int = 0,
-        kernel: Optional[str] = None,
         partition=None,
     ) -> None:
         if matrix_backend not in MATRIX_BACKENDS:
@@ -304,7 +302,6 @@ class GTree:
             tau = max(32, int(np.sqrt(graph.num_vertices) / 2) * 4)
         self.tau = tau
         self.matrix_backend = matrix_backend
-        self.kernel = resolve_kernel(kernel)
         BUILD_COUNTERS.add("build:gtree")
         start = time.perf_counter()
         self._build(seed, partition)
@@ -315,16 +312,14 @@ class GTree:
     # ------------------------------------------------------------------
     def _build(self, seed: int, partition=None) -> None:
         graph = self.graph
-        # The multilevel partitioner reads edge weights, so a rebuild
-        # after weight deltas may legitimately repartition; ``partition``
-        # lets callers (the rebuild-equality harness) pin the hierarchy
-        # an existing tree was built on.
+        # ``partition`` lets callers (the rebuild-equality harness) pin
+        # the hierarchy an existing tree was built on.
         hierarchy = partition if partition is not None else recursive_partition(
             graph,
             fanout=self.fanout,
             max_leaf_size=self.tau,
             seed=seed,
-            method="geometric" if self.kernel == "array" else "multilevel",
+            method="geometric",
         )
         self.partition = hierarchy
 
@@ -403,10 +398,7 @@ class GTree:
                 [pos_of[int(b)] for b in node.borders], dtype=np.int64
             )
 
-        if self.kernel == "array":
-            self._build_matrices_bulk()
-        else:
-            self._build_matrices()
+        self._build_matrices_bulk()
 
     def _node_vertices(self, node: GTreeNode) -> np.ndarray:
         if node.is_leaf:
@@ -415,114 +407,6 @@ class GTree:
         return np.concatenate(parts)
 
     # -- matrix machinery ------------------------------------------------
-    def _leaf_local_graph(
-        self, node: GTreeNode, border_clique: Optional[np.ndarray]
-    ) -> List[List[Tuple[int, float]]]:
-        """Local adjacency over leaf vertices (+ optional border clique)."""
-        pos = node.vertex_pos
-        adj: List[List[Tuple[int, float]]] = [[] for _ in node.vertices]
-        for v in node.vertices:
-            i = pos[int(v)]
-            targets, weights = self.graph.neighbor_slice(int(v))
-            for t, w in zip(targets, weights):
-                j = pos.get(int(t))
-                if j is not None:
-                    adj[i].append((j, float(w)))
-        if border_clique is not None:
-            bpos = [pos[int(b)] for b in node.borders]
-            nb = len(bpos)
-            for a in range(nb):
-                for b in range(nb):
-                    if a != b and np.isfinite(border_clique[a, b]):
-                        adj[bpos[a]].append((bpos[b], float(border_clique[a, b])))
-        return adj
-
-    @staticmethod
-    def _multi_dijkstra(
-        adj: List[List[Tuple[int, float]]], sources: Sequence[int]
-    ) -> np.ndarray:
-        """Dijkstra from each source over a small local adjacency.
-
-        Parallel edges (e.g. a raw edge coinciding with a clique edge)
-        are collapsed to their minimum — scipy's COO constructor would
-        otherwise *sum* duplicates.
-        """
-        n = len(adj)
-        if n == 0:
-            return np.empty((len(sources), 0))
-        best: Dict[Tuple[int, int], float] = {}
-        for u, lst in enumerate(adj):
-            for v, w in lst:
-                key = (u, v)
-                prev = best.get(key)
-                if prev is None or w < prev:
-                    best[key] = w
-        rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-        cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-        data = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-        m = csr_matrix((data, (rows, cols)), shape=(n, n))
-        if not sources:
-            return np.empty((0, n))
-        return _csgraph_dijkstra(m, directed=True, indices=list(sources))
-
-    def _leaf_matrix(
-        self, node: GTreeNode, border_clique: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """(borders x leaf vertices) distance matrix for a leaf."""
-        adj = self._leaf_local_graph(node, border_clique)
-        node.leaf_adj = adj if border_clique is not None else node.leaf_adj
-        sources = [node.vertex_pos[int(b)] for b in node.borders]
-        return self._multi_dijkstra(adj, sources)
-
-    def _internal_minigraph(
-        self, node: GTreeNode, own_clique: Optional[np.ndarray]
-    ) -> List[List[Tuple[int, float]]]:
-        """Minigraph over ``node.child_borders``.
-
-        Edges: per-child border cliques (from child matrices), original
-        cross edges between children, and optionally a clique over the
-        node's own borders carrying parent-level exact distances.
-        """
-        cb = node.child_borders
-        pos_of = {int(v): i for i, v in enumerate(cb)}
-        adj: List[List[Tuple[int, float]]] = [[] for _ in cb]
-        for cid in node.children:
-            child = self.nodes[cid]
-            bb = self._child_border_to_border(child)
-            idx = child.pos_in_parent
-            nb = len(idx)
-            for a in range(nb):
-                for b in range(nb):
-                    if a != b and np.isfinite(bb[a, b]):
-                        adj[idx[a]].append((int(idx[b]), float(bb[a, b])))
-        # Cross edges between different children (both endpoints are
-        # borders of their child, hence present in child_borders).
-        for i, u in enumerate(cb):
-            targets, weights = self.graph.neighbor_slice(int(u))
-            for t, w in zip(targets, weights):
-                j = pos_of.get(int(t))
-                if j is None:
-                    continue
-                if self._child_of(node, int(u)) != self._child_of(node, int(t)):
-                    adj[i].append((j, float(w)))
-        if own_clique is not None:
-            obp = node.own_border_pos
-            nb = len(obp)
-            for a in range(nb):
-                for b in range(nb):
-                    if a != b and np.isfinite(own_clique[a, b]):
-                        adj[int(obp[a])].append((int(obp[b]), float(own_clique[a, b])))
-        return adj
-
-    def _child_of(self, node: GTreeNode, vertex: int) -> int:
-        """Which child of ``node`` contains ``vertex`` (by leaf interval)."""
-        li = int(self.leaf_index_of[vertex])
-        for cid in node.children:
-            child = self.nodes[cid]
-            if child.leaf_lo <= li < child.leaf_hi:
-                return cid
-        return -1
-
     def _child_border_to_border(self, child: GTreeNode) -> np.ndarray:
         """Border-to-border submatrix of a child node's raw matrix."""
         m = child.matrix.m if hasattr(child.matrix, "m") else None
@@ -534,56 +418,6 @@ class GTree:
             return m[np.ix_(rows, cols)]
         return m[np.ix_(child.own_border_pos, child.own_border_pos)]
 
-    def _build_matrices(self) -> None:
-        # Pass 1 (bottom-up): within-subgraph matrices.
-        post_order: List[GTreeNode] = []
-
-        def visit(node: GTreeNode) -> None:
-            for cid in node.children:
-                visit(self.nodes[cid])
-            post_order.append(node)
-
-        visit(self.nodes[self.root])
-        for node in post_order:
-            if node.is_leaf:
-                node.matrix = ArrayMatrix(self._leaf_matrix(node, None))
-            else:
-                adj = self._internal_minigraph(node, None)
-                node.matrix = ArrayMatrix(
-                    self._multi_dijkstra(adj, list(range(len(node.child_borders))))
-                )
-        # Pass-1 matrices are the state incremental weight-delta repair
-        # restarts from, so keep them (see apply_weight_deltas).
-        self._raw = {node.id: node.matrix.m for node in self.nodes}
-
-        # Pass 2 (top-down): inject parent-level exact border distances so
-        # every matrix becomes globally exact (out-and-back paths).
-        order = sorted(self.nodes, key=lambda nd: nd.level)
-        for node in order:
-            if node.id == self.root:
-                continue
-            parent = self.nodes[node.parent]
-            pm = parent.matrix.m
-            clique = pm[np.ix_(node.pos_in_parent, node.pos_in_parent)]
-            if node.is_leaf:
-                node.matrix = ArrayMatrix(self._leaf_matrix(node, clique))
-            else:
-                adj = self._internal_minigraph(node, clique)
-                node.matrix = ArrayMatrix(
-                    self._multi_dijkstra(adj, list(range(len(node.child_borders))))
-                )
-        # Root leaf adjacency (graph smaller than tau: root is a leaf).
-        root = self.nodes[self.root]
-        if root.is_leaf and root.leaf_adj is None:
-            root.leaf_adj = self._leaf_local_graph(root, None)
-
-        # Convert to the requested backend.
-        if self.matrix_backend != "array":
-            backend = MATRIX_BACKENDS[self.matrix_backend]
-            for node in self.nodes:
-                node.matrix = backend(node.matrix.m)
-
-    # -- bulk (array-kernel) matrix machinery ---------------------------
     def _induced_triplets(self, vs: np.ndarray):
         """COO triplets of the subgraph induced by sorted vertex ids ``vs``.
 
@@ -610,12 +444,11 @@ class GTree:
     def _leaf_matrix_bulk(
         self, node: GTreeNode, border_clique: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Leaf matrix via induced-triplet extraction + multi-source
-        Dijkstra.
+        """(borders x leaf vertices) distance matrix for a leaf.
 
-        Same minigraph as :meth:`_leaf_matrix` — induced leaf subgraph
-        plus the optional exact border clique — but assembled entirely
-        with array operations and solved in one C call.
+        The minigraph — induced leaf subgraph plus the optional exact
+        border clique — is assembled entirely with array operations and
+        solved in one multi-source C Dijkstra call.
         """
         vs = node.vertices
         ir, ic, iw = self._induced_triplets(vs)
@@ -634,12 +467,14 @@ class GTree:
     def _internal_matrix_bulk(
         self, node: GTreeNode, own_clique: Optional[np.ndarray]
     ) -> np.ndarray:
-        """Internal-node matrix over the child-border minigraph, in bulk.
+        """Internal-node matrix over the ``node.child_borders`` minigraph.
 
-        The minigraph of :meth:`_internal_minigraph` — child border
-        cliques, original cross edges between children, optional own
-        clique — built as COO triplet batches (duplicates collapsed to
-        their minimum) instead of per-pair Python loops.  The child
+        Edges: per-child border cliques (from child matrices), original
+        cross edges between children (both endpoints are borders of
+        their child, hence present in ``child_borders``), and optionally
+        a clique over the node's own borders carrying parent-level exact
+        distances — built as COO triplet batches, duplicates collapsed
+        to their minimum.  The child
         cliques make these minigraphs dense (~half the entries are
         edges), so the all-pairs solve uses dense Floyd–Warshall, which
         measures >2x faster here than heap-based multi-source Dijkstra.
@@ -748,13 +583,14 @@ class GTree:
         return out
 
     def _build_matrices_bulk(self) -> None:
-        """Array-kernel matrix construction.
+        """Two-pass matrix construction.
 
-        Pass 1 mirrors :meth:`_build_matrices` bottom-up, with every
+        Pass 1 (bottom-up) computes within-subgraph matrices, every
         minigraph assembled vectorised and solved by multi-source C
-        Dijkstra.  Pass 2 (the top-down globalisation) replaces the
-        python kernel's per-node Dijkstra re-runs with closed-form
-        min-plus corrections — no per-edge Python work anywhere."""
+        Dijkstra.  Pass 2 (top-down) injects parent-level exact border
+        distances so every matrix becomes globally exact (out-and-back
+        paths), as closed-form min-plus corrections — no per-edge Python
+        work anywhere."""
         self._pos_buf = np.full(self.graph.num_vertices, -1, dtype=np.int64)
         post_order: List[GTreeNode] = []
 
@@ -874,8 +710,7 @@ class GTree:
         for node in self.nodes:
             node.matrix = ArrayMatrix(raw[node.id])
 
-        if self.kernel == "array":
-            self._pos_buf = np.full(self.graph.num_vertices, -1, dtype=np.int64)
+        self._pos_buf = np.full(self.graph.num_vertices, -1, dtype=np.int64)
         try:
             # Pass 1: bottom-up raw recomputation over affected nodes.
             raw_changed: Set[int] = set()
@@ -886,19 +721,11 @@ class GTree:
                     c in raw_changed for c in node.children
                 ):
                     continue
-                if self.kernel == "array":
-                    new_raw = (
-                        self._leaf_matrix_bulk(node, None)
-                        if node.is_leaf
-                        else self._internal_matrix_bulk(node, None)
-                    )
-                elif node.is_leaf:
-                    new_raw = self._leaf_matrix(node, None)
-                else:
-                    adj = self._internal_minigraph(node, None)
-                    new_raw = self._multi_dijkstra(
-                        adj, list(range(len(node.child_borders)))
-                    )
+                new_raw = (
+                    self._leaf_matrix_bulk(node, None)
+                    if node.is_leaf
+                    else self._internal_matrix_bulk(node, None)
+                )
                 counters["raw_recomputed"] += 1
                 if not np.array_equal(raw[node.id], new_raw):
                     raw[node.id] = new_raw
@@ -930,28 +757,19 @@ class GTree:
                 ):
                     node.matrix = old_corr[node.id]
                     continue
-                if self.kernel == "array":
-                    corrected = (
-                        self._correct_leaf(clique, raw[node.id])
-                        if node.is_leaf
-                        else self._correct_internal(
-                            raw[node.id], node.own_border_pos, clique
-                        )
+                corrected = (
+                    self._correct_leaf(clique, raw[node.id])
+                    if node.is_leaf
+                    else self._correct_internal(
+                        raw[node.id], node.own_border_pos, clique
                     )
-                elif node.is_leaf:
-                    corrected = self._leaf_matrix(node, clique)
-                else:
-                    adj = self._internal_minigraph(node, clique)
-                    corrected = self._multi_dijkstra(
-                        adj, list(range(len(node.child_borders)))
-                    )
+                )
                 counters["corrected_recomputed"] += 1
                 node.matrix = ArrayMatrix(corrected)
                 if not np.array_equal(corrected, old_corr[node.id].m):
                     corrected_changed.add(node.id)
         finally:
-            if self.kernel == "array":
-                del self._pos_buf
+            del self._pos_buf
 
         # Leaf search caches embed raw edge weights and the parent
         # clique; drop the stale ones for lazy rebuild.
@@ -963,10 +781,10 @@ class GTree:
                 or node.id in raw_changed
                 or (node.parent >= 0 and node.parent in corrected_changed)
             ):
-                if node.leaf_adj is not None or node.leaf_csr is not None:
+                if node.leaf_csr is not None:
                     counters["leaves_reset"] += 1
-                node.leaf_adj = None
                 node.leaf_csr = None
+                node.leaf_lists = None
         return counters
 
     # ------------------------------------------------------------------
@@ -1049,9 +867,8 @@ class GTree:
     def leaf_local_csr(self, leaf: GTreeNode) -> csr_matrix:
         """Cached CSR form of the leaf subgraph + exact border clique.
 
-        The array-kernel counterpart of ``leaf_adj``: built once per
-        leaf with vectorised extraction, it lets same-leaf searches run
-        as whole-frontier C Dijkstras.
+        Built once per leaf with vectorised extraction; same-leaf
+        searches run on it as whole-frontier C Dijkstras.
         """
         if leaf.leaf_csr is None:
             clique = self._leaf_border_clique(leaf)
@@ -1067,42 +884,35 @@ class GTree:
             leaf.leaf_csr = _min_csr(len(vs), rows, cols, data)
         return leaf.leaf_csr
 
+    def leaf_local_lists(self, leaf: GTreeNode) -> Tuple[list, list, list]:
+        """:meth:`leaf_local_csr` as flat ``(indptr, indices, data)`` lists.
+
+        The form G-tree kNN's leaf search walks: a search that must
+        observe every settle stays in the interpreter, where plain lists
+        beat numpy scalar indexing on leaf-sized (~200 vertex) frontiers.
+        """
+        if leaf.leaf_lists is None:
+            local = self.leaf_local_csr(leaf)
+            leaf.leaf_lists = (
+                local.indptr.tolist(),
+                local.indices.tolist(),
+                local.data.tolist(),
+            )
+        return leaf.leaf_lists
+
     def _same_leaf_sssp(self, source: int) -> Dict[int, float]:
         """Exact distances from ``source`` to every vertex of its leaf.
 
         Dijkstra over the leaf subgraph augmented with the exact border
-        clique, so out-and-back paths are covered.  Under the array
-        kernel the whole expansion is one C call on the cached leaf CSR.
+        clique, so out-and-back paths are covered — one C call on the
+        cached leaf CSR.
         """
         leaf = self.nodes[int(self.leaf_of[source])]
-        if self.kernel == "array":
-            local = self.leaf_local_csr(leaf)
-            dist = _csgraph_dijkstra(
-                local, directed=True, indices=leaf.vertex_pos[int(source)]
-            )
-            return {int(v): float(dist[i]) for i, v in enumerate(leaf.vertices)}
-        adj = leaf.leaf_adj
-        if adj is None:
-            adj = self._leaf_local_graph(leaf, self._leaf_border_clique(leaf))
-            leaf.leaf_adj = adj
-        start = leaf.vertex_pos[int(source)]
-        n = len(adj)
-        dist = [INF] * n
-        dist[start] = 0.0
-        heap = BinaryHeap()
-        heap.push(0.0, start)
-        settled = [False] * n
-        while heap:
-            d, u = heap.pop()
-            if settled[u]:
-                continue
-            settled[u] = True
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heap.push(nd, v)
-        return {int(v): dist[leaf.vertex_pos[int(v)]] for v in leaf.vertices}
+        local = self.leaf_local_csr(leaf)
+        dist = _csgraph_dijkstra(
+            local, directed=True, indices=leaf.vertex_pos[int(source)]
+        )
+        return {int(v): float(dist[i]) for i, v in enumerate(leaf.vertices)}
 
     def _leaf_border_clique(self, leaf: GTreeNode) -> Optional[np.ndarray]:
         if leaf.id == self.root:
@@ -1240,7 +1050,6 @@ class GTree:
             "fanout": np.asarray(self.fanout),
             "tau": np.asarray(self.tau),
             "matrix_backend": np.asarray(self.matrix_backend),
-            "kernel": np.asarray(self.kernel),
             "build_time": np.asarray(self._build_time),
         }
 
@@ -1257,14 +1066,6 @@ class GTree:
         self.fanout = int(arrays["fanout"])
         self.tau = int(arrays["tau"])
         self.matrix_backend = str(arrays["matrix_backend"])
-        # Loaded trees resume the kernel they were built with (older
-        # artifacts predate the field and fall back to the default), so
-        # a warm start honours the cache's kernel-keyed artifact choice.
-        kernel = arrays.get("kernel")
-        self.kernel = (
-            resolve_kernel(str(kernel)) if kernel is not None
-            else resolve_kernel(None)
-        )
         self._build_time = float(arrays["build_time"])
         backend = MATRIX_BACKENDS[self.matrix_backend]
 
@@ -1294,7 +1095,7 @@ class GTree:
         self.root = 0
         self.leaf_of = np.asarray(arrays["leaf_of"], dtype=np.int64)
         self.leaf_index_of = np.asarray(arrays["leaf_index_of"], dtype=np.int64)
-        # leaf_adj is rebuilt lazily on first same-leaf search.  Pass-1
+        # Leaf caches are rebuilt lazily on first same-leaf search.  Pass-1
         # matrices and the partition hierarchy are not serialized, so a
         # loaded tree cannot repair in place (apply_weight_deltas raises
         # RepairUnavailable and callers rebuild).

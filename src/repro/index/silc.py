@@ -343,8 +343,8 @@ class SILCIndex:
         """Vectorised :meth:`interval_from` for a batch of targets.
 
         One ``searchsorted`` over the Morton list covers the whole batch
-        — the array-kernel form Distance Browsing uses to seed its
-        candidate queue.  Entry-for-entry identical to the scalar path.
+        — the form Distance Browsing uses to seed its candidate queue.
+        Entry-for-entry identical to the scalar path.
         """
         targets = np.asarray(targets, dtype=np.int64)
         blocks = self._sources[vertex]

@@ -5,38 +5,31 @@ ladder: where the paper stops at "flat CSR arrays + binary heap without
 decrease-key", these kernels remove the remaining per-edge interpreter
 and allocation overhead:
 
-* :class:`ArrayHeap` — packed-word priority queue; float64 keys, int32
-  payloads, no tuple allocation, no per-push sequence counter
-  (:mod:`repro.kernels.heap`).
-* :class:`SSSPScratch` / :func:`borrow` — preallocated distance/settled
-  buffers with generation-stamp reset, so repeated queries on one graph
-  allocate nothing (:mod:`repro.kernels.scratch`).
-* :func:`relax_edges` — vectorised edge relaxation over a CSR neighbor
-  slice with bulk heap insertion (:mod:`repro.kernels.relax`).
 * Whole-frontier kernels — :func:`p2p_distance`, :func:`sssp_bounded`,
   :func:`distances_to_targets`, :func:`nearest_objects` — run the entire
   expansion at C speed with an expanding radius limit and
-  settle-equivalent counters (:mod:`repro.kernels.sssp`).
+  settle-equivalent counters (:mod:`repro.kernels.sssp`).  They *are*
+  the library's Dijkstra and INE.
 * :func:`bulk_sssp` — the multi-source distance-matrix kernel index
   builders fan preprocessing out over (re-exported from
   :mod:`repro.pathfinding.bulk`).
+* :class:`ArrayHeap` — packed-word priority queue; float64 keys, int32
+  payloads, no tuple allocation, no per-push sequence counter
+  (:mod:`repro.kernels.heap`).  It lost to plain lists on every
+  leaf-sized frontier it was measured on (``docs/performance.md``), so
+  no query path uses it; the benchmark's ``kernels.arrayheap_op_ns``
+  probe still does.
+* :class:`SSSPScratch` / :func:`borrow` — preallocated distance/settled
+  buffers with generation-stamp reset, so repeated searches on one graph
+  allocate nothing (:mod:`repro.kernels.scratch`).
 
-Every algorithm exposes the implementations behind a
-``kernel="python" | "array"`` knob (:func:`resolve_kernel`; engine
-default ``array``) and both kernels compute identical answers with
-identical settled-vertex counters — asserted by the property tests and
-the ``perf-smoke`` CI job, so the fast path can never silently drift
-from the reference path.
+There is one implementation per algorithm and no switch between them;
+the per-edge loops these kernels are checked against live in
+:mod:`repro.reference` (``tests/test_kernels.py`` asserts identical
+answers and identical settled-vertex counters).
 """
 
-from repro.kernels.config import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    default_kernel,
-    resolve_kernel,
-)
 from repro.kernels.heap import ArrayHeap
-from repro.kernels.relax import relax_edges, sssp_arrayheap
 from repro.kernels.scratch import SSSPScratch, borrow
 from repro.kernels.sssp import (
     distances_to_targets,
@@ -52,8 +45,6 @@ __all__ = [
     "ArrayHeap",
     "SSSPScratch",
     "borrow",
-    "relax_edges",
-    "sssp_arrayheap",
     "p2p_distance",
     "sssp_bounded",
     "sssp_distances",
@@ -61,8 +52,4 @@ __all__ = [
     "nearest_objects",
     "prepared_objects",
     "bulk_sssp",
-    "resolve_kernel",
-    "default_kernel",
-    "DEFAULT_KERNEL",
-    "KERNELS",
 ]

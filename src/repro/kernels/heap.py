@@ -20,8 +20,7 @@ key/payload arrays with Python-level sift loops — at ~10x slower per
 operation, because every comparison crosses the scalar-boxing boundary;
 picking the representation by measurement over dogma is the paper's own
 methodology.)  Bulk insertion (:meth:`push_many`) packs the whole batch
-with vectorised numpy ops, which is what the vectorised edge-relaxation
-kernel feeds.
+with vectorised numpy ops.
 
 Keys must be non-negative and not NaN (network distances always are);
 payloads must fit an unsigned 32-bit integer.

@@ -70,8 +70,8 @@ def borrow(graph):
 
     The pooled buffer is keyed weakly on the graph object, so dropping
     the graph drops its scratch.  Repeated queries on the same graph from
-    the same thread reuse one allocation — the property the kernel
-    benchmark's allocation counters assert.
+    the same thread reuse one allocation — the property
+    ``tests/test_kernels.py::TestScratch`` asserts.
     """
     pool = _pool()
     scratch = pool.get(graph)

@@ -1,24 +1,23 @@
 """Whole-frontier SSSP kernels (C-level Dijkstra over the CSR arrays).
 
-The python kernels run the Dijkstra loop one vertex at a time in the
-interpreter.  When the control flow does not need to observe individual
-settles — point-to-point distance, bounded SSSP, k-nearest-object search
-— the entire expansion can instead run inside
+A per-edge loop (:mod:`repro.reference`) runs Dijkstra one vertex at a
+time in the interpreter.  When the control flow does not need to observe
+individual settles — point-to-point distance, bounded SSSP,
+k-nearest-object search — the entire expansion can instead run inside
 ``scipy.sparse.csgraph.dijkstra`` over :meth:`Graph.to_csr_matrix`, with
 a geometrically expanding radius limit so the kernel settles roughly the
-same region the python loop would, not the whole network.
+same region the loop would, not the whole network.
 
 Settled-vertex accounting
 -------------------------
-The python kernels count every vertex they settle.  These kernels report
+The reference loops count every vertex they settle.  These kernels report
 the *settle-equivalent* count: the number of vertices whose distance does
-not exceed the query's stopping distance, which is exactly the python
-kernel's count whenever no two vertices sit at the same distance (the
-stopping vertex is then the unique last settle).  On real-valued road
-networks exact distance ties have measure zero; the cross-kernel
-regression guard in ``tests/test_kernels.py`` and ``bench_kernels.py``
-asserts equality on every graph it touches, so a divergence cannot slip
-through silently.
+not exceed the query's stopping distance, which is exactly the loop's
+count whenever no two vertices sit at the same distance (the stopping
+vertex is then the unique last settle).  On real-valued road networks
+exact distance ties have measure zero; the production-vs-reference guard
+in ``tests/test_kernels.py`` asserts equality on every graph it touches,
+so a divergence cannot slip through silently.
 """
 
 from __future__ import annotations
@@ -51,11 +50,11 @@ def sssp_distances(
 ) -> np.ndarray:
     """Exact distances from ``source`` to every vertex within ``limit``.
 
-    Vertices further than ``limit`` report ``inf`` (the python kernel's
+    Vertices further than ``limit`` report ``inf`` (the reference loop's
     bounded SSSP leaves tentative frontier values there instead — callers
     must only rely on entries at or below the cutoff).
     """
-    # Every array-kernel SSSP flow (p2p, bounded, targets, nearest
+    # Every SSSP flow (p2p, bounded, targets, nearest
     # objects) funnels through here, so one fault point covers them all.
     fault_check("kernel.sssp")
     matrix = graph.to_csr_matrix()
@@ -88,7 +87,7 @@ def p2p_distance(
     counters: Counters = NULL_COUNTERS,
 ) -> float:
     """Point-to-point distance; counts settle-equivalents as
-    ``dijkstra_settled`` exactly like the python kernel."""
+    ``sssp_settled`` exactly like the reference loop."""
     if source == target:
         return 0.0
     seed = graph.euclidean_lower_bound(source, target) * 4.0
@@ -159,12 +158,12 @@ def nearest_objects(
 
     ``objects`` is a sorted, deduplicated int64 array.  Returns
     ``[(distance, vertex), ...]`` sorted by ``(distance, vertex)`` —
-    byte-identical to the python INE kernel's finalised answer — and
+    byte-identical to the reference INE loop's finalised answer — and
     records the settle-equivalent count under ``counter_name``.
     """
     m = len(objects)
     if m == 0 or k <= 0 or k > m:
-        # The python loop can never reach len(results) == k in these
+        # A per-edge loop can never reach len(results) == k in these
         # cases, so it settles everything reachable before finishing.
         dist = sssp_distances(graph, query)
         counters.add(counter_name, int(np.count_nonzero(np.isfinite(dist))))
@@ -201,7 +200,7 @@ def nearest_objects(
             (float(od[idx[i]]), int(objects[idx[i]])) for i in order
         ]
     else:
-        # Fewer than k reachable objects: the python loop drains the
+        # Fewer than k reachable objects: a per-edge loop drains the
         # whole heap, settling every reachable vertex.
         settled = int(np.count_nonzero(np.isfinite(dist)))
         hits = np.flatnonzero(finite_mask)

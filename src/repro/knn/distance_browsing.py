@@ -26,52 +26,18 @@ same refinement-dominated cost profile.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
 from repro.index.silc import SILCIndex
-from repro.kernels.config import resolve_kernel
-from repro.kernels.heap import ArrayHeap
 from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.spatial.rtree import RTree
 from repro.utils.counters import Counters, NULL_COUNTERS
 from repro.utils.pqueue import BinaryHeap
 
 INF = float("inf")
-
-
-class _StateQueue:
-    """ArrayHeap-backed queue for DisBrw's refinement states.
-
-    Heap entries are packed (key, index) words; the mutable 6-tuple
-    states live in a per-query side list the payload indexes into — the
-    heap itself allocates no tuples and needs no sequence counter.
-    """
-
-    __slots__ = ("_heap", "_states")
-
-    def __init__(self) -> None:
-        self._heap = ArrayHeap()
-        self._states: List[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, key: float, state: tuple) -> None:
-        self._heap.push(key, len(self._states))
-        self._states.append(state)
-
-    def pop(self):
-        key, idx = self._heap.pop()
-        return key, self._states[idx]
-
-    def peek_key(self) -> float:
-        return self._heap.peek_key()
 
 
 class _KthUpperBound:
@@ -164,11 +130,6 @@ class DistanceBrowsing(KNNAlgorithm):
         ``"enn"`` (DB-ENN; default) or ``"hierarchy"`` (original OH).
     use_chains:
         Degree-2 chain optimisation in Refine (OptDisBrw, Appendix A.1.2).
-    kernel:
-        ``"array"`` (resolved default) runs the frontier on a packed-word
-        :class:`ArrayHeap` and seeds candidate batches through the
-        vectorised :meth:`SILCIndex.intervals_from`; ``"python"`` is the
-        reference tuple-heap path.  Identical results and counters.
     """
 
     def __init__(
@@ -179,7 +140,6 @@ class DistanceBrowsing(KNNAlgorithm):
         use_chains: bool = True,
         rtree_node_capacity: int = 16,
         oh_leaf_capacity: int = 32,
-        kernel: Optional[str] = None,
     ) -> None:
         if candidate_source not in ("enn", "hierarchy"):
             raise ValueError(f"unknown candidate source {candidate_source!r}")
@@ -188,7 +148,6 @@ class DistanceBrowsing(KNNAlgorithm):
         self.objects = [int(o) for o in objects]
         self.candidate_source = candidate_source
         self.use_chains = use_chains
-        self.kernel = resolve_kernel(kernel)
         self.name = "disbrw" if candidate_source == "enn" else "disbrw-oh"
         if candidate_source == "enn":
             self.rtree = RTree(
@@ -263,7 +222,7 @@ class DistanceBrowsing(KNNAlgorithm):
 
     def _push_candidates(
         self,
-        queue,
+        queue: BinaryHeap,
         tracker: _KthUpperBound,
         query: int,
         objs: Sequence[int],
@@ -271,33 +230,26 @@ class DistanceBrowsing(KNNAlgorithm):
     ) -> None:
         """Seed a batch of candidates.
 
-        The array kernel computes every interval in one vectorised SILC
-        lookup, then applies the exact per-candidate accept/prune
-        sequence of :meth:`_push_candidate` — the tracker evolves
-        identically, only the interval arithmetic is batched.
+        Every interval comes from one vectorised SILC lookup; the exact
+        per-candidate accept/prune sequence of :meth:`_push_candidate`
+        is then applied — the tracker evolves identically, only the
+        interval arithmetic is batched.
         """
         if len(objs) == 0:
             return
-        if self.kernel == "array" and len(objs) > 1:
-            arr = np.asarray([int(o) for o in objs], dtype=np.int64)
-            lbs, ubs = self.silc.intervals_from(query, arr)
-            for obj, lb, ub in zip(arr.tolist(), lbs.tolist(), ubs.tolist()):
-                if obj == query:
-                    queue.push(0.0, (obj, query, 0.0, -1, 0.0, 0.0))
-                    tracker.offer(obj, 0.0)
-                    continue
-                counters.add("interval_lookups")
-                if lb > tracker.dk:
-                    counters.add("browse_insert_pruned")
-                    continue
-                tracker.offer(obj, ub)
-                queue.push(lb, (obj, query, 0.0, -1, lb, ub))
-        else:
-            for obj in objs:
-                self._push_candidate(queue, tracker, query, int(obj), counters)
-
-    def _new_queue(self):
-        return _StateQueue() if self.kernel == "array" else BinaryHeap()
+        arr = np.asarray([int(o) for o in objs], dtype=np.int64)
+        lbs, ubs = self.silc.intervals_from(query, arr)
+        for obj, lb, ub in zip(arr.tolist(), lbs.tolist(), ubs.tolist()):
+            if obj == query:
+                queue.push(0.0, (obj, query, 0.0, -1, 0.0, 0.0))
+                tracker.offer(obj, 0.0)
+                continue
+            counters.add("interval_lookups")
+            if lb > tracker.dk:
+                counters.add("browse_insert_pruned")
+                continue
+            tracker.offer(obj, ub)
+            queue.push(lb, (obj, query, 0.0, -1, lb, ub))
 
     def _drain(
         self,
@@ -350,7 +302,7 @@ class DistanceBrowsing(KNNAlgorithm):
         cursor = self.rtree.nearest_cursor(
             float(graph.x[query]), float(graph.y[query])
         )
-        queue = self._new_queue()
+        queue = BinaryHeap()
         tracker = _KthUpperBound(k)
         results: List[Tuple[float, int]] = []
         exhausted = False
@@ -399,7 +351,7 @@ class DistanceBrowsing(KNNAlgorithm):
     # ------------------------------------------------------------------
     def _knn_hierarchy(self, query: int, k: int, counters: Counters) -> KNNResult:
         silc = self.silc
-        queue = self._new_queue()
+        queue = BinaryHeap()
         tracker = _KthUpperBound(k)
         results: List[Tuple[float, int]] = []
         # Block entries are ("b", node) pairs; object entries are the

@@ -13,58 +13,23 @@ ablates in Figure 22: the leaf search computes exact distances to *every*
 object in the query leaf regardless of k, instead of stopping at the
 first k settled.
 
-The ``kernel`` knob swaps the frontier machinery: ``"array"`` (resolved
-default) keys both the hierarchy queue and the leaf search on
-:class:`~repro.kernels.heap.ArrayHeap` packed words and relaxes leaf
-edges with vectorised CSR-slice operations; ``"python"`` is the
-reference tuple-heap implementation.  Results and counters are
-identical.
+Both the hierarchy queue and the leaf search run on
+:class:`~repro.utils.pqueue.BinaryHeap` over plain python lists: the
+frontiers here are leaf-sized (~200 vertices) and every settle is
+observed, which is where lists beat array-native heaps and numpy scalar
+indexing (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.index.gtree import GTree, OccurrenceList
-from repro.kernels.config import resolve_kernel
-from repro.kernels.heap import ArrayHeap
-from repro.kernels.relax import relax_edges
 from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.utils.counters import Counters, NULL_COUNTERS
 from repro.utils.pqueue import BinaryHeap
 
 INF = float("inf")
-
-
-class _EncodedHeap:
-    """ArrayHeap adapter speaking the ``("v"|"n", id)`` entry protocol.
-
-    Hierarchy-queue entries pack into the payload word — vertices as
-    ``id << 1``, tree nodes as ``id << 1 | 1`` — so the main search loop
-    is heap-implementation-agnostic while the array kernel stores no
-    tuples.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap = ArrayHeap()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, key: float, entry: Tuple[str, int]) -> None:
-        kind, ident = entry
-        self._heap.push(key, (ident << 1) | (kind == "n"))
-
-    def pop(self) -> Tuple[float, Tuple[str, int]]:
-        key, code = self._heap.pop()
-        return key, ("n" if code & 1 else "v", code >> 1)
 
 
 class GTreeKNN(KNNAlgorithm):
@@ -78,7 +43,6 @@ class GTreeKNN(KNNAlgorithm):
         objects: Optional[Sequence[int]] = None,
         occurrence_list: Optional[OccurrenceList] = None,
         improved_leaf_search: bool = True,
-        kernel: Optional[str] = None,
     ) -> None:
         if occurrence_list is None:
             if objects is None:
@@ -87,7 +51,6 @@ class GTreeKNN(KNNAlgorithm):
         self.gtree = gtree
         self.ol = occurrence_list
         self.improved_leaf_search = improved_leaf_search
-        self.kernel = resolve_kernel(kernel)
 
     def update_objects(
         self, added: Sequence[int], removed: Sequence[int]
@@ -121,14 +84,10 @@ class GTreeKNN(KNNAlgorithm):
         leaf_objects = set(self.ol.objects_in_leaf(leaf.id))
         if not leaf_objects:
             return
-        if leaf.leaf_adj is None:
-            leaf.leaf_adj = gtree._leaf_local_graph(
-                leaf, gtree._leaf_border_clique(leaf)
-            )
-        adj = leaf.leaf_adj
+        indptr, indices, data = gtree.leaf_local_lists(leaf)
         border_locals = {leaf.vertex_pos[int(b)] for b in leaf.borders}
         start = leaf.vertex_pos[int(query)]
-        n = len(adj)
+        n = len(indptr) - 1
         dist = [INF] * n
         visited = [False] * n
         heap = BinaryHeap()
@@ -155,61 +114,12 @@ class GTreeKNN(KNNAlgorithm):
                     queue.push(d, ("v", u_global))
             if u in border_locals:
                 border_found = True
-            for v, w in adj[u]:
-                nd = d + w
+            for i in range(indptr[u], indptr[u + 1]):
+                v = indices[i]
+                nd = d + data[i]
                 if not visited[v] and nd < dist[v]:
                     dist[v] = nd
                     heap.push(nd, v)
-
-    def _leaf_search_improved_array(
-        self,
-        query: int,
-        k: int,
-        queue,
-        results: List[Tuple[float, int]],
-        counters: Counters,
-    ) -> None:
-        """Algorithm 4 on the array kernel.
-
-        Same control flow and counters as the python version, but the
-        expansion runs over the leaf's cached CSR arrays with an
-        :class:`ArrayHeap` frontier and vectorised edge relaxation.
-        """
-        gtree = self.gtree
-        leaf = gtree.nodes[int(gtree.leaf_of[query])]
-        leaf_objects = set(self.ol.objects_in_leaf(leaf.id))
-        if not leaf_objects:
-            return
-        local = gtree.leaf_local_csr(leaf)
-        indptr, targets, weights = local.indptr, local.indices, local.data
-        border_locals = {leaf.vertex_pos[int(b)] for b in leaf.borders}
-        start = leaf.vertex_pos[int(query)]
-        n = local.shape[0]
-        dist = np.full(n, INF)
-        visited = np.zeros(n, dtype=bool)
-        heap = ArrayHeap()
-        dist[start] = 0.0
-        heap.push(0.0, start)
-        targets_found = 0
-        border_found = False
-        vertices = leaf.vertices
-        target_bound = min(k, len(leaf_objects))
-        while heap and len(results) < k and targets_found < target_bound:
-            d, u = heap.pop()
-            if visited[u]:
-                continue
-            visited[u] = True
-            counters.add("leaf_settled")
-            u_global = int(vertices[u])
-            if u_global in leaf_objects:
-                targets_found += 1
-                if not border_found:
-                    results.append((d, u_global))
-                else:
-                    queue.push(d, ("v", u_global))
-            if u in border_locals:
-                border_found = True
-            relax_edges(indptr, targets, weights, u, d, dist, heap)
 
     def _leaf_search_original(
         self,
@@ -240,20 +150,15 @@ class GTreeKNN(KNNAlgorithm):
         ol = self.ol
         cache: Dict = {}
         results: List[Tuple[float, int]] = []
-        # Entries keyed by distance; items ("v"|"n", id).  The array
-        # kernel stores them as packed words in an ArrayHeap.
-        queue = _EncodedHeap() if self.kernel == "array" else BinaryHeap()
+        # Entries keyed by distance; items ("v"|"n", id).
+        queue = BinaryHeap()
 
         leaf_id = int(gtree.leaf_of[query])
         if ol.has_objects(leaf_id) or leaf_id in ol.leaf_objects:
-            if not self.improved_leaf_search:
-                self._leaf_search_original(query, k, queue, results, counters)
-            elif self.kernel == "array":
-                self._leaf_search_improved_array(
-                    query, k, queue, results, counters
-                )
-            else:
+            if self.improved_leaf_search:
                 self._leaf_search_improved(query, k, queue, results, counters)
+            else:
+                self._leaf_search_original(query, k, queue, results, counters)
         if len(results) >= k:
             return self._finalise(results, k)
 

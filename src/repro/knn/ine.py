@@ -5,38 +5,23 @@ the order they are settled, stopping at the k-th (Section 3.1).  Its cost
 is proportional to the number of vertices closer than the k-th object,
 which is why it wins at high density and loses badly at low density.
 
-The class exposes the Figure 7 implementation ladder through the
-``variant`` parameter: ``first_cut`` (decrease-key heap, dict distances,
-set settled, per-vertex adjacency objects), ``pqueue`` (+ no-decrease-key
-heap), ``settled`` (+ byte-array settled container) and ``graph``
-(+ CSR arrays; the production configuration).
-
-The ``kernel`` knob extends the ladder one rung past the paper for the
-``graph`` variant: ``kernel="array"`` runs the expansion as a C-level
-whole-frontier kernel (:func:`repro.kernels.sssp.nearest_objects`) with
-an expanding radius limit, returning byte-identical answers and the same
-``ine_settled`` counter as the per-edge Python loop.  Direct
-constructions default to ``"python"`` so the Figure 7 rungs stay
-faithful; the engine passes its own default (``array``).
+The expansion runs as a C-level whole-frontier kernel
+(:func:`repro.kernels.sssp.nearest_objects`) with an expanding radius
+limit — one rung past the paper's Figure 7 ladder, whose four rungs
+live in :class:`repro.reference.ReferenceINE` and return byte-identical
+answers with the same ``expand_settled`` counter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Sequence, Set
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.kernels.config import resolve_kernel
 from repro.kernels.sssp import nearest_objects
 from repro.knn.base import KNNAlgorithm, KNNResult
-from repro.utils.bitset import BitArray
 from repro.utils.counters import Counters, NULL_COUNTERS
-from repro.utils.pqueue import BinaryHeap, DecreaseKeyHeap
-
-INF = float("inf")
-
-VARIANTS = ("first_cut", "pqueue", "settled", "graph")
 
 
 class INE(KNNAlgorithm):
@@ -44,194 +29,31 @@ class INE(KNNAlgorithm):
 
     name = "ine"
 
-    def __init__(
-        self,
-        graph: Graph,
-        objects: Sequence[int],
-        variant: str = "graph",
-        kernel: Optional[str] = None,
-    ) -> None:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown INE variant {variant!r}")
+    def __init__(self, graph: Graph, objects: Sequence[int]) -> None:
         self.graph = graph
-        self.variant = variant
-        self.kernel = "python" if kernel is None else resolve_kernel(kernel)
         self.object_set: Set[int] = set(int(o) for o in objects)
-        self.object_flags = BitArray(graph.num_vertices)
-        for o in self.object_set:
-            self.object_flags.set(o)
-        if variant in ("first_cut", "pqueue", "settled"):
-            # Pre-"Graph" representation: per-vertex adjacency objects.
-            self._adjacency: List[List[Tuple[int, float]]] = [
-                list(graph.neighbors(u)) for u in range(graph.num_vertices)
-            ]
-        elif self.kernel == "array":
-            # Array kernel: the sorted object-id array is all the state
-            # the whole-frontier kernel needs.
-            self._objects_arr = np.fromiter(
-                sorted(self.object_set), dtype=np.int64,
-                count=len(self.object_set),
-            )
-        else:
-            # "Graph" representation: flat offset/target/weight arrays.
-            # CPython's equivalent of the paper's cache-friendly CSR
-            # arrays is flat *lists* — C-contiguous storage without the
-            # per-element boxing cost numpy scalar indexing incurs.
-            self._vs = graph.vertex_start.tolist()
-            self._et = graph.edge_target.tolist()
-            self._ew = graph.edge_weight.tolist()
+        self._sync()
+
+    def _sync(self) -> None:
+        """The sorted object-id array is all the state the kernel needs."""
+        self._objects_arr = np.sort(np.fromiter(
+            self.object_set, dtype=np.int64, count=len(self.object_set)
+        ))
 
     def update_objects(
         self, added: Sequence[int], removed: Sequence[int]
     ) -> None:
         """Apply a net object-set change in place (live POI deltas)."""
-        for o in removed:
-            o = int(o)
-            self.object_set.discard(o)
-            self.object_flags.unset(o)
-        for o in added:
-            o = int(o)
-            self.object_set.add(o)
-            self.object_flags.set(o)
-        if self.variant == "graph" and self.kernel == "array":
-            self._objects_arr = np.fromiter(
-                sorted(self.object_set), dtype=np.int64,
-                count=len(self.object_set),
-            )
+        self.object_set.difference_update(int(o) for o in removed)
+        self.object_set.update(int(o) for o in added)
+        self._sync()
 
     def knn(
         self, query: int, k: int, counters: Counters = NULL_COUNTERS
     ) -> KNNResult:
-        if self.variant == "graph":
-            if self.kernel == "array":
-                return nearest_objects(
-                    self.graph, self._objects_arr, query, k, counters
-                )
-            return self._knn_graph(query, k, counters)
-        if self.variant == "settled":
-            return self._knn_settled(query, k, counters)
-        if self.variant == "pqueue":
-            return self._knn_pqueue(query, k, counters)
-        return self._knn_first_cut(query, k, counters)
-
-    # ------------------------------------------------------------------
-    # Production variant
-    # ------------------------------------------------------------------
-    def _knn_graph(self, query: int, k: int, counters: Counters) -> KNNResult:
-        graph = self.graph
-        n = graph.num_vertices
-        dist = [INF] * n
-        settled = bytearray(n)
-        heap = BinaryHeap()
-        dist[query] = 0.0
-        heap.push(0.0, query)
-        results: List[Tuple[float, int]] = []
-        vs, et, ew = self._vs, self._et, self._ew
-        is_object = self.object_flags
-        count = counters.enabled
-        while heap:
-            d, u = heap.pop()
-            if settled[u]:
-                continue
-            settled[u] = 1
-            if count:
-                counters.add("expand_settled")
-            if is_object.get(u):
-                results.append((d, u))
-                if len(results) == k:
-                    break
-            for i in range(vs[u], vs[u + 1]):
-                v = et[i]
-                nd = d + ew[i]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heap.push(nd, v)
-        return self._finalise(results, k)
-
-    # ------------------------------------------------------------------
-    # Ablation variants (Figure 7)
-    # ------------------------------------------------------------------
-    def _knn_settled(
-        self, query: int, k: int, counters: Counters = NULL_COUNTERS
-    ) -> KNNResult:
-        adjacency = self._adjacency
-        dist: Dict[int, float] = {query: 0.0}
-        settled = BitArray(self.graph.num_vertices)
-        heap = BinaryHeap()
-        heap.push(0.0, query)
-        results: List[Tuple[float, int]] = []
-        object_set = self.object_set
-        count = counters.enabled
-        while heap:
-            d, u = heap.pop()
-            if settled.get(u):
-                continue
-            settled.set(u)
-            if count:
-                counters.add("expand_settled")
-            if u in object_set:
-                results.append((d, u))
-                if len(results) == k:
-                    break
-            for v, w in adjacency[u]:
-                nd = d + w
-                if nd < dist.get(v, INF):
-                    dist[v] = nd
-                    heap.push(nd, v)
-        return self._finalise(results, k)
-
-    def _knn_pqueue(
-        self, query: int, k: int, counters: Counters = NULL_COUNTERS
-    ) -> KNNResult:
-        adjacency = self._adjacency
-        dist: Dict[int, float] = {query: 0.0}
-        settled: Set[int] = set()
-        heap = BinaryHeap()
-        heap.push(0.0, query)
-        results: List[Tuple[float, int]] = []
-        object_set = self.object_set
-        count = counters.enabled
-        while heap:
-            d, u = heap.pop()
-            if u in settled:
-                continue
-            settled.add(u)
-            if count:
-                counters.add("expand_settled")
-            if u in object_set:
-                results.append((d, u))
-                if len(results) == k:
-                    break
-            for v, w in adjacency[u]:
-                nd = d + w
-                if nd < dist.get(v, INF):
-                    dist[v] = nd
-                    heap.push(nd, v)
-        return self._finalise(results, k)
-
-    def _knn_first_cut(
-        self, query: int, k: int, counters: Counters = NULL_COUNTERS
-    ) -> KNNResult:
-        adjacency = self._adjacency
-        heap = DecreaseKeyHeap()
-        heap.push(0.0, query)
-        settled: Set[int] = set()
-        results: List[Tuple[float, int]] = []
-        object_set = self.object_set
-        count = counters.enabled
-        while heap:
-            d, u = heap.pop()
-            settled.add(u)
-            if count:
-                counters.add("expand_settled")
-            if u in object_set:
-                results.append((d, u))
-                if len(results) == k:
-                    break
-            for v, w in adjacency[u]:
-                if v not in settled:
-                    heap.push(d + w, v)
-        return self._finalise(results, k)
+        return nearest_objects(
+            self.graph, self._objects_arr, query, k, counters
+        )
 
 
 def ine_knn(graph: Graph, objects: Sequence[int], query: int, k: int) -> KNNResult:

@@ -88,7 +88,6 @@ def record_query(
     time_s: float,
     counters,
     *,
-    kernel: Optional[str] = None,
     vertex: Optional[int] = None,
     k: Optional[int] = None,
     trace: Optional[Span] = None,
@@ -133,7 +132,6 @@ def record_query(
             "time_s": time_s,
             "time_ms": time_s * 1e3,
             "method": method,
-            "kernel": kernel,
             "vertex": vertex,
             "k": k,
             "counters": counters.as_dict(),

@@ -10,9 +10,8 @@ local-query fallback inside Transit Node Routing.  Standard construction:
 * queries run a bidirectional Dijkstra over the upward graph; the answer
   is the best meeting vertex.
 
-The hierarchy also exposes :meth:`upward_search`, used by TNR to find
-access nodes, and a search variant pruned at a vertex set (TNR's exact
-locality fallback).
+The hierarchy also exposes :meth:`distance_pruned`, a search variant
+pruned at a vertex set (TNR's exact locality fallback).
 """
 
 from __future__ import annotations
@@ -303,13 +302,11 @@ class ContractionHierarchy:
         source: int,
         counters: Counters = NULL_COUNTERS,
         prune_at: Optional[Set[int]] = None,
-        collect_pruned: Optional[Dict[int, float]] = None,
     ) -> Dict[int, float]:
         """Dijkstra over the upward graph.
 
         When ``prune_at`` is given, edges out of those vertices are not
-        relaxed; settled pruned vertices are reported in
-        ``collect_pruned`` (TNR access-node search).
+        relaxed.
         """
         dist: Dict[int, float] = {source: 0.0}
         settled: Set[int] = set()
@@ -323,8 +320,6 @@ class ContractionHierarchy:
             settled.add(u)
             counters.add("bidir_settled")
             if prune_at is not None and u in prune_at and u != source:
-                if collect_pruned is not None:
-                    collect_pruned[u] = d
                 continue
             for v, w in up[u]:
                 nd = d + w
@@ -332,19 +327,6 @@ class ContractionHierarchy:
                     dist[v] = nd
                     heap.push(nd, v)
         return {u: dist[u] for u in settled}
-
-    def upward_search(
-        self, source: int, prune_at: Set[int]
-    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """Upward search pruned at ``prune_at``.
-
-        Returns ``(settled_distances, pruned_hits)`` where ``pruned_hits``
-        maps each pruning vertex reached to its distance — TNR's access
-        nodes and the basis of its exact locality fallback.
-        """
-        pruned: Dict[int, float] = {}
-        settled = self._upward_sssp(source, prune_at=prune_at, collect_pruned=pruned)
-        return settled, pruned
 
     def distance_pruned(self, source: int, target: int, prune_at: Set[int]) -> float:
         """Bidirectional upward distance where searches stop at ``prune_at``.

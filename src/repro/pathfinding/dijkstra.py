@@ -1,88 +1,33 @@
-"""Dijkstra's algorithm and its in-memory implementation variants.
+"""Dijkstra's algorithm.
 
-Besides the production implementation (used as the "Dijk" IER oracle and
-as ground truth in tests), this module carries the *ablation ladder* from
-Figure 7 of the paper.  Each rung improves one implementation choice:
+:func:`dijkstra_distance`, :func:`dijkstra_sssp` and
+:func:`dijkstra_to_targets` — the "Dijk" IER oracle and the ground truth
+of most tests — are the whole-frontier C-level expansions of
+:mod:`repro.kernels.sssp` under their algorithm names.  The per-edge
+interpreter loops they are checked against live in
+:mod:`repro.reference`; they return identical distances and record
+identical ``sssp_settled`` counters.
 
-``first_cut``      decrease-key heap + hash-map distances + hash-set settled
-``pqueue``         no-decrease-key heap (duplicates), rest as first cut
-``settled``        + byte-array settled container
-``graph``          + CSR adjacency arrays and array distances (production)
-
-All four compute identical results; only constants differ — which is the
-paper's point.
-
-The production entry points additionally take a ``kernel`` knob one rung
-above the ladder: ``"python"`` (default here; the reference per-edge loop,
-now running over reusable :mod:`repro.kernels.scratch` buffers instead of
-per-query ``np.full`` allocations) or ``"array"`` (whole-frontier C-level
-expansion from :mod:`repro.kernels.sssp`).  Both kernels return identical
-distances and record identical ``dijkstra_settled`` counters; the engine
-defaults to ``array``.
+:func:`dijkstra_path` and :func:`dijkstra_restricted` need per-settle
+control (parent pointers, a vertex filter) and stay interpreter loops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.kernels.scratch import borrow
-from repro.kernels.sssp import (
-    distances_to_targets as _k_targets,
-)
-from repro.kernels.sssp import (
-    p2p_distance as _k_p2p,
-)
-from repro.kernels.sssp import (
-    sssp_bounded as _k_sssp,
-)
+from repro.kernels.sssp import distances_to_targets, p2p_distance, sssp_bounded
 from repro.utils.bitset import BitArray
-from repro.utils.counters import Counters, NULL_COUNTERS
-from repro.utils.pqueue import BinaryHeap, DecreaseKeyHeap
+from repro.utils.pqueue import BinaryHeap
 
 INF = float("inf")
 
-
-def dijkstra_distance(
-    graph: Graph,
-    source: int,
-    target: int,
-    counters: Counters = NULL_COUNTERS,
-    kernel: str = "python",
-) -> float:
-    """Point-to-point network distance (production variant)."""
-    if kernel == "array":
-        return _k_p2p(graph, source, target, counters)
-    if source == target:
-        return 0.0
-    with borrow(graph) as scratch:
-        gen = scratch.begin()
-        dist, stamp, settled = scratch.dist, scratch.stamp, scratch.settled
-        heap = BinaryHeap()
-        dist[source] = 0.0
-        stamp[source] = gen
-        heap.push(0.0, source)
-        vertex_start = graph.vertex_start
-        edge_target = graph.edge_target
-        edge_weight = graph.edge_weight
-        while heap:
-            d, u = heap.pop()
-            if settled[u] == gen:
-                continue
-            settled[u] = gen
-            counters.add("sssp_settled")
-            if u == target:
-                return d
-            for i in range(vertex_start[u], vertex_start[u + 1]):
-                v = int(edge_target[i])
-                nd = d + edge_weight[i]
-                if stamp[v] != gen or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = gen
-                    heap.push(nd, v)
-    return INF
+dijkstra_distance = p2p_distance
+dijkstra_sssp = sssp_bounded
+dijkstra_to_targets = distances_to_targets
 
 
 def dijkstra_path(
@@ -120,100 +65,6 @@ def dijkstra_path(
                 parent[v] = u
                 heap.push(nd, v)
     return INF, []
-
-
-def dijkstra_sssp(
-    graph: Graph,
-    source: int,
-    cutoff: float = INF,
-    counters: Counters = NULL_COUNTERS,
-    kernel: str = "python",
-) -> np.ndarray:
-    """Single-source distances to every vertex (optionally cut off).
-
-    Entries at distance <= ``cutoff`` are exact under both kernels.
-    Beyond the cutoff the python kernel leaves whatever tentative values
-    its frontier held while the array kernel reports ``inf`` — callers
-    must only rely on the settled region.
-    """
-    if kernel == "array":
-        return _k_sssp(graph, source, cutoff, counters)
-    with borrow(graph) as scratch:
-        gen = scratch.begin()
-        dist, stamp, settled = scratch.dist, scratch.stamp, scratch.settled
-        heap = BinaryHeap()
-        dist[source] = 0.0
-        stamp[source] = gen
-        heap.push(0.0, source)
-        vertex_start = graph.vertex_start
-        edge_target = graph.edge_target
-        edge_weight = graph.edge_weight
-        while heap:
-            d, u = heap.pop()
-            if settled[u] == gen:
-                continue
-            if d > cutoff:
-                break
-            settled[u] = gen
-            counters.add("sssp_settled")
-            for i in range(vertex_start[u], vertex_start[u + 1]):
-                v = int(edge_target[i])
-                nd = d + edge_weight[i]
-                if stamp[v] != gen or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = gen
-                    heap.push(nd, v)
-        return np.where(stamp == gen, dist, INF)
-
-
-def dijkstra_to_targets(
-    graph: Graph,
-    source: int,
-    targets: Iterable[int],
-    counters: Counters = NULL_COUNTERS,
-    kernel: str = "python",
-) -> Dict[int, float]:
-    """Distances from ``source`` to each of ``targets``; stops early."""
-    if kernel == "array":
-        return _k_targets(graph, source, targets, counters)
-    remaining = set(int(t) for t in targets)
-    out: Dict[int, float] = {}
-    if source in remaining:
-        out[source] = 0.0
-        remaining.discard(source)
-    if not remaining:
-        return out
-    with borrow(graph) as scratch:
-        gen = scratch.begin()
-        dist, stamp, settled = scratch.dist, scratch.stamp, scratch.settled
-        heap = BinaryHeap()
-        dist[source] = 0.0
-        stamp[source] = gen
-        heap.push(0.0, source)
-        vertex_start = graph.vertex_start
-        edge_target = graph.edge_target
-        edge_weight = graph.edge_weight
-        while heap and remaining:
-            d, u = heap.pop()
-            if settled[u] == gen:
-                continue
-            settled[u] = gen
-            counters.add("sssp_settled")
-            if u in remaining:
-                out[u] = d
-                remaining.discard(u)
-                if not remaining:
-                    break
-            for i in range(vertex_start[u], vertex_start[u + 1]):
-                v = int(edge_target[i])
-                nd = d + edge_weight[i]
-                if stamp[v] != gen or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = gen
-                    heap.push(nd, v)
-    for t in remaining:
-        out[t] = INF
-    return out
 
 
 def dijkstra_restricted(
@@ -260,178 +111,19 @@ class DijkstraOracle:
     Implements the shared oracle protocol: ``distance(s, t)`` plus optional
     source-side state reuse via ``start_source``/``distance_from_source``
     (Dijkstra has nothing to reuse; each query runs cold, which is exactly
-    why IER-Dijk is slow in Figure 4).  ``kernel`` selects the p2p
-    implementation (see :func:`dijkstra_distance`).
+    why IER-Dijk is slow in Figure 4).
     """
 
     name = "dijkstra"
 
-    def __init__(self, graph: Graph, kernel: Optional[str] = None) -> None:
+    def __init__(self, graph: Graph) -> None:
         self.graph = graph
-        self.kernel = kernel if kernel is not None else "python"
 
     def distance(self, source: int, target: int) -> float:
-        return dijkstra_distance(
-            self.graph, source, target, kernel=self.kernel
-        )
+        return dijkstra_distance(self.graph, source, target)
 
     def build_time(self) -> float:
         return 0.0
 
     def size_bytes(self) -> int:
         return 0
-
-
-# ----------------------------------------------------------------------
-# Figure 7 ablation ladder
-# ----------------------------------------------------------------------
-def _neighbors_objectstyle(adjacency: List[List[Tuple[int, float]]], u: int):
-    return adjacency[u]
-
-
-def build_object_adjacency(graph: Graph) -> List[List[Tuple[int, float]]]:
-    """Per-vertex adjacency-list objects (the pre-"Graph" representation)."""
-    return [list(graph.neighbors(u)) for u in range(graph.num_vertices)]
-
-
-def sssp_first_cut(
-    graph: Graph,
-    source: int,
-    targets_remaining: Optional[set] = None,
-    adjacency: Optional[List[List[Tuple[int, float]]]] = None,
-) -> Dict[int, float]:
-    """"1st Cut": decrease-key heap, dict distances, set settled, object adjacency."""
-    if adjacency is None:
-        adjacency = build_object_adjacency(graph)
-    heap = DecreaseKeyHeap()
-    heap.push(0.0, source)
-    settled: set = set()
-    found: Dict[int, float] = {}
-    while heap:
-        d, u = heap.pop()
-        settled.add(u)
-        if targets_remaining is not None:
-            if u in targets_remaining:
-                found[u] = d
-                if len(found) == len(targets_remaining):
-                    return found
-        else:
-            found[u] = d
-        for v, w in adjacency[u]:
-            if v not in settled:
-                heap.push(d + w, v)
-    return found
-
-
-def sssp_pqueue(
-    graph: Graph,
-    source: int,
-    targets_remaining: Optional[set] = None,
-    adjacency: Optional[List[List[Tuple[int, float]]]] = None,
-) -> Dict[int, float]:
-    """"PQueue": no-decrease-key heap with duplicates; rest as first cut."""
-    if adjacency is None:
-        adjacency = build_object_adjacency(graph)
-    heap = BinaryHeap()
-    heap.push(0.0, source)
-    dist: Dict[int, float] = {source: 0.0}
-    settled: set = set()
-    found: Dict[int, float] = {}
-    while heap:
-        d, u = heap.pop()
-        if u in settled:
-            continue
-        settled.add(u)
-        if targets_remaining is not None:
-            if u in targets_remaining:
-                found[u] = d
-                if len(found) == len(targets_remaining):
-                    return found
-        else:
-            found[u] = d
-        for v, w in adjacency[u]:
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heap.push(nd, v)
-    return found
-
-
-def sssp_settled(
-    graph: Graph,
-    source: int,
-    targets_remaining: Optional[set] = None,
-    adjacency: Optional[List[List[Tuple[int, float]]]] = None,
-) -> Dict[int, float]:
-    """"Settled": + byte-array settled container."""
-    if adjacency is None:
-        adjacency = build_object_adjacency(graph)
-    heap = BinaryHeap()
-    heap.push(0.0, source)
-    dist: Dict[int, float] = {source: 0.0}
-    settled = BitArray(graph.num_vertices)
-    found: Dict[int, float] = {}
-    while heap:
-        d, u = heap.pop()
-        if settled.get(u):
-            continue
-        settled.set(u)
-        if targets_remaining is not None:
-            if u in targets_remaining:
-                found[u] = d
-                if len(found) == len(targets_remaining):
-                    return found
-        else:
-            found[u] = d
-        for v, w in adjacency[u]:
-            nd = d + w
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heap.push(nd, v)
-    return found
-
-
-def sssp_graph(
-    graph: Graph,
-    source: int,
-    targets_remaining: Optional[set] = None,
-) -> Dict[int, float]:
-    """"Graph": + CSR arrays and array distances (production layout)."""
-    heap = BinaryHeap()
-    heap.push(0.0, source)
-    n = graph.num_vertices
-    dist = np.full(n, INF)
-    dist[source] = 0.0
-    settled = BitArray(n)
-    found: Dict[int, float] = {}
-    vertex_start = graph.vertex_start
-    edge_target = graph.edge_target
-    edge_weight = graph.edge_weight
-    while heap:
-        d, u = heap.pop()
-        if settled.get(u):
-            continue
-        settled.set(u)
-        if targets_remaining is not None:
-            if u in targets_remaining:
-                found[u] = d
-                if len(found) == len(targets_remaining):
-                    return found
-        else:
-            found[u] = d
-        for i in range(vertex_start[u], vertex_start[u + 1]):
-            v = int(edge_target[i])
-            nd = d + edge_weight[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                heap.push(nd, v)
-    return found
-
-
-#: Ordered ablation ladder used by the Figure 7 benchmark.
-ABLATION_VARIANTS = (
-    ("1st Cut", sssp_first_cut),
-    ("PQueue", sssp_pqueue),
-    ("Settled", sssp_settled),
-    ("Graph", sssp_graph),
-)

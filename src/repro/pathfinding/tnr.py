@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.kernels.config import resolve_kernel
 from repro.pathfinding.bulk import bulk_sssp
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.utils.arrays import concat_ragged, ragged_row
@@ -39,10 +38,9 @@ INF = float("inf")
 class TransitNodeRouting:
     """TNR index layered on a :class:`ContractionHierarchy`.
 
-    ``kernel="array"`` (resolved default) fills the all-pairs transit
-    table with one multi-source :func:`bulk_sssp` sweep instead of the
-    ``t^2 / 2`` individual CH queries the ``"python"`` reference build
-    runs — same exact distances, an order of magnitude less build time.
+    The all-pairs transit table is one multi-source :func:`bulk_sssp`
+    sweep rather than ``t^2 / 2`` individual CH queries — the same exact
+    distances at a fraction of the build time.
     """
 
     name = "tnr"
@@ -54,10 +52,8 @@ class TransitNodeRouting:
         num_transit: Optional[int] = None,
         grid_size: int = 32,
         locality_cells: int = 4,
-        kernel: Optional[str] = None,
     ) -> None:
         self.graph = graph
-        self.kernel = resolve_kernel(kernel)
         BUILD_COUNTERS.add("build:tnr")
         start = time.perf_counter()
         self.ch = ch if ch is not None else ContractionHierarchy(graph)
@@ -70,45 +66,24 @@ class TransitNodeRouting:
         self._build_time = time.perf_counter() - start
 
     def _build(self, num_transit: int) -> None:
-        graph, ch = self.graph, self.ch
-        n = graph.num_vertices
-        order = np.argsort(-ch.rank)
+        graph = self.graph
+        order = np.argsort(-self.ch.rank)
         self.transit_nodes = [int(v) for v in order[:num_transit]]
         self.transit_set: Set[int] = set(self.transit_nodes)
         transit_index = {v: i for i, v in enumerate(self.transit_nodes)}
 
-        # All-pairs transit table: one bulk multi-source sweep (array
-        # kernel) or pairwise CH queries (reference).  Identical values —
-        # both are exact global distances.
-        t = len(self.transit_nodes)
-        if self.kernel == "array":
-            tn = np.asarray(self.transit_nodes, dtype=np.int64)
-            table = bulk_sssp(graph, tn)[:, tn] if t else np.zeros((0, 0))
-            np.fill_diagonal(table, 0.0)
-        else:
-            table = np.zeros((t, t))
-            for i in range(t):
-                for j in range(i + 1, t):
-                    d = ch.distance(self.transit_nodes[i], self.transit_nodes[j])
-                    table[i, j] = table[j, i] = d
+        # All-pairs transit table: one bulk multi-source sweep.
+        tn = np.asarray(self.transit_nodes, dtype=np.int64)
+        table = bulk_sssp(graph, tn)[:, tn] if len(tn) else np.zeros((0, 0))
+        np.fill_diagonal(table, 0.0)
         self.table = table
 
         # Access nodes per vertex (transit-pruned upward search, dominated
-        # entries removed).  The array kernel expresses the pruning as a
-        # graph transform — a transit node's *outgoing* upward edges are
-        # deleted, which is exactly "settle but do not expand" — and then
-        # runs every per-vertex search as one batched C Dijkstra sweep.
-        if self.kernel == "array":
-            self.access = self._access_nodes_bulk(transit_index)
-        else:
-            self.access = []
-            for v in range(n):
-                if v in self.transit_set:
-                    self.access.append([(transit_index[v], 0.0)])
-                    continue
-                _, pruned = ch.upward_search(v, self.transit_set)
-                entries = [(transit_index[a], d) for a, d in pruned.items()]
-                self.access.append(self._prune_dominated(entries))
+        # entries removed).  The pruning is expressed as a graph transform
+        # — a transit node's *outgoing* upward edges are deleted, which is
+        # exactly "settle but do not expand" — so every per-vertex search
+        # runs inside one batched C Dijkstra sweep.
+        self.access = self._access_nodes_bulk(transit_index)
 
         # Locality grid.
         self._gx0, self._gy0 = float(graph.x.min()), float(graph.y.min())
@@ -128,11 +103,11 @@ class TransitNodeRouting:
     def _access_nodes_bulk(
         self, transit_index: Dict[int, int]
     ) -> List[List[Tuple[int, float]]]:
-        """All per-vertex access nodes from batched sweeps (array kernel).
+        """All per-vertex access nodes from batched sweeps.
 
-        Identical distances to the python kernel's per-vertex pruned
-        upward searches: reachability in the upward graph with transit
-        out-edges removed *is* the pruned search's explored cone.
+        Reachability in the upward graph with transit out-edges removed
+        *is* the explored cone of a per-vertex upward search pruned at
+        transit nodes, at identical distances.
         """
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
@@ -158,8 +133,8 @@ class TransitNodeRouting:
             [v for v in range(n) if v not in self.transit_set], dtype=np.int64
         )
         # scipy returns a dense (batch, n) float64 block per sweep; cap
-        # it at ~64 MB so large graphs don't trade the python kernel's
-        # O(n) memory for a multi-gigabyte allocation.
+        # it at ~64 MB so large graphs don't pay a multi-gigabyte
+        # allocation.
         batch = max(1, min(1024, 8_000_000 // max(n, 1)))
         for lo in range(0, len(sources), batch):
             seg = sources[lo : lo + batch]
@@ -186,7 +161,8 @@ class TransitNodeRouting:
     def _prune_dominated_bulk(
         self, aidx: np.ndarray, da: np.ndarray
     ) -> List[Tuple[int, float]]:
-        """Vectorised :meth:`_prune_dominated` over parallel arrays."""
+        """Drop access node a when another a' proves
+        d(v,a') + T[a',a] <= d(v,a) (ties keep the earlier entry)."""
         m = len(aidx)
         through = da[:, None] + self.table[np.ix_(aidx, aidx)]
         dominates = through < da[None, :]
@@ -199,25 +175,6 @@ class TransitNodeRouting:
         return [
             (int(a), float(d)) for a, d in zip(aidx[keep], da[keep])
         ]
-
-    def _prune_dominated(
-        self, entries: List[Tuple[int, float]]
-    ) -> List[Tuple[int, float]]:
-        """Drop access node a when another a' proves d(v,a') + T[a',a] <= d(v,a)."""
-        kept: List[Tuple[int, float]] = []
-        for i, (a, da) in enumerate(entries):
-            dominated = False
-            for j, (b, db) in enumerate(entries):
-                if i == j:
-                    continue
-                if db + self.table[b, a] < da or (
-                    db + self.table[b, a] == da and j < i
-                ):
-                    dominated = True
-                    break
-            if not dominated:
-                kept.append((a, da))
-        return kept
 
     # ------------------------------------------------------------------
     # Queries
@@ -299,7 +256,6 @@ class TransitNodeRouting:
         )
         return {
             "transit_nodes": np.asarray(self.transit_nodes, dtype=np.int64),
-            "kernel": np.asarray(self.kernel),
             "table": self.table,
             "access_node": acc_nodes,
             "access_dist": acc_dists,
@@ -324,11 +280,6 @@ class TransitNodeRouting:
         self = cls.__new__(cls)
         self.graph = graph
         self.ch = ch
-        kernel = arrays.get("kernel")
-        self.kernel = (
-            resolve_kernel(str(kernel)) if kernel is not None
-            else resolve_kernel(None)
-        )
         self.grid_size = int(arrays["grid_size"])
         self.locality_cells = int(arrays["locality_cells"])
         self._build_time = float(arrays["build_time"])

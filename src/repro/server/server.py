@@ -900,9 +900,6 @@ class KNNServer:
             "since_flush": self._section(
                 counts - flushed_counts, sizes - flushed_sizes, window_cache
             ),
-            # Hot-path kernel the serving engine resolves queries on
-            # ("array" unless the operator forced the reference loops).
-            "kernel": getattr(self._states[None][0], "kernel", None),
         }
 
     def flush_stats(self) -> Dict[str, object]:

@@ -43,38 +43,14 @@ def updates_report():
         "meta": dict(META),
         "failures": [],
         "equivalence": {
-            "array": {
-                "gtree_matrices_identical": True,
-                "road_matrices_identical": True,
-                "answers_identical": {"ine": True, "gtree": True},
-            },
+            "gtree_matrices_identical": True,
+            "road_matrices_identical": True,
+            "answers_identical": {"ine": True, "gtree": True},
         },
         "speedup": {
             "meets_5x_floor": True,
             "speedup": 6.4,
             "weight_repair_speedup_vs_gtree_build": 90.0,
-        },
-    }
-
-
-def kernels_report():
-    return {
-        "bench": "kernels",
-        "meta": dict(META),
-        "failures": [],
-        "p2p_dijkstra": {
-            "distances_identical": True,
-            "settled_counters_identical": True,
-            "speedup": 13.0,
-        },
-        "ine_knn": {
-            "answers_identical": True,
-            "settled_counters_identical": True,
-            "speedup": 5.9,
-        },
-        "gtree_build": {
-            "worst_rel_error_vs_dijkstra": 0.0,
-            "speedup": 5.0,
         },
     }
 
@@ -148,7 +124,6 @@ def scale_report():
 FIXTURES = {
     "server": server_report,
     "updates": updates_report,
-    "kernels": kernels_report,
     "obs": obs_report,
     "profile": profile_report,
     "chaos": chaos_report,
@@ -162,10 +137,8 @@ MUTATIONS = [
     ("server", ("latency_ms", "p50"), None, "drop"),
     ("updates", ("failures",), ["boom"]),
     ("updates", ("speedup", "meets_5x_floor"), False),
-    ("updates", ("equivalence", "array", "gtree_matrices_identical"), False),
-    ("kernels", ("meta", "schema_version"), 2),
-    ("kernels", ("ine_knn", "answers_identical"), False),
-    ("kernels", ("gtree_build", "worst_rel_error_vs_dijkstra"), 1e-6),
+    ("updates", ("equivalence", "gtree_matrices_identical"), False),
+    ("obs", ("meta", "schema_version"), 2),
     ("obs", ("methods", "ine", "overhead_on"), 0.5),
     ("profile", ("per_method",), {}),
     ("profile", ("traces",), [{"name": "request"}]),
@@ -214,10 +187,10 @@ def test_unknown_bench_rejected():
 def test_missing_field_is_a_check_failure():
     # A renamed/dropped section must surface as CheckFailure (exit 1),
     # not an anonymous KeyError traceback.
-    report = kernels_report()
-    del report["gtree_build"]
+    report = updates_report()
+    del report["speedup"]
     with pytest.raises(CheckFailure):
-        check_report("kernels", report)
+        check_report("updates", report)
 
 
 def test_quick_scale_report_skips_vertex_floor():

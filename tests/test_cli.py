@@ -49,6 +49,12 @@ class TestCommands:
         assert "unknown method 'quantum'" in err
         assert "ine" in err and "gtree" in err
 
+    def test_query_rejects_the_removed_kernel_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "--vertices", "250", "--kernel", "array"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
     def test_compare_bad_method_lists_known(self, capsys):
         rc = main(["compare", "--vertices", "250", "--methods", "quantum"])
         assert rc == 2

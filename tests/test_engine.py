@@ -1,7 +1,12 @@
 """QueryEngine service layer: registry, structured results, batch, planner."""
 
+import inspect
+import sys
+
+import numpy as np
 import pytest
 
+from repro import reference
 from repro.engine import (
     AUTO_DENSITY_THRESHOLD,
     IndexCache,
@@ -17,6 +22,8 @@ from repro.engine import (
     unregister_method,
 )
 from repro.engine import workbench as workbench_mod
+from repro.experiments.runner import Workbench
+from repro.graph.generators import road_network
 from repro.knn.base import verify_knn_result
 from repro.knn.ine import INE
 from repro.objects import uniform_objects
@@ -231,7 +238,70 @@ class TestBaseSignature:
             assert len(result) == 3, name
 
     def test_ine_ablation_variants_count_settled(self, road400, objects400):
-        for variant in ("first_cut", "pqueue", "settled", "graph"):
+        for variant in reference.VARIANTS:
             counters = Counters()
-            INE(road400, objects400, variant=variant).knn(9, 3, counters=counters)
+            reference.ReferenceINE(road400, objects400, variant=variant).knn(
+                9, 3, counters=counters
+            )
             assert counters["ine_settled"] > 0, variant
+
+
+class TestOneImplementationPerMethod:
+    """The reproduction is fair by construction: the experiment harness
+    (``Workbench.make``) and the service layer (``QueryEngine.algorithm``)
+    run the same code for every method, and none of it is a reference
+    loop — except the terminal degradation rung, which is nothing else."""
+
+    @pytest.fixture(scope="class")
+    def routes(self):
+        graph = road_network(250, seed=13)
+        objects = uniform_objects(graph, density=0.04, seed=2, minimum=6)
+        return graph, objects, Workbench(graph), QueryEngine(graph, objects)
+
+    def test_workbench_and_engine_build_the_same_algorithm(self, routes):
+        graph, objects, bench, engine = routes
+        rng = np.random.default_rng(5)
+        queries = [int(q) for q in rng.integers(0, graph.num_vertices, size=6)]
+        for name in known_methods():
+            made, served = bench.make(name, objects), engine.algorithm(name)
+            assert type(made) is type(served), name
+            for q in queries:
+                cm, cs = Counters(), Counters()
+                assert made.knn(q, 4, counters=cm) == served.knn(
+                    q, 4, counters=cs
+                ), (name, q)
+                assert cm.as_dict() == cs.as_dict(), (name, q)
+
+    def test_only_the_terminal_rung_reaches_the_reference_module(
+        self, routes, monkeypatch
+    ):
+        graph, objects, bench, engine = routes
+
+        def boom(*args, **kwargs):
+            raise AssertionError("reference loop reached from a production path")
+
+        def owned(obj):
+            return getattr(obj, "__module__", None) == reference.__name__
+
+        # Every function of the module — wherever a ``from`` import may
+        # have copied it — and every method of its classes.
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("repro"):
+                continue
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value) and owned(value):
+                    monkeypatch.setattr(module, attr, boom)
+        for cls in [c for c in vars(reference).values()
+                    if inspect.isclass(c) and owned(c)]:
+            for attr, value in list(vars(cls).items()):
+                if inspect.isfunction(value):
+                    monkeypatch.setattr(cls, attr, boom)
+
+        fresh = engine.with_objects(objects)  # constructs under the patch too
+        for name in known_methods():
+            if name == "ine-graph":
+                continue
+            assert len(bench.make(name, objects).knn(7, 3)) == 3, name
+            assert len(fresh.algorithm(name).knn(7, 3)) == 3, name
+        with pytest.raises(AssertionError, match="reference loop"):
+            bench.make("ine-graph", objects)

@@ -96,6 +96,15 @@ class TestExperimentResult:
 
 
 class TestFigures:
+    def test_fig07_plots_the_four_rungs_and_production(self, wb):
+        # Answer agreement of the same five implementations:
+        # test_knn_methods.py::TestINE::test_all_variants_identical.
+        by_k, by_d = figures.fig07_ine_ablation(
+            wb.graph, ks=(1,), densities=(0.05,), num_queries=3
+        )
+        rungs = ["1st Cut", "PQueue", "Settled", "Graph", "Production"]
+        assert list(by_k.series) == rungs and list(by_d.series) == rungs
+
     def test_fig10_shape(self, wb):
         result = figures.fig10_vary_k(
             wb, ks=(1, 5), num_queries=5, methods=("ine", "gtree", "ier-phl")

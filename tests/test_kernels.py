@@ -1,10 +1,10 @@
 """Kernel-layer tests: ArrayHeap, scratch buffers, and the
-python-vs-array equality guarantees.
+production-vs-reference equality guarantees.
 
-The property tests are the regression guard the perf work rests on:
-for every algorithm with a ``kernel`` knob, the array kernel must return
-*byte-identical* answers and *identical settled-vertex counters* to the
-reference python kernel on seeded random grid/cluster graphs.  A fast
+The property tests are the regression guard the one-implementation
+design rests on: every production algorithm must return *byte-identical*
+answers and *identical settled-vertex counters* to the per-edge loops in
+:mod:`repro.reference` on seeded random grid/cluster graphs.  A fast
 path that drifts — even in tie-breaking or counter accounting — fails
 here before any benchmark can advertise it.
 """
@@ -14,18 +14,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import reference
 from repro.engine import QueryEngine
 from repro.graph.generators import grid_network, road_network
 from repro.index.gtree import GTree
 from repro.index.silc import SILCIndex
-from repro.kernels import (
-    DEFAULT_KERNEL,
-    ArrayHeap,
-    borrow,
-    bulk_sssp,
-    resolve_kernel,
-    sssp_arrayheap,
-)
+from repro.kernels import ArrayHeap, borrow, bulk_sssp
 from repro.knn.distance_browsing import DistanceBrowsing
 from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ine import INE
@@ -37,6 +31,7 @@ from repro.pathfinding.dijkstra import (
     dijkstra_to_targets,
 )
 from repro.pathfinding.tnr import TransitNodeRouting
+from repro.updates import set_weight
 from repro.utils.counters import Counters
 
 INF = float("inf")
@@ -166,32 +161,7 @@ class TestScratch:
 
 
 # ----------------------------------------------------------------------
-# Kernel knob resolution
-# ----------------------------------------------------------------------
-class TestKernelConfig:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        assert DEFAULT_KERNEL == "array"
-        assert resolve_kernel(None) == "array"
-
-    def test_explicit_values(self):
-        assert resolve_kernel("python") == "python"
-        assert resolve_kernel("array") == "array"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("numpy")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert resolve_kernel(None) == "python"
-        monkeypatch.setenv("REPRO_KERNEL", "bogus")
-        with pytest.raises(ValueError):
-            resolve_kernel(None)
-
-
-# ----------------------------------------------------------------------
-# Cross-kernel equality (the regression guard)
+# Production vs reference equality (the regression guard)
 # ----------------------------------------------------------------------
 def _property_graphs():
     return [
@@ -212,62 +182,47 @@ class TestDijkstraKernelEquality:
         rng = np.random.default_rng(n)
         for _ in range(20):
             s, t = int(rng.integers(n)), int(rng.integers(n))
-            cp, ca = Counters(), Counters()
-            dp = dijkstra_distance(prop_graph, s, t, counters=cp, kernel="python")
-            da = dijkstra_distance(prop_graph, s, t, counters=ca, kernel="array")
-            assert dp == da  # byte-identical, not just close
-            assert cp["dijkstra_settled"] == ca["dijkstra_settled"]
+            cr, cp = Counters(), Counters()
+            dr = reference.dijkstra_distance(prop_graph, s, t, counters=cr)
+            dp = dijkstra_distance(prop_graph, s, t, counters=cp)
+            assert dr == dp  # byte-identical, not just close
+            assert cr["sssp_settled"] == cp["sssp_settled"]
 
     def test_full_sssp_identical(self, prop_graph):
-        cp, ca = Counters(), Counters()
-        dp = dijkstra_sssp(prop_graph, 3, counters=cp, kernel="python")
-        da = dijkstra_sssp(prop_graph, 3, counters=ca, kernel="array")
-        assert np.array_equal(dp, da)
-        assert cp["dijkstra_settled"] == ca["dijkstra_settled"]
+        cr, cp = Counters(), Counters()
+        dr = reference.dijkstra_sssp(prop_graph, 3, counters=cr)
+        dp = dijkstra_sssp(prop_graph, 3, counters=cp)
+        assert np.array_equal(dr, dp)
+        assert cr["sssp_settled"] == cp["sssp_settled"]
 
     def test_bounded_sssp_settled_region_identical(self, prop_graph):
-        full = dijkstra_sssp(prop_graph, 5, kernel="python")
+        full = reference.dijkstra_sssp(prop_graph, 5)
         cutoff = float(np.median(full[np.isfinite(full)]))
-        cp, ca = Counters(), Counters()
-        dp = dijkstra_sssp(prop_graph, 5, cutoff=cutoff, counters=cp,
-                           kernel="python")
-        da = dijkstra_sssp(prop_graph, 5, cutoff=cutoff, counters=ca,
-                           kernel="array")
-        settled = np.isfinite(da)
-        assert np.array_equal(settled, dp <= cutoff)
-        assert np.array_equal(dp[settled], da[settled])
-        assert cp["dijkstra_settled"] == ca["dijkstra_settled"]
+        cr, cp = Counters(), Counters()
+        dr = reference.dijkstra_sssp(prop_graph, 5, cutoff=cutoff, counters=cr)
+        dp = dijkstra_sssp(prop_graph, 5, cutoff=cutoff, counters=cp)
+        settled = np.isfinite(dp)
+        assert np.array_equal(settled, dr <= cutoff)
+        assert np.array_equal(dr[settled], dp[settled])
+        assert cr["sssp_settled"] == cp["sssp_settled"]
 
     def test_to_targets_identical(self, prop_graph):
         n = prop_graph.num_vertices
         rng = np.random.default_rng(n + 1)
         targets = [int(v) for v in rng.integers(0, n, size=8)]
-        cp, ca = Counters(), Counters()
-        out_p = dijkstra_to_targets(prop_graph, 2, targets, counters=cp,
-                                    kernel="python")
-        out_a = dijkstra_to_targets(prop_graph, 2, targets, counters=ca,
-                                    kernel="array")
-        assert out_p == out_a
-        assert cp["dijkstra_settled"] == ca["dijkstra_settled"]
-
-    def test_arrayheap_sssp_triangulates_both(self, prop_graph):
-        # Third implementation (ArrayHeap + vectorised relaxation) must
-        # agree with the python loop and the scipy kernel.
-        ref = dijkstra_sssp(prop_graph, 1, kernel="python")
-        via_heap = sssp_arrayheap(
-            prop_graph.vertex_start,
-            prop_graph.edge_target,
-            prop_graph.edge_weight,
-            1,
-            prop_graph.num_vertices,
+        cr, cp = Counters(), Counters()
+        out_r = reference.dijkstra_to_targets(
+            prop_graph, 2, targets, counters=cr
         )
-        assert np.array_equal(ref, via_heap)
+        out_p = dijkstra_to_targets(prop_graph, 2, targets, counters=cp)
+        assert out_r == out_p
+        assert cr["sssp_settled"] == cp["sssp_settled"]
 
     def test_bulk_sssp_rows_match_single_source(self, prop_graph):
         rows = bulk_sssp(prop_graph, [0, 4, 9])
         for row, src in zip(rows, (0, 4, 9)):
             assert np.allclose(
-                row, dijkstra_sssp(prop_graph, src, kernel="python"),
+                row, reference.dijkstra_sssp(prop_graph, src),
                 rtol=1e-12, atol=0,
             )
 
@@ -276,81 +231,84 @@ class TestINEKernelEquality:
     def test_answers_and_counters_identical(self, prop_graph):
         n = prop_graph.num_vertices
         objects = uniform_objects(prop_graph, 0.05, seed=3, minimum=4)
-        ine_p = INE(prop_graph, objects, kernel="python")
-        ine_a = INE(prop_graph, objects, kernel="array")
+        ine_r = reference.ReferenceINE(prop_graph, objects)
+        ine_p = INE(prop_graph, objects)
         rng = np.random.default_rng(n + 2)
         for k in (1, 3, 10):
             for _ in range(8):
                 q = int(rng.integers(n))
-                cp, ca = Counters(), Counters()
+                cr, cp = Counters(), Counters()
+                rr = ine_r.knn(q, k, counters=cr)
                 rp = ine_p.knn(q, k, counters=cp)
-                ra = ine_a.knn(q, k, counters=ca)
-                assert rp == ra
-                assert cp["ine_settled"] == ca["ine_settled"]
+                assert rr == rp
+                assert cr["expand_settled"] == cp["expand_settled"]
 
     def test_k_exceeding_object_count(self, prop_graph):
         objects = uniform_objects(prop_graph, 0.02, seed=1, minimum=2)
         k = len(objects) + 5
-        cp, ca = Counters(), Counters()
-        rp = INE(prop_graph, objects, kernel="python").knn(0, k, counters=cp)
-        ra = INE(prop_graph, objects, kernel="array").knn(0, k, counters=ca)
-        assert rp == ra
-        assert cp["ine_settled"] == ca["ine_settled"]
+        cr, cp = Counters(), Counters()
+        rr = reference.ReferenceINE(prop_graph, objects).knn(0, k, counters=cr)
+        rp = INE(prop_graph, objects).knn(0, k, counters=cp)
+        assert rr == rp
+        assert cr["expand_settled"] == cp["expand_settled"]
 
     def test_query_on_an_object_vertex(self, prop_graph):
         objects = uniform_objects(prop_graph, 0.05, seed=3, minimum=4)
         q = int(objects[0])
-        rp = INE(prop_graph, objects, kernel="python").knn(q, 3)
-        ra = INE(prop_graph, objects, kernel="array").knn(q, 3)
-        assert rp == ra
+        rr = reference.ReferenceINE(prop_graph, objects).knn(q, 3)
+        rp = INE(prop_graph, objects).knn(q, 3)
+        assert rr == rp
         assert rp[0] == (0.0, q)
 
 
 class TestGTreeKernelEquality:
     @pytest.fixture(scope="class")
-    def graphs_and_trees(self):
+    def graph_tree_objects(self):
         graph = road_network(500, seed=7)
-        return (
-            graph,
-            GTree(graph, kernel="python"),
-            GTree(graph, kernel="array"),
-        )
+        objects = uniform_objects(graph, 0.04, seed=9, minimum=5)
+        return graph, GTree(graph), objects
 
-    def test_both_builds_exact_vs_dijkstra(self, graphs_and_trees):
-        graph, gt_py, gt_arr = graphs_and_trees
+    def test_build_exact_vs_reference_dijkstra(self, graph_tree_objects):
+        graph, gt, _ = graph_tree_objects
         rng = np.random.default_rng(13)
         for _ in range(30):
             s, t = (int(rng.integers(500)), int(rng.integers(500)))
-            ref = dijkstra_distance(graph, s, t)
-            for gt in (gt_py, gt_arr):
-                assert gt.distance(s, t) == pytest.approx(ref, rel=1e-9)
+            ref = reference.dijkstra_distance(graph, s, t)
+            assert gt.distance(s, t) == pytest.approx(ref, rel=1e-9)
 
-    def test_query_kernels_identical_on_one_tree(self, graphs_and_trees):
-        # Same index, two query kernels: answers AND counters must match
-        # (this is where ArrayHeap + vectorised leaf relaxation runs).
-        graph, _, gt_arr = graphs_and_trees
-        objects = uniform_objects(graph, 0.04, seed=9, minimum=5)
-        knn_p = GTreeKNN(gt_arr, objects, kernel="python")
-        knn_a = GTreeKNN(gt_arr, objects, kernel="array")
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_knn_matches_reference_ine(self, graph_tree_objects, improved):
+        # The leaf search (flat-list Dijkstra over the cached leaf CSR)
+        # and the hierarchy queue against the per-edge INE loop.
+        graph, gt, objects = graph_tree_objects
+        knn = GTreeKNN(gt, objects, improved_leaf_search=improved)
+        ine = reference.ReferenceINE(graph, objects)
         rng = np.random.default_rng(17)
         for _ in range(15):
             q = int(rng.integers(500))
-            cp, ca = Counters(), Counters()
-            rp = knn_p.knn(q, 4, counters=cp)
-            ra = knn_a.knn(q, 4, counters=ca)
-            assert rp == ra
-            assert cp.as_dict() == ca.as_dict()
+            got, ref = knn.knn(q, 4), ine.knn(q, 4)
+            assert [v for _, v in got] == [v for _, v in ref]
+            assert [d for d, _ in got] == pytest.approx(
+                [d for d, _ in ref], rel=1e-9
+            )
 
-    def test_original_leaf_search_kernels_agree(self, graphs_and_trees):
-        graph, _, gt_arr = graphs_and_trees
-        objects = uniform_objects(graph, 0.04, seed=9, minimum=5)
-        rp = GTreeKNN(
-            gt_arr, objects, improved_leaf_search=False, kernel="python"
-        ).knn(7, 3)
-        ra = GTreeKNN(
-            gt_arr, objects, improved_leaf_search=False, kernel="array"
-        ).knn(7, 3)
-        assert rp == ra
+    def test_leaf_lists_mirror_leaf_csr_and_drop_with_it(self):
+        # One cache per leaf beside leaf_csr: same edges, flat python
+        # lists — and weight repair drops the two together.
+        graph = road_network(500, seed=7)  # private: the test mutates it
+        gt = GTree(graph)
+        leaf = gt.nodes[int(gt.leaf_of[3])]
+        indptr, indices, data = gt.leaf_local_lists(leaf)
+        local = gt.leaf_local_csr(leaf)
+        assert indptr == local.indptr.tolist()
+        assert indices == local.indices.tolist()
+        assert data == local.data.tolist()
+        assert gt.leaf_local_lists(leaf)[0] is indptr  # cached
+        v = int(graph.edge_target[graph.vertex_start[3]])
+        w = float(graph.edge_weight[graph.vertex_start[3]])
+        changed = graph.apply_weight_deltas([set_weight(3, v, w * 3.0)])
+        gt.apply_weight_deltas(changed)
+        assert leaf.leaf_csr is None and leaf.leaf_lists is None
 
 
 class TestDisBrwKernelEquality:
@@ -362,22 +320,18 @@ class TestDisBrwKernelEquality:
         return graph, silc, objects
 
     @pytest.mark.parametrize("source", ["enn", "hierarchy"])
-    def test_answers_and_counters_identical(self, silc_setup, source):
+    def test_answers_match_reference_ine(self, silc_setup, source):
         graph, silc, objects = silc_setup
-        db_p = DistanceBrowsing(
-            silc, objects, candidate_source=source, kernel="python"
-        )
-        db_a = DistanceBrowsing(
-            silc, objects, candidate_source=source, kernel="array"
-        )
+        db = DistanceBrowsing(silc, objects, candidate_source=source)
+        ine = reference.ReferenceINE(graph, objects)
         rng = np.random.default_rng(23)
         for _ in range(12):
             q = int(rng.integers(graph.num_vertices))
-            cp, ca = Counters(), Counters()
-            rp = db_p.knn(q, 4, counters=cp)
-            ra = db_a.knn(q, 4, counters=ca)
-            assert rp == ra
-            assert cp.as_dict() == ca.as_dict()
+            got, ref = db.knn(q, 4), ine.knn(q, 4)
+            assert [v for _, v in got] == [v for _, v in ref]
+            assert [d for d, _ in got] == pytest.approx(
+                [d for d, _ in ref], rel=1e-9
+            )
 
     def test_vectorised_intervals_match_scalar(self, silc_setup):
         graph, silc, _ = silc_setup
@@ -393,65 +347,77 @@ class TestTNRKernelEquality:
     def test_tables_access_and_distances_agree(self):
         graph = road_network(400, seed=19)
         ch = ContractionHierarchy(graph)
-        tnr_p = TransitNodeRouting(graph, ch=ch, kernel="python")
-        tnr_a = TransitNodeRouting(graph, ch=ch, kernel="array")
-        assert np.allclose(tnr_p.table, tnr_a.table, rtol=1e-12, atol=1e-12)
-        for v in range(graph.num_vertices):
-            assert sorted(tnr_p.access[v]) == sorted(tnr_a.access[v])
+        tnr = TransitNodeRouting(graph, ch=ch)
+        # The bulk-swept transit table against pairwise CH queries.
+        tn = tnr.transit_nodes
+        for i in range(len(tn)):
+            for j in range(i + 1, len(tn)):
+                assert tnr.table[i, j] == pytest.approx(
+                    ch.distance(tn[i], tn[j]), rel=1e-12
+                )
+        # Every access node is a true distance to a transit node.
+        for v in range(0, graph.num_vertices, 7):
+            for a, d in tnr.access[v]:
+                assert d == pytest.approx(ch.distance(v, tn[a]), rel=1e-9)
         rng = np.random.default_rng(29)
         for _ in range(20):
             s, t = int(rng.integers(400)), int(rng.integers(400))
-            ref = dijkstra_distance(graph, s, t)
-            assert tnr_a.distance(s, t) == pytest.approx(ref, rel=1e-9)
+            ref = reference.dijkstra_distance(graph, s, t)
+            assert tnr.distance(s, t) == pytest.approx(ref, rel=1e-9)
 
 
 # ----------------------------------------------------------------------
-# Engine integration
+# The knob is gone
 # ----------------------------------------------------------------------
-class TestEngineKernelKnob:
+class TestNoKernelKnob:
     @pytest.fixture(scope="class")
     def graph_objects(self):
         graph = road_network(400, seed=31)
         return graph, uniform_objects(graph, 0.03, seed=1, minimum=5)
 
-    def test_default_kernel_is_array(self, graph_objects, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_constructors_reject_a_kernel_argument(self, graph_objects):
         graph, objects = graph_objects
-        engine = QueryEngine(graph, objects)
-        assert engine.kernel == "array"
-        result = engine.query(10, k=3, method="ine")
-        assert result.kernel == "array"
+        for knob in ({"kernel": "array"}, {"kernel": "python"}):
+            with pytest.raises(TypeError):
+                QueryEngine(graph, objects, **knob)
+            with pytest.raises(TypeError):
+                INE(graph, objects, **knob)
+            with pytest.raises(TypeError):
+                GTree(graph, **knob)
+            with pytest.raises(TypeError):
+                dijkstra_distance(graph, 0, 1, **knob)
 
-    def test_unknown_kernel_rejected(self, graph_objects):
+    def test_result_provenance_is_the_method_name(self, graph_objects):
         graph, objects = graph_objects
-        with pytest.raises(ValueError, match="unknown kernel"):
-            QueryEngine(graph, objects, kernel="fast")
+        result = QueryEngine(graph, objects).query(10, k=3, method="ine")
+        assert result.method == "ine" and result.fallback_from is None
+        assert not hasattr(result, "kernel")
 
-    def test_kernels_answer_identically_across_methods(self, graph_objects):
-        graph, objects = graph_objects
-        eng_p = QueryEngine(graph, objects, kernel="python")
-        eng_a = QueryEngine(graph, objects, kernel="array")
-        for method in eng_a.available_methods():
-            rp = eng_p.query(42, k=4, method=method)
-            ra = eng_a.query(42, k=4, method=method)
-            assert rp == ra, method
-
-    def test_result_reports_resolved_kernel(self, graph_objects):
-        graph, objects = graph_objects
-        engine = QueryEngine(graph, objects, kernel="python")
-        assert engine.query(5, k=2, method="ine").kernel == "python"
-        # Methods without a kernel knob report None.
-        assert engine.query(5, k=2, method="ier-phl").kernel is None
-
-    def test_with_objects_preserves_kernel(self, graph_objects):
-        graph, objects = graph_objects
-        engine = QueryEngine(graph, objects, kernel="python")
-        assert engine.with_objects(objects[:3]).kernel == "python"
-
-    def test_explain_carries_kernels(self, graph_objects, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        graph, objects = graph_objects
-        engine = QueryEngine(graph, objects)
-        reports = engine.explain(11, k=3, methods=["ine", "gtree"])
-        assert reports["ine"].kernel == "array"
-        assert reports["gtree"].kernel == "array"
+    def test_arrays_carrying_the_old_kernel_member_still_load(
+        self, graph_objects
+    ):
+        # A store written by the parent commit has a "kernel" array in
+        # every G-tree / TNR artifact; to_arrays no longer writes it and
+        # from_arrays ignores it.
+        graph, _ = graph_objects
+        ch = ContractionHierarchy(graph)
+        cases = [
+            (GTree(graph), lambda a: GTree.from_arrays(graph, a)),
+            (
+                TransitNodeRouting(graph, ch=ch),
+                lambda a: TransitNodeRouting.from_arrays(graph, a, ch),
+            ),
+        ]
+        rng = np.random.default_rng(37)
+        pairs = rng.integers(0, graph.num_vertices, size=(10, 2)).tolist()
+        for index, load in cases:
+            arrays = index.to_arrays()
+            assert "kernel" not in arrays
+            old = load({**arrays, "kernel": np.asarray("python")})
+            new = load(arrays)
+            for s, t in pairs:
+                assert (
+                    old.distance(s, t)
+                    == new.distance(s, t)
+                    == index.distance(s, t)
+                )

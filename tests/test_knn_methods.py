@@ -10,10 +10,11 @@ from repro.knn.base import verify_knn_result
 from repro.knn.distance_browsing import DistanceBrowsing
 from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ier import IER, euclidean_knn_brute_force
-from repro.knn.ine import INE, VARIANTS, ine_knn
+from repro.knn.ine import INE, ine_knn
 from repro.knn.road_knn import RoadKNN
 from repro.pathfinding.astar import AStarOracle
 from repro.pathfinding.dijkstra import DijkstraOracle, dijkstra_sssp
+from repro.reference import VARIANTS, ReferenceINE
 from repro.utils.counters import Counters
 
 
@@ -47,7 +48,10 @@ class TestINE:
         assert verify_knn_result(INE(road400, objects400).knn(q, 5), expected)
 
     def test_all_variants_identical(self, road400, objects400, queries400):
-        algs = {v: INE(road400, objects400, variant=v) for v in VARIANTS}
+        # The four Figure 7 rungs and the production implementation —
+        # the five series fig07_ine_ablation plots.
+        algs = {v: ReferenceINE(road400, objects400, variant=v) for v in VARIANTS}
+        algs["production"] = INE(road400, objects400)
         for q in queries400[:8]:
             ref = algs["graph"].knn(q, 6)
             for v, alg in algs.items():
@@ -75,7 +79,7 @@ class TestINE:
 
     def test_rejects_unknown_variant(self, road400, objects400):
         with pytest.raises(ValueError):
-            INE(road400, objects400, variant="magic")
+            ReferenceINE(road400, objects400, variant="magic")
 
     def test_one_shot_helper(self, road400, objects400):
         assert ine_knn(road400, objects400, 0, 3) == INE(

@@ -48,8 +48,6 @@ from repro.updates import (
     split_deltas,
 )
 
-KERNELS = ("python", "array")
-
 
 def fresh_graph(n: int = 300, seed: int = 11):
     """A private mutable graph — never a shared fixture."""
@@ -246,16 +244,14 @@ class TestRTreeMaintenance:
 # Index repair vs pinned-partition rebuild
 # ----------------------------------------------------------------------
 class TestIndexRepair:
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_gtree_repair_bitwise_equals_rebuild(self, kernel):
+    def test_gtree_repair_bitwise_equals_rebuild(self):
         g = fresh_graph(seed=23)
-        gt = GTree(g, tau=32, seed=0, kernel=kernel)
+        gt = GTree(g, tau=32, seed=0)
         rng = np.random.default_rng(5)
         changed = g.apply_weight_deltas(random_weight_deltas(g, rng, 10))
         counters = gt.apply_weight_deltas(changed)
         assert counters["nodes_affected"] > 0
-        rebuilt = GTree(g, tau=32, seed=0, kernel=kernel,
-                        partition=gt.partition)
+        rebuilt = GTree(g, tau=32, seed=0, partition=gt.partition)
         for a, b in zip(gt.nodes, rebuilt.nodes):
             assert np.array_equal(a.matrix.m, b.matrix.m)
         for s, t in [(0, 100), (5, 250), (77, 130)]:
@@ -306,7 +302,7 @@ class TestIndexRepair:
 
     def test_repair_unavailable_after_serialisation_loses_provenance(self):
         g = fresh_graph(seed=41)
-        gt = GTree(g, tau=32, seed=0, kernel="array")
+        gt = GTree(g, tau=32, seed=0)
         loaded = GTree.from_arrays(g, gt.to_arrays())
         delta = [(0, int(g.edge_target[0]), 1.0, 2.0)]
         with pytest.raises(RepairUnavailable):
@@ -336,14 +332,11 @@ class TestIndexRepair:
 class TestEngineApplyUpdates:
     METHODS = ("ine", "gtree", "road", "ier-gt")
 
-    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("stream_seed", (1, 2))
-    def test_incremental_equals_rebuild_byte_identical(
-        self, kernel, stream_seed
-    ):
+    def test_incremental_equals_rebuild_byte_identical(self, stream_seed):
         g = fresh_graph(seed=43)
         objects = uniform_objects(g, density=0.03, seed=5)
-        engine = QueryEngine(g, objects, kernel=kernel)
+        engine = QueryEngine(g, objects)
         for method in self.METHODS:
             engine.algorithm(method)  # warm pre-delta instances
         gtree_partition = engine.workbench.gtree.partition
@@ -358,12 +351,12 @@ class TestEngineApplyUpdates:
         assert report.weights_changed > 0
         assert "gtree" in report.repaired and "road" in report.repaired
 
-        gt2 = GTree(g, seed=0, kernel=kernel, partition=gtree_partition)
+        gt2 = GTree(g, seed=0, partition=gtree_partition)
         rd2 = RoadIndex(g, seed=0, partition=road_partition)
         final = engine.objects
         rebuilt = {
-            "ine": INE(g, final, kernel=kernel),
-            "gtree": GTreeKNN(gt2, final, kernel=kernel),
+            "ine": INE(g, final),
+            "gtree": GTreeKNN(gt2, final),
             "road": RoadKNN(rd2, final),
             "ier-gt": IER(g, final, GTreeOracle(gt2)),
         }
@@ -380,7 +373,7 @@ class TestEngineApplyUpdates:
     def test_object_report_counts_and_set_evolution(self):
         g = fresh_graph(seed=47)
         objects = sorted(uniform_objects(g, density=0.03, seed=5))
-        engine = QueryEngine(g, objects, kernel="array")
+        engine = QueryEngine(g, objects)
         free = sorted(set(range(g.num_vertices)) - set(objects))
         report = engine.apply_updates([
             add_object(free[0]),
@@ -396,7 +389,7 @@ class TestEngineApplyUpdates:
     def test_unpatchable_instance_is_dropped_and_rebuilt(self):
         g = fresh_graph(seed=53)
         objects = sorted(uniform_objects(g, density=0.03, seed=5))
-        engine = QueryEngine(g, objects, kernel="array")
+        engine = QueryEngine(g, objects)
         engine.algorithm("ine")
         # Plant an instance whose object index cannot be patched.
         stubborn = KNNAlgorithm()
@@ -415,7 +408,7 @@ class TestEngineApplyUpdates:
 
     def test_empty_delta_stream_is_a_cheap_no_op(self):
         g = fresh_graph(seed=59)
-        engine = QueryEngine(g, [1, 2, 3], kernel="array")
+        engine = QueryEngine(g, [1, 2, 3])
         report = engine.apply_updates([])
         assert report.to_dict()["weights_changed"] == 0
         assert report.repaired == {} and report.dropped == []
@@ -428,7 +421,7 @@ class TestServerUpdates:
     def _server(self, g, objects, **kwargs):
         from repro.server import KNNServer
 
-        engine = QueryEngine(g, objects, kernel="array")
+        engine = QueryEngine(g, objects)
         kwargs.setdefault("workers", 2)
         return KNNServer(engine, **kwargs)
 
@@ -806,7 +799,7 @@ class TestMixedWorkload:
 
         g = fresh_graph(seed=73)
         objects = sorted(uniform_objects(g, density=0.03, seed=5))
-        engine = QueryEngine(g, objects, kernel="array")
+        engine = QueryEngine(g, objects)
         reads, updates = mixed_update_workload(
             g, 120, 4, objects, updates=4, seed=21
         )

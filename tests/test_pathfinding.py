@@ -1,4 +1,4 @@
-"""Dijkstra / A* / bulk-helper tests, including the Figure 7 ladder."""
+"""Dijkstra / A* / bulk-helper tests."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.pathfinding.bulk import (
     network_center,
 )
 from repro.pathfinding.dijkstra import (
-    ABLATION_VARIANTS,
     DijkstraOracle,
     dijkstra_distance,
     dijkstra_path,
@@ -83,23 +82,6 @@ class TestDijkstra:
         oracle = DijkstraOracle(road400)
         assert oracle.size_bytes() == 0
         assert oracle.distance(0, 0) == 0.0
-
-
-class TestAblationLadder:
-    def test_all_variants_agree(self, road400):
-        reference = dijkstra_sssp(road400, 11)
-        targets = {3, 99, 250 % road400.num_vertices}
-        for name, fn in ABLATION_VARIANTS:
-            out = fn(road400, 11, set(targets))
-            for t in targets:
-                assert out[t] == pytest.approx(reference[t]), name
-
-    def test_full_sssp_agreement(self, road400):
-        reference = dijkstra_sssp(road400, 42)
-        for name, fn in ABLATION_VARIANTS:
-            out = fn(road400, 42)
-            for v, d in out.items():
-                assert d == pytest.approx(reference[v]), name
 
 
 class TestAStar:

@@ -402,8 +402,8 @@ class TestQuarantine:
 class TestEngineFallback:
     @pytest.fixture()
     def dense_engine(self, road400):
-        # Density >= threshold: the planner resolves "auto" to INE on
-        # the array kernel, whose SSSP runs through kernel.sssp.
+        # Density >= threshold: the planner resolves "auto" to INE,
+        # whose SSSP runs through kernel.sssp.
         objects = uniform_objects(road400, density=0.03, seed=5)
         return QueryEngine(road400, objects)
 
@@ -433,9 +433,9 @@ class TestEngineFallback:
 
     def test_terminal_rung_is_python_ine(self, dense_engine):
         baseline = dense_engine.query(7, 4)
-        # Avoid every indexed fallback; the kernel fault breaks array
-        # INE — only the pure-python INE loop (no index, no array
-        # kernel) can still answer.
+        # Avoid every indexed fallback; the kernel fault breaks INE —
+        # only the per-edge reference loop (no index, no kernel) can
+        # still answer.
         plan = FaultPlan(seed=3, specs=(
             FaultSpec("kernel.sssp", probability=1.0),
         ))
@@ -444,8 +444,8 @@ class TestEngineFallback:
                 7, 4,
                 avoid_methods=frozenset(("ier-gt", "gtree", "ier-phl")),
             )
-        assert result.degraded and result.method == "ine"
-        assert result.kernel == "python"
+        assert result.degraded and result.method == "ine-graph"
+        assert result.fallback_from == "ine"
         assert result.as_tuples() == baseline.as_tuples()
 
     def test_index_build_fault_degrades_explicit_method(self, road400):
@@ -466,13 +466,14 @@ class TestEngineFallback:
 
     def test_fallback_chain_shape(self, dense_engine):
         chain = dense_engine.fallback_chain("ine")
-        assert chain[-1] == ("ine", "python")
-        assert all(name != "ine" for name, _ in chain[:-1])
+        assert chain == ["ier-gt", "gtree", "ier-phl", "ine-graph"]
         avoided = dense_engine.fallback_chain(
             "ine", frozenset(("gtree", "ier-gt"))
         )
-        assert all(
-            name not in ("gtree", "ier-gt") for name, _ in avoided
+        assert avoided == ["ier-phl", "ine-graph"]
+        # The terminal rung has nothing below it.
+        assert "ine-graph" not in dense_engine.fallback_chain(
+            "ine-graph"
         )
 
     def test_no_plan_answers_identical_and_undegraded(self, dense_engine):

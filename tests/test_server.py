@@ -631,16 +631,17 @@ class TestServingAcceptance:
     def setup(self):
         graph = road_network(2000, seed=7)
         objects = uniform_objects(graph, density=0.01, seed=1)
-        # kernel="python" pins the per-query cost this acceptance bar was
-        # calibrated against: the test measures the *serving layer's*
-        # worker-pool speedup over one thread, and the array kernel's 4x
-        # faster sequential baseline would shrink that ratio without the
-        # server getting any slower.
-        engine = QueryEngine(graph, objects, kernel="python")
-        # skew/hot-set chosen for a ~10x margin over the 5x bar, so a
-        # noisy CI machine cannot flake the assertion.
+        engine = QueryEngine(graph, objects)
+        # An explicitly expensive method (the per-edge reference INE)
+        # pins the per-query cost this acceptance bar was calibrated
+        # against: the test measures the *serving layer's* speedup over
+        # one thread, and the production INE's 4x faster sequential
+        # baseline would shrink that ratio without the server getting
+        # any slower.  skew/hot-set chosen for a ~10x margin over the 5x
+        # bar, so a noisy CI machine cannot flake the assertion.
         items = hotspot_workload(
-            graph, 600, 5, hot_vertices=32, skew=1.3, seed=3
+            graph, 600, 5, hot_vertices=32, skew=1.3, seed=3,
+            method="ine-graph",
         )
         return graph, engine, items
 
@@ -648,7 +649,7 @@ class TestServingAcceptance:
         _, engine, items = setup
         baseline_qps, truth = sequential_baseline(engine, items)
         server = KNNServer(engine, workers=4)
-        server.start(warmup_methods=["auto"])
+        server.start(warmup_methods=["ine-graph"])
         builds_before = sum(BUILD_COUNTERS.as_dict().values())
         # The served run is ~30 ms; a generation-2 collection of the heap
         # the whole test session has grown takes 70-80 ms, and whether

@@ -18,7 +18,6 @@ from repro.engine.workbench import IndexCache
 from repro.experiments.runner import Workbench
 from repro.graph.generators import road_network, travel_time_weights
 from repro.objects import uniform_objects
-from repro.kernels import default_kernel
 from repro.store import (
     FORMAT_VERSION,
     ArtifactMissing,
@@ -246,7 +245,7 @@ def test_loaded_index_reports_original_build_time(graph250, built_store):
     warm = Workbench(graph250, store=built_store)
     info = built_store.info(
         "gtree",
-        artifact_key(graph250, {"tau": None, "seed": 0, "kernel": default_kernel()}),
+        artifact_key(graph250, {"tau": None, "seed": 0}),
     )
     assert warm.gtree.build_time() == pytest.approx(info.build_time_s)
 
@@ -292,7 +291,7 @@ def test_engine_accepts_store(tmp_path, graph250, objects250):
     assert len(result) == 3
     assert store.contains(
         "gtree",
-        artifact_key(graph250, {"tau": None, "seed": 0, "kernel": default_kernel()}),
+        artifact_key(graph250, {"tau": None, "seed": 0}),
     )
 
 
