@@ -107,11 +107,11 @@ def check_answers(responses, truths) -> Dict[str, int]:
             # A fallback method: exact, but float associativity may
             # differ in the last ulp — hold it to the repo's
             # cross-method agreement standard.
-            if not verify_knn_result(response.result, truth) or len(
-                response.result
-            ) != len(truth):
+            if not verify_knn_result(
+                response.result.neighbors, truth.neighbors
+            ):
                 out["wrong"] += 1
-        elif response.result.as_tuples() != truth.as_tuples():
+        elif response.result.neighbors != truth.neighbors:
             # Same method, same code: byte-identical or it's wrong.
             out["wrong"] += 1
     return out
@@ -198,7 +198,7 @@ def main() -> int:
             recovery_checks["degraded"] += bool(response.degraded)
             if (
                 not response.ok
-                or response.result.as_tuples() != truth.as_tuples()
+                or response.result.neighbors != truth.neighbors
             ):
                 recovery_checks["mismatched"] += 1
         health_after = server.health()

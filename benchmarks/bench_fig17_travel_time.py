@@ -56,6 +56,6 @@ def test_travel_time_false_hits_exceed_distance(benchmark, us, us_tt):
 
     counters_d, counters_t = run_once(benchmark, run)
     assert (
-        counters_t["ier_network_computations"]
-        >= counters_d["ier_network_computations"]
+        counters_t["verify_network_computations"]
+        >= counters_d["verify_network_computations"]
     )

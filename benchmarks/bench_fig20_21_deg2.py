@@ -7,8 +7,8 @@ network, where chain jumps replace most O(log V) quadtree lookups.
 
 import pytest
 
+from repro.engine import IndexCache
 from repro.experiments import figures
-from repro.experiments.runner import Workbench
 from repro.graph.generators import chain_heavy_network
 
 from _bench_utils import run_once
@@ -17,7 +17,7 @@ from _bench_utils import run_once
 @pytest.fixture(scope="module")
 def highway():
     """The NA-highway analogue: overwhelmingly degree-2 chains."""
-    return Workbench(chain_heavy_network(1500, seed=3, chain_fraction=0.9))
+    return IndexCache(chain_heavy_network(1500, seed=3, chain_fraction=0.9))
 
 
 def test_fig21_normal_network(benchmark, nw):

@@ -57,10 +57,7 @@ GATED_METHODS = ("ine", "gtree")
 
 
 def _answers(engine: QueryEngine, method: str, queries, k: int):
-    return [
-        tuple((n.distance, n.vertex) for n in engine.query(q, k, method=method))
-        for q in queries
-    ]
+    return [engine.query(q, k, method=method).neighbors for q in queries]
 
 
 def _time_workload(engine: QueryEngine, method: str, queries, k: int) -> float:

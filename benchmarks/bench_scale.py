@@ -3,10 +3,10 @@
 
 Two sections, both recorded into ``BENCH_scale.json``:
 
-* **Equivalence gate** (always runs, laptop-sized): the same graph is
-  saved through an ``npz`` store and a ``flat`` store, and the two
-  loads must be *byte-identical* — every CSR array, the content
-  fingerprint, and the INE kNN answers.  The probe's own local Dijkstra
+* **Equivalence gate** (always runs, laptop-sized): a graph is saved to
+  a store and mapped back, and the round-trip must be *byte-identical*
+  to the in-memory original — every CSR array, the content fingerprint,
+  and the INE kNN answers.  The probe's own local Dijkstra
   kNN (used at scale, where the engine's O(V) scratch is off limits) is
   also pinned to the engine's INE answers here, so the scale numbers
   below are tied back to the tested query path.
@@ -124,33 +124,30 @@ def run_equivalence(tmp_root: Path, failures: List[str]) -> Dict[str, object]:
     from repro.knn.ine import INE
 
     graph = road_network(3000, seed=7)
-    loaded = {}
-    for fmt in ("npz", "flat"):
-        store = IndexStore(tmp_root / f"equiv-{fmt}", format=fmt)
-        info = save_graph(store, graph)
-        loaded[fmt] = Graph.from_store_mmap(store, info.key)
+    store = IndexStore(tmp_root / "equiv")
+    info = save_graph(store, graph)
+    g_flat = Graph.from_store_mmap(store, info.key)
 
-    g_npz, g_flat = loaded["npz"], loaded["flat"]
     arrays_identical = all(
-        np.asarray(getattr(g_npz, name)).tobytes()
+        np.asarray(getattr(graph, name)).tobytes()
         == np.asarray(getattr(g_flat, name)).tobytes()
         for name, _ in Graph._CSR_FIELDS
     )
     if not arrays_identical:
-        failures.append("equivalence: npz and flat CSR arrays differ")
-    fingerprint_identical = g_npz.fingerprint() == g_flat.fingerprint()
+        failures.append("equivalence: in-memory and mapped CSR arrays differ")
+    fingerprint_identical = graph.fingerprint() == g_flat.fingerprint()
     if not fingerprint_identical:
-        failures.append("equivalence: npz and flat fingerprints differ")
+        failures.append("equivalence: in-memory and mapped fingerprints differ")
 
     k = 8
     objects = object_set(graph.num_vertices, stride=17)
     queries = pick_queries(graph.num_vertices, 12)
-    ine_npz = INE(g_npz, sorted(objects))
+    ine_mem = INE(graph, sorted(objects))
     ine_flat = INE(g_flat, sorted(objects))
     knn_identical = True
     local_matches_ine = True
     for q in queries:
-        a, b = ine_npz.knn(q, k), ine_flat.knn(q, k)
+        a, b = ine_mem.knn(q, k), ine_flat.knn(q, k)
         if a != b:
             knn_identical = False
             failures.append(f"equivalence: kNN answers differ at q={q}")
@@ -224,7 +221,7 @@ def ensure_ingested(
     gr_path = SCALE_DIR / f"grid_{width}x{height}.gr"
     if not gr_path.exists():
         write_grid_gr(gr_path, width, height)
-    store = IndexStore(SCALE_DIR / "store", format="flat")
+    store = IndexStore(SCALE_DIR / "store")
     marker = SCALE_DIR / f"ingested_{width}x{height}.json"
     if marker.exists():
         cached = json.loads(marker.read_text())
@@ -288,7 +285,7 @@ def _ru_maxrss_bytes() -> int:
 
 def run_child_probe(args: argparse.Namespace) -> int:
     """``--child-probe mmap|materialize``: load, query, report JSON."""
-    store = IndexStore(args.store, format="flat")
+    store = IndexStore(args.store)
     queries = [int(q) for q in args.queries.split(",")]
 
     rss_before = _vm_rss_bytes()

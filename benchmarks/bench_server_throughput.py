@@ -33,7 +33,7 @@ K = 5
 
 def _engine(nw):
     objects = uniform_objects(nw.graph, 0.01, seed=0)
-    return QueryEngine(workbench=nw, objects=objects)
+    return QueryEngine(nw, objects=objects)
 
 
 def test_server_hotspot_throughput(benchmark, nw):

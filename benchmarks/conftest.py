@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import IndexCache
 from repro.graph.generators import road_network, travel_time_weights
-from repro.experiments.runner import Workbench
 
 from _bench_utils import shared_store
 
@@ -41,29 +41,29 @@ def store():
 
 @pytest.fixture(scope="session")
 def nw(store):
-    return Workbench(road_network(NW_SIZE, seed=42, name="S-NW"), store=store)
+    return IndexCache(road_network(NW_SIZE, seed=42, name="S-NW"), store=store)
 
 
 @pytest.fixture(scope="session")
 def us(store):
-    return Workbench(road_network(US_SIZE, seed=1042, name="S-US"), store=store)
+    return IndexCache(road_network(US_SIZE, seed=1042, name="S-US"), store=store)
 
 
 @pytest.fixture(scope="session")
 def nw_tt(nw, store):
-    return Workbench(travel_time_weights(nw.graph, seed=42), store=store)
+    return IndexCache(travel_time_weights(nw.graph, seed=42), store=store)
 
 
 @pytest.fixture(scope="session")
 def us_tt(us, store):
-    return Workbench(travel_time_weights(us.graph, seed=1042), store=store)
+    return IndexCache(travel_time_weights(us.graph, seed=1042), store=store)
 
 
 @pytest.fixture(scope="session")
 def suite(store):
     out = {}
     for size, name in SUITE_SIZES:
-        out[name] = Workbench(
+        out[name] = IndexCache(
             road_network(size, seed=100 + size, name=name), store=store
         )
     return out
@@ -72,6 +72,6 @@ def suite(store):
 @pytest.fixture(scope="session")
 def suite_tt(suite, store):
     return {
-        name: Workbench(travel_time_weights(wb.graph, seed=7), store=store)
+        name: IndexCache(travel_time_weights(wb.graph, seed=7), store=store)
         for name, wb in suite.items()
     }

@@ -53,7 +53,7 @@ def main() -> None:
         # fresh (tiny) object index.
         category_engine = engine.with_objects(objects)
         result = category_engine.query(query, k, method="ier-phl")
-        shown = ", ".join(f"v{v}@{d:.1f}" for d, v in result)
+        shown = ", ".join(f"v{v}@{d:.1f}" for d, v in result.neighbors)
         print(
             f"{category:14} {len(objects):>5} {build_us:>13.0f} us "
             f"{result.time_us:>9.0f}   [{shown}]"
@@ -74,8 +74,8 @@ def main() -> None:
     # tolerance — different methods sum edge weights in different orders).
     hospital_engine = engine.with_objects(hospitals)
     assert verify_knn_result(
-        hospital_engine.query(query, k, method="ier-phl").as_tuples(),
-        hospital_engine.query(query, k, method="ine").as_tuples(),
+        hospital_engine.query(query, k, method="ier-phl").neighbors,
+        hospital_engine.query(query, k, method="ine").neighbors,
         rel_tol=1e-9,
     )
     print("IER results verified against INE.")

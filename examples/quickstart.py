@@ -38,7 +38,7 @@ def main() -> None:
     print(f"k={k} nearest objects from vertex {query}:")
     reference = None
     for method, result in engine.explain(query, k).items():
-        distances = ", ".join(f"{d:.2f}" for d, _ in result)
+        distances = ", ".join(f"{d:.2f}" for d in result.distances)
         print(
             f"  {method:12} -> [{distances}]  "
             f"{result.time_us:7.0f}us  {result.counters.as_dict()}"
@@ -58,10 +58,10 @@ def main() -> None:
     mean_us = sum(r.time_us for r in results) / len(results)
     print(f"\nbatch of {len(results)} queries: {mean_us:.0f}us/query mean")
 
-    # Results still behave like the raw [(distance, vertex), ...] lists.
+    # A result is a record; each neighbor unpacks as (distance, vertex).
     first = results[0]
-    distance, vertex = first[0]
-    assert (distance, vertex) == first.as_tuples()[0]
+    distance, vertex = first.neighbors[0]
+    assert (distance, vertex) == (first.distances[0], first.vertices[0])
 
     # Adding a sixth method is one decorated builder — see
     # repro/engine/registry.py:

@@ -50,20 +50,20 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.engine import (
+    IndexCache,
     MethodUnavailable,
     QueryEngine,
     get_method,
     known_methods,
     method_specs,
 )
-from repro.experiments.runner import Workbench, measure_query_time, random_queries
+from repro.experiments.runner import measure_query_time, random_queries
 from repro.graph.dimacs import load_dimacs
 from repro.graph.generators import road_network, travel_time_weights
 from repro.graph.graph import Graph
 from repro.objects import uniform_objects
 from repro.store import (
     INDEX_KINDS,
-    STORE_FORMATS,
     ArtifactMissing,
     IndexStore,
     StoreError,
@@ -95,8 +95,7 @@ def _build_graph(args: argparse.Namespace):
 
 def _open_store(args: argparse.Namespace) -> Optional[IndexStore]:
     path = getattr(args, "store", None)
-    fmt = getattr(args, "store_format", None) or "npz"
-    return IndexStore(path, format=fmt) if path else None
+    return IndexStore(path) if path else None
 
 
 def _validate_methods(methods: Optional[Sequence[str]]) -> Optional[str]:
@@ -134,7 +133,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             print(f"  {method:10} unavailable: {exc.reason}", file=sys.stderr)
             continue
         ran += 1
-        shown = ", ".join(f"v{n.vertex}@{n.distance:.2f}" for n in result)
+        shown = ", ".join(
+            f"v{n.vertex}@{n.distance:.2f}" for n in result.neighbors
+        )
         label = result.method if method == "auto" else method
         print(f"  {label:10} [{shown}]  ({result.time_us:.0f}us)")
         if reference is None:
@@ -188,7 +189,7 @@ def cmd_methods(args: argparse.Namespace) -> int:
     """List registered methods; with a graph, report applicability."""
     bench = None
     if args.vertices or getattr(args, "gr", None):
-        bench = Workbench(_build_graph(args))
+        bench = IndexCache(_build_graph(args))
         print(f"availability on: {bench.graph}")
     print(f"{'name':11} {'requires':22} summary")
     for spec in method_specs():
@@ -233,7 +234,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     graph = _build_graph(args)
     if not store.contains("graph", artifact_key(graph)):
         save_graph(store, graph)
-    bench = Workbench(graph, seed=args.seed, store=store)
+    bench = IndexCache(graph, seed=args.seed, store=store)
     if args.indexes:
         kinds = list(dict.fromkeys(args.indexes))
     else:
@@ -442,7 +443,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             response = server.query(vertex, k, method)
             if response.ok:
                 shown = ", ".join(
-                    f"v{n.vertex}@{n.distance:.2f}" for n in response.result
+                    f"v{n.vertex}@{n.distance:.2f}"
+                    for n in response.result.neighbors
                 )
                 extra = " [cached]" if response.cache_hit else ""
                 print(
@@ -567,7 +569,11 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         # Server answers must be byte-identical to direct engine.query.
         # (A None slot is a driver-side timeout, reported separately.)
         for truth, response in zip(baseline_results, report.responses):
-            if response is not None and response.ok and response.result != truth:
+            if (
+                response is not None
+                and response.ok
+                and response.result.neighbors != truth.neighbors
+            ):
                 mismatches += 1
     payload = report.to_dict()
     payload["serve_time_index_builds"] = serve_builds
@@ -768,7 +774,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         restrict_to_lcc=not args.keep_components,
         tmp_dir=args.tmp_dir,
     )
-    print(f"{args.gr} -> {store.root} [{store.format}]")
+    print(f"{args.gr} -> {store.root}")
     print(f"  vertices        {report.num_vertices}")
     print(f"  edges           {report.num_edges}")
     print(f"  arcs read       {report.arcs_read} "
@@ -846,9 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "hub_labels tnr)")
     b.add_argument("--density", type=float,
                    help="also save a uniform object set at this density")
-    b.add_argument("--store-format", choices=STORE_FORMATS, default="npz",
-                   help="artifact payload format ('flat' writes per-array "
-                        ".npy files that load as read-only memory maps)")
     b.set_defaults(func=cmd_build)
 
     ig = sub.add_parser(
@@ -861,9 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     ig.add_argument("--co", help="DIMACS .co or .co.gz coordinate file")
     ig.add_argument("--store", required=True,
                     help="index store directory (created if absent)")
-    ig.add_argument("--store-format", choices=STORE_FORMATS, default="flat",
-                    help="artifact payload format (default flat: per-array "
-                         ".npy files served zero-copy via mmap)")
     ig.add_argument("--memory-budget-mb", type=float, default=512.0,
                     help="ingest working-set budget; parse chunks, spill "
                          "runs and vectorised blocks derive from it")

@@ -15,9 +15,8 @@ experiment harness:
   labels, TNR) that method builders draw from.
 * :mod:`repro.engine.engine` — :class:`QueryEngine`, the facade with
   ``query`` / ``batch`` / ``explain`` and the density-based auto
-  planner, returning structured :class:`KNNResult` objects that carry
-  provenance, per-query counters and wall-clock time while still
-  iterating as ``(distance, vertex)`` pairs.
+  planner, returning structured :class:`KNNResult` records that carry
+  the neighbors, provenance, per-query counters and wall-clock time.
 
 Quickstart::
 
@@ -27,7 +26,7 @@ Quickstart::
     objects = uniform_objects(graph, density=0.01, seed=1)
     engine = QueryEngine(graph, objects)
     result = engine.query(42, k=5)        # method="auto" picks one
-    print(result.method, result.time_us, list(result))
+    print(result.method, result.time_us, result.neighbors)
 """
 
 from repro.engine.query import (

@@ -51,7 +51,7 @@ class QueryEngine:
     ----------
     graph_or_workbench:
         A :class:`Graph` (a fresh index cache is created for it) or an
-        existing :class:`IndexCache`/``Workbench`` to share indexes with.
+        existing :class:`IndexCache` to share indexes with.
     objects:
         Object vertex ids this engine answers queries against.
     density_threshold:
@@ -63,8 +63,8 @@ class QueryEngine:
         a fresh build, so a restarted service warm-starts instead of
         re-running preprocessing.  Only valid when the engine creates
         its own index cache from a graph; combining it with an existing
-        workbench raises ``ValueError`` (attach the store when
-        constructing that workbench instead).
+        index cache raises ``ValueError`` (attach the store when
+        constructing that cache instead).
     """
 
     def __init__(
@@ -72,37 +72,35 @@ class QueryEngine:
         graph_or_workbench: Union[Graph, IndexCache, None] = None,
         objects: Sequence[int] = (),
         *,
-        workbench: Optional[IndexCache] = None,
         seed: int = 0,
         tau: Optional[int] = None,
         road_levels: Optional[int] = None,
         density_threshold: Optional[float] = None,
         store=None,
     ) -> None:
-        if workbench is None:
-            if isinstance(graph_or_workbench, IndexCache):
-                workbench = graph_or_workbench
-            elif graph_or_workbench is not None:
-                workbench = IndexCache(
-                    graph_or_workbench,
-                    seed=seed,
-                    tau=tau,
-                    road_levels=road_levels,
-                    store=store,
-                )
-            else:
-                raise ValueError("provide a graph or a workbench")
+        if isinstance(graph_or_workbench, IndexCache):
+            workbench = graph_or_workbench
+        elif graph_or_workbench is not None:
+            workbench = IndexCache(
+                graph_or_workbench,
+                seed=seed,
+                tau=tau,
+                road_levels=road_levels,
+                store=store,
+            )
+        else:
+            raise ValueError("provide a graph or an IndexCache")
         if store is not None and (
             workbench.store is None
             or workbench.store.root.resolve() != store.root.resolve()
         ):
-            # An existing workbench keeps its own (possibly absent) store
+            # An existing index cache keeps its own (possibly absent) store
             # backing; silently dropping the argument would let a caller
             # believe warm-start is active while every restart rebuilds.
             # An equivalent store (same directory) is accepted.
             raise ValueError(
-                "store= has no effect on an existing workbench; construct "
-                "the IndexCache/Workbench with store= instead"
+                "store= has no effect on an existing index cache; construct "
+                "the IndexCache with store= instead"
             )
         self.workbench = workbench
         self.graph = workbench.graph
@@ -164,7 +162,7 @@ class QueryEngine:
     def with_objects(self, objects: Sequence[int]) -> "QueryEngine":
         """A new engine over the same (shared) indexes, new object set."""
         return QueryEngine(
-            workbench=self.workbench,
+            self.workbench,
             objects=objects,
             density_threshold=self.density_threshold,
         )

@@ -2,12 +2,12 @@
 
 The kNN algorithm classes keep returning bare ``[(distance, vertex), ...]``
 lists — that is the hot-path representation the paper's measurements time.
-At the service boundary the engine wraps them in :class:`KNNResult`, which
-adds provenance (which method actually ran), per-query :class:`Counters`,
-wall-clock time and optionally the reconstructed shortest paths, while
-still *iterating* as ``(distance, vertex)`` pairs so every existing
-consumer (``verify_knn_result``, the CLI printers, the examples) keeps
-working unchanged.
+At the service boundary the engine wraps them in :class:`KNNResult`, a
+record that adds provenance (which method actually ran), per-query
+:class:`Counters`, wall-clock time and optionally the reconstructed
+shortest paths.  Read the answer from ``.neighbors`` (each
+:class:`Neighbor` unpacks as ``(distance, vertex)``), ``.distances`` or
+``.vertices``.
 """
 
 from __future__ import annotations
@@ -55,13 +55,7 @@ class Neighbor:
 
 @dataclass(eq=False)
 class KNNResult:
-    """A kNN answer with provenance, counters and timing.
-
-    Back-compat: iterating, indexing and length behave like the raw
-    ``[(distance, vertex), ...]`` list the algorithm classes return —
-    ``for d, v in result`` and ``result[0]`` both work — and ``==``
-    against such a list compares the ``(distance, vertex)`` pairs.
-    """
+    """A kNN answer with provenance, counters and timing."""
 
     query: KNNQuery
     method: str
@@ -77,39 +71,6 @@ class KNNResult:
     #: (``None`` on a healthy, non-degraded result).
     fallback_from: Optional[str] = None
 
-    # ------------------------------------------------------------------
-    # Tuple-list back-compat surface
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-    def __iter__(self) -> Iterator[Neighbor]:
-        return iter(self.neighbors)
-
-    def __getitem__(self, index):
-        return self.neighbors[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, KNNResult):
-            return self.as_tuples() == other.as_tuples()
-        if isinstance(other, (list, tuple)):
-            try:
-                return self.as_tuples() == [
-                    (float(d), int(v)) for d, v in other
-                ]
-            except (TypeError, ValueError):
-                return NotImplemented
-        return NotImplemented
-
-    __hash__ = None  # mutable counters inside; unhashable like a list
-
-    def as_tuples(self) -> List[Tuple[float, int]]:
-        """The raw ``[(distance, vertex), ...]`` list."""
-        return [n.as_tuple() for n in self.neighbors]
-
-    # ------------------------------------------------------------------
-    # Convenience accessors
-    # ------------------------------------------------------------------
     @property
     def distances(self) -> List[float]:
         return [n.distance for n in self.neighbors]

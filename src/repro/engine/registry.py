@@ -2,9 +2,8 @@
 
 Every query method the engine can run is declared here as a
 :class:`MethodSpec`: a constructor, the workbench indexes it needs, and an
-optional applicability check (e.g. SILC's vertex cap).  The registry
-replaces the old hard-coded if/else chain in ``Workbench.make`` — adding a
-sixth method is one decorated function, no core edits:
+optional applicability check (e.g. SILC's vertex cap).  Adding a sixth
+method is one decorated function, no core edits:
 
     from repro.engine import register_method
 
@@ -14,9 +13,9 @@ sixth method is one decorated function, no core edits:
         return MyKNN(bench.gtree, objects, **kwargs)
 
 after which ``"mymethod"`` works everywhere a method name is accepted —
-``QueryEngine.query``, ``Workbench.make``, the CLI's ``--methods`` flag.
+``QueryEngine.query``, ``IndexCache.make``, the CLI's ``--methods`` flag.
 
-Builders receive the index cache (``Workbench``) as their first argument
+Builders receive the :class:`IndexCache` as their first argument
 and use its lazy properties (``bench.graph``, ``bench.gtree``,
 ``bench.hub_labels``, ...), so indexes are built once and shared across
 methods.

@@ -8,13 +8,10 @@ nothing about individual kNN methods.
 
 With a ``store=`` backing (:class:`repro.store.IndexStore`), a cache miss
 first tries disk before building: an index previously built for the same
-graph and build parameters is rehydrated from its ``.npz`` artifact in
+graph and build parameters is rehydrated from its store artifact in
 milliseconds, and a fresh build is saved for the next process.  That is
 the paper's preprocessing/query split made operational — construction
 cost is paid once per (graph, parameters), not once per run.
-
-``repro.experiments.runner.Workbench`` is a thin subclass kept for the
-experiment harness and back-compat imports.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ SILC_MAX_VERTICES = 9000
 
 def as_index_cache(bench_or_engine):
     """Coerce a ``QueryEngine`` (anything holding ``.workbench``) or an
-    :class:`IndexCache`/``Workbench`` to the underlying index cache."""
+    :class:`IndexCache` to the underlying index cache."""
     return getattr(bench_or_engine, "workbench", bench_or_engine)
 
 
@@ -166,7 +163,7 @@ class IndexCache:
             source = "loaded"
             with contextlib.suppress(StoreError):
                 info = self.store.info(kind, artifact_key(self.graph, params))
-                if getattr(info, "format", "npz") == "flat":
+                if info.mapped:
                     source = "loaded_mmap"
             self._note_obtained(kind, source)
             return index
@@ -240,13 +237,9 @@ class IndexCache:
             ),
         ))
 
-    def _silc_limit(self) -> int:
-        """Overridable hook so subclasses can point at their own cap."""
-        return SILC_MAX_VERTICES
-
     @property
     def silc_limit(self) -> int:
-        return self._silc_limit()
+        return SILC_MAX_VERTICES
 
     def silc_unavailable_reason(self) -> Optional[str]:
         """Why SILC cannot be built here, or ``None`` when it can.
@@ -441,4 +434,4 @@ class IndexCache:
         """A :class:`~repro.engine.engine.QueryEngine` sharing these indexes."""
         from repro.engine.engine import QueryEngine
 
-        return QueryEngine(workbench=self, objects=objects, **kwargs)
+        return QueryEngine(self, objects=objects, **kwargs)

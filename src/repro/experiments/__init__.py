@@ -9,7 +9,6 @@ roughly what factor, where crossovers fall).
 
 from repro.experiments.runner import (
     ExperimentResult,
-    Workbench,
     measure_query_time,
     random_queries,
 )
@@ -17,7 +16,6 @@ from repro.experiments import cache_study, figures, tables
 
 __all__ = [
     "ExperimentResult",
-    "Workbench",
     "measure_query_time",
     "random_queries",
     "cache_study",

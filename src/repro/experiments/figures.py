@@ -6,7 +6,7 @@ paper (pure Python on scaled networks vs C++ on DIMACS data); the
 benchmark suite asserts the *shapes* — orderings, trends and crossovers.
 
 Figures on travel-time graphs (17, 23-27) reuse the same functions on a
-``Workbench`` built over travel-time weights.
+``IndexCache`` built over travel-time weights.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.workbench import as_index_cache
+from repro.engine.workbench import IndexCache, as_index_cache
 from repro.graph.graph import Graph
 from repro.experiments.runner import (
     ExperimentResult,
-    Workbench,
     measure_query_time,
     random_queries,
 )
@@ -51,8 +50,8 @@ IER_LABELS = {
 }
 
 
-def _bench(workbench) -> Workbench:
-    """Accept a Workbench/IndexCache or a QueryEngine at every entry point."""
+def _bench(workbench) -> IndexCache:
+    """Accept an IndexCache or a QueryEngine at every entry point."""
     return as_index_cache(workbench)
 
 
@@ -60,7 +59,7 @@ def _bench(workbench) -> Workbench:
 # Figure 4 / 23: IER with different shortest-path oracles
 # ----------------------------------------------------------------------
 def fig04_ier_variants(
-    workbench: Workbench,
+    workbench: IndexCache,
     ks: Sequence[int] = (1, 5, 10, 25),
     densities: Sequence[float] = (0.001, 0.01, 0.1),
     default_k: int = DEFAULT_K,
@@ -188,7 +187,7 @@ def fig07_ine_ablation(
 # Figure 8 / 26: road-network index preprocessing cost
 # ----------------------------------------------------------------------
 def fig08_preprocessing(
-    suite: Dict[str, Workbench],
+    suite: Dict[str, IndexCache],
     include_silc: bool = True,
 ) -> Tuple[ExperimentResult, ExperimentResult]:
     """Index size (KB) and construction time (s) vs network size."""
@@ -218,7 +217,7 @@ def fig08_preprocessing(
 # Figure 9: query time vs network size + method-internal statistics
 # ----------------------------------------------------------------------
 def fig09_network_size(
-    suite: Dict[str, Workbench],
+    suite: Dict[str, IndexCache],
     k: int = DEFAULT_K,
     density: float = DEFAULT_DENSITY,
     num_queries: int = 25,
@@ -245,7 +244,7 @@ def fig09_network_size(
         gtree_alg = wb.make("gtree", objects)
         for q in queries:
             gtree_alg.knn(int(q), k, counters=counters)
-        stats.add("Gtree path cost", n, counters["gtree_matrix_ops"] / num_queries)
+        stats.add("Gtree path cost", n, counters["matrix_ops"] / num_queries)
         # IER-Gt's oracle work happens inside GTree.distance; the oracle
         # accepts counters so its matrix operations are measured in the
         # same units (paper Figure 9(b): IER-Gt needs fewer computations
@@ -256,13 +255,13 @@ def fig09_network_size(
         for q in queries:
             ier_alg.knn(int(q), k)
         stats.add(
-            "IER-Gt path cost", n, counters_ier["gtree_matrix_ops"] / num_queries
+            "IER-Gt path cost", n, counters_ier["matrix_ops"] / num_queries
         )
         counters2 = Counters()
         road_alg = wb.make("road", objects)
         for q in queries:
             road_alg.knn(int(q), k, counters=counters2)
-        stats.add("ROAD bypassed", n, counters2["road_bypassed"] / num_queries)
+        stats.add("ROAD bypassed", n, counters2["expand_bypassed"] / num_queries)
     return times, stats
 
 
@@ -270,7 +269,7 @@ def fig09_network_size(
 # Figures 10 / 16(a) / 24(a): varying k
 # ----------------------------------------------------------------------
 def fig10_vary_k(
-    workbench: Workbench,
+    workbench: IndexCache,
     ks: Sequence[int] = (1, 5, 10, 25, 50),
     density: float = DEFAULT_DENSITY,
     num_queries: int = 30,
@@ -297,7 +296,7 @@ def fig10_vary_k(
 # Figures 11 / 16(b) / 24(b): varying density
 # ----------------------------------------------------------------------
 def fig11_vary_density(
-    workbench: Workbench,
+    workbench: IndexCache,
     densities: Sequence[float] = (0.001, 0.01, 0.1, 0.5),
     k: int = DEFAULT_K,
     num_queries: int = 30,
@@ -326,7 +325,7 @@ def fig11_vary_density(
 # Figure 12 / 24(d): clustered objects
 # ----------------------------------------------------------------------
 def fig12_clusters(
-    workbench: Workbench,
+    workbench: IndexCache,
     cluster_counts: Sequence[int] = (4, 16, 64, 256),
     ks: Sequence[int] = (1, 5, 10, 25),
     default_k: int = DEFAULT_K,
@@ -367,7 +366,7 @@ def fig12_clusters(
 # Figure 13 / 25: real-world-like POI sets
 # ----------------------------------------------------------------------
 def fig13_real_pois(
-    workbench: Workbench,
+    workbench: IndexCache,
     k: int = DEFAULT_K,
     num_queries: int = 30,
     seed: int = 0,
@@ -397,7 +396,7 @@ def fig13_real_pois(
 # Figure 14 / 17(d) / 24(c): minimum object distance
 # ----------------------------------------------------------------------
 def fig14_min_distance(
-    workbench: Workbench,
+    workbench: IndexCache,
     num_sets: int = 4,
     k: int = DEFAULT_K,
     density: float = DEFAULT_DENSITY,
@@ -429,7 +428,7 @@ def fig14_min_distance(
 # Figure 15 / 27: varying k on named POI sets
 # ----------------------------------------------------------------------
 def fig15_real_k(
-    workbench: Workbench,
+    workbench: IndexCache,
     poi_names: Sequence[str] = ("hospitals", "fast_food"),
     ks: Sequence[int] = (1, 5, 10, 25),
     num_queries: int = 30,
@@ -460,7 +459,7 @@ def fig15_real_k(
 # Figure 18: object-index cost
 # ----------------------------------------------------------------------
 def fig18_object_indexes(
-    workbench: Workbench,
+    workbench: IndexCache,
     densities: Sequence[float] = (0.001, 0.01, 0.1, 0.5),
     seed: int = 0,
 ) -> Tuple[ExperimentResult, ExperimentResult]:
@@ -492,7 +491,7 @@ def fig18_object_indexes(
 # Figure 19: DisBrw Object Hierarchy vs DB-ENN
 # ----------------------------------------------------------------------
 def fig19_db_enn(
-    workbench: Workbench,
+    workbench: IndexCache,
     ks: Sequence[int] = (1, 5, 10, 25),
     densities: Sequence[float] = (0.001, 0.01, 0.1),
     default_k: int = DEFAULT_K,
@@ -527,7 +526,7 @@ def fig19_db_enn(
 # Figures 20/21: degree-2 chain optimisation
 # ----------------------------------------------------------------------
 def fig20_21_deg2(
-    workbench: Workbench,
+    workbench: IndexCache,
     ks: Sequence[int] = (1, 5, 10, 25),
     densities: Sequence[float] = (0.001, 0.01, 0.1),
     default_k: int = DEFAULT_K,
@@ -568,7 +567,7 @@ def fig20_21_deg2(
 # Figure 22: improved G-tree leaf search
 # ----------------------------------------------------------------------
 def fig22_leaf_search(
-    workbench: Workbench,
+    workbench: IndexCache,
     densities: Sequence[float] = (0.001, 0.01, 0.1, 0.5),
     ks: Sequence[int] = (1, 10),
     num_queries: int = 30,

@@ -15,7 +15,8 @@ import time
 from typing import Dict, List
 
 from repro.experiments import cache_study, figures, tables
-from repro.experiments.runner import ExperimentResult, Workbench
+from repro.engine.workbench import IndexCache
+from repro.experiments.runner import ExperimentResult
 from repro.graph.generators import (
     chain_heavy_network,
     road_network,
@@ -41,12 +42,12 @@ def build_report() -> str:
                         f"**Measured.**\n\n{_fence(*results)}\n")
         print(f"[{time.time() - started:6.1f}s] {title}")
 
-    nw = Workbench(road_network(NW_SIZE, seed=42, name="S-NW"))
-    us = Workbench(road_network(US_SIZE, seed=1042, name="S-US"))
-    nw_tt = Workbench(travel_time_weights(nw.graph, seed=42))
-    us_tt = Workbench(travel_time_weights(us.graph, seed=1042))
-    suite: Dict[str, Workbench] = {
-        name: Workbench(road_network(size, seed=100 + size, name=name))
+    nw = IndexCache(road_network(NW_SIZE, seed=42, name="S-NW"))
+    us = IndexCache(road_network(US_SIZE, seed=1042, name="S-US"))
+    nw_tt = IndexCache(travel_time_weights(nw.graph, seed=42))
+    us_tt = IndexCache(travel_time_weights(us.graph, seed=1042))
+    suite: Dict[str, IndexCache] = {
+        name: IndexCache(road_network(size, seed=100 + size, name=name))
         for size, name in SUITE_SIZES
     }
 
@@ -239,7 +240,7 @@ def build_report() -> str:
     )
 
     # Figures 20/21 -----------------------------------------------------
-    highway = Workbench(chain_heavy_network(1500, seed=3, chain_fraction=0.9))
+    highway = IndexCache(chain_heavy_network(1500, seed=3, chain_fraction=0.9))
     a, b = figures.fig20_21_deg2(highway, ks=(1, 10), densities=(0.01, 0.05), num_queries=10)
     c, d = figures.fig20_21_deg2(nw, ks=(1, 10), densities=(0.003, 0.05), num_queries=10)
     emit(
@@ -308,7 +309,7 @@ def build_report() -> str:
 
     # Figure 26 (travel time preprocessing) ------------------------------
     suite_tt = {
-        name: Workbench(travel_time_weights(w.graph, seed=7))
+        name: IndexCache(travel_time_weights(w.graph, seed=7))
         for name, w in suite.items()
     }
     a, b = figures.fig08_preprocessing(suite_tt, include_silc=False)

@@ -1,10 +1,10 @@
-"""Workbench, workload generation and measurement plumbing.
+"""Workload generation and measurement plumbing.
 
-``Workbench`` is the experiment harness's handle on one road network: a
-thin subclass of the engine's :class:`~repro.engine.workbench.IndexCache`
-(the lazily built, shared index collection), with method construction
-delegated to the pluggable registry in :mod:`repro.engine.registry` —
-mirroring the paper's "same subroutines for common tasks" methodology.
+The experiment harness's handle on one road network is the engine's
+:class:`~repro.engine.workbench.IndexCache` (the lazily built, shared
+index collection), with method construction delegated to the pluggable
+registry in :mod:`repro.engine.registry` — mirroring the paper's "same
+subroutines for common tasks" methodology.
 """
 
 from __future__ import annotations
@@ -15,30 +15,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.engine.registry import known_methods
-from repro.engine.workbench import IndexCache
-from repro.engine.workbench import SILC_MAX_VERTICES as _ENGINE_SILC_CAP
 from repro.graph.graph import Graph
 from repro.knn.base import KNNAlgorithm
 
 #: Methods the harness knows how to construct (registry registration order).
 METHOD_NAMES = tuple(known_methods())
-
-#: Re-exported cap; kept as a module global so existing code (and tests)
-#: can patch ``runner.SILC_MAX_VERTICES`` and see the Workbench react.
-SILC_MAX_VERTICES = _ENGINE_SILC_CAP
-
-
-class Workbench(IndexCache):
-    """Lazily built index collection for one road network.
-
-    All behaviour lives in :class:`IndexCache` and the method registry;
-    this subclass only exists so harness code (and pickles/imports) keep
-    a stable name, and so the SILC cap honours this module's
-    ``SILC_MAX_VERTICES`` global.
-    """
-
-    def _silc_limit(self) -> int:
-        return SILC_MAX_VERTICES
 
 
 def random_queries(graph: Graph, count: int, seed: int = 0) -> np.ndarray:

@@ -9,12 +9,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.workbench import as_index_cache
-from repro.experiments.runner import (
-    Workbench,
-    measure_query_time,
-    random_queries,
-)
+from repro.engine.workbench import IndexCache, as_index_cache
+from repro.experiments.runner import measure_query_time, random_queries
 from repro.graph.graph import Graph
 from repro.objects import poi_object_sets, uniform_objects
 
@@ -88,8 +84,8 @@ def _rank(scores: Dict[str, float]) -> Dict[str, int]:
 
 
 def table5_ranking(
-    workbench: Workbench,
-    large_workbench: Optional[Workbench] = None,
+    workbench: IndexCache,
+    large_workbench: Optional[IndexCache] = None,
     k_small: int = 1,
     k_default: int = 10,
     k_large: int = 25,
@@ -103,7 +99,7 @@ def table5_ranking(
 
     Returns ``{criterion: {method: rank}}``.  IER is represented by its
     best available oracle (PHL), as in the paper's summary table.
-    Accepts a ``Workbench``/``IndexCache`` or a ``QueryEngine``.
+    Accepts an ``IndexCache`` or a ``QueryEngine``.
     """
     workbench = as_index_cache(workbench)
     if large_workbench is not None:
@@ -111,7 +107,7 @@ def table5_ranking(
     graph = workbench.graph
     criteria: Dict[str, Dict[str, int]] = {}
 
-    def timing(k: int, density: float, wb: Workbench) -> Dict[str, float]:
+    def timing(k: int, density: float, wb: IndexCache) -> Dict[str, float]:
         objs = uniform_objects(wb.graph, density, seed=seed, minimum=k)
         qs = random_queries(wb.graph, num_queries, seed)
         out = {}

@@ -175,6 +175,10 @@ class Graph:
         changed a weight — replaying an already-applied batch yields an
         empty list, making delta streams idempotent.
 
+        A graph over read-only arrays (:meth:`from_store_mmap`) takes a
+        private copy of ``edge_weight`` at its first effective change;
+        the mapped store pages are never written to.
+
         Raises ``KeyError`` for a missing edge and ``ValueError`` for a
         non-positive weight, *before* mutating anything in that delta.
         """
@@ -201,6 +205,8 @@ class Graph:
             old_w = float(weights[pos_uv[0]])
             if old_w == new_w:
                 continue
+            if not weights.flags.writeable:
+                weights = self.edge_weight = np.array(weights)
             weights[pos_uv] = new_w
             weights[pos_vu] = new_w
             changed.append((u, v, old_w, new_w))
@@ -283,16 +289,16 @@ class Graph:
         A no-copy guard verifies each array the graph holds shares
         memory with the loaded view; a silent copy (e.g. a dtype drift
         in a foreign artifact) raises ``StoreError`` rather than quietly
-        doubling a continental-scale footprint.  The resulting graph is
-        immutable: ``apply_weight_deltas`` on mapped weights raises
-        ``ValueError`` (read-only array), by design.
+        doubling a continental-scale footprint.  The mapped arrays are
+        read-only; ``apply_weight_deltas`` replaces ``edge_weight`` with
+        a private copy at its first change and leaves the other four
+        arrays mapped, so live updates never write to the store's pages.
         """
         from repro.store.store import StoreError
 
         arrays = store.get("graph", key)
         graph = cls.from_arrays(arrays)
-        mapped = getattr(store.info("graph", key), "format", "npz") == "flat"
-        if mapped:
+        if store.info("graph", key).mapped:
             for name, _dtype in cls._CSR_FIELDS:
                 if not np.shares_memory(getattr(graph, name), arrays[name]):
                     raise StoreError(

@@ -19,10 +19,9 @@ artifact under an explicit **memory budget**:
    restricted to its largest connected component, again block-vectorised
    over the memmaps.
 
-The result is written through ``IndexStore.put`` — with a
-``format="flat"`` store that is a straight stream from scratch memmaps
-to per-array ``.npy`` files, and the ingested graph is then served
-zero-copy via :meth:`Graph.from_store_mmap`.
+The result is written through ``IndexStore.put`` — a straight stream
+from scratch memmaps to per-array ``.npy`` files — and the ingested
+graph is then served zero-copy via :meth:`Graph.from_store_mmap`.
 
 The byte-level contract: for inputs small enough to compare,
 ``ingest_dimacs`` produces a graph whose :meth:`Graph.fingerprint` is
@@ -412,9 +411,7 @@ def ingest_dimacs(
 ) -> IngestReport:
     """Stream a DIMACS graph into a store ``graph`` artifact.
 
-    ``store`` is an :class:`repro.store.IndexStore`; open it with
-    ``format="flat"`` for the zero-copy serving path (any format works —
-    the knob only changes the payload written).  ``memory_budget_mb``
+    ``store`` is an :class:`repro.store.IndexStore`.  ``memory_budget_mb``
     bounds the ingest's own working set: parse chunks, spill-run sizes
     and every vectorised block derive from it.  Scratch runs live in a
     temporary directory (``tmp_dir`` or the system default) and are

@@ -13,15 +13,6 @@ and allocation overhead:
 * :func:`bulk_sssp` — the multi-source distance-matrix kernel index
   builders fan preprocessing out over (re-exported from
   :mod:`repro.pathfinding.bulk`).
-* :class:`ArrayHeap` — packed-word priority queue; float64 keys, int32
-  payloads, no tuple allocation, no per-push sequence counter
-  (:mod:`repro.kernels.heap`).  It lost to plain lists on every
-  leaf-sized frontier it was measured on (``docs/performance.md``), so
-  no query path uses it; the benchmark's ``kernels.arrayheap_op_ns``
-  probe still does.
-* :class:`SSSPScratch` / :func:`borrow` — preallocated distance/settled
-  buffers with generation-stamp reset, so repeated searches on one graph
-  allocate nothing (:mod:`repro.kernels.scratch`).
 
 There is one implementation per algorithm and no switch between them;
 the per-edge loops these kernels are checked against live in
@@ -29,8 +20,6 @@ the per-edge loops these kernels are checked against live in
 answers and identical settled-vertex counters).
 """
 
-from repro.kernels.heap import ArrayHeap
-from repro.kernels.scratch import SSSPScratch, borrow
 from repro.kernels.sssp import (
     distances_to_targets,
     nearest_objects,
@@ -42,9 +31,6 @@ from repro.kernels.sssp import (
 from repro.pathfinding.bulk import bulk_sssp
 
 __all__ = [
-    "ArrayHeap",
-    "SSSPScratch",
-    "borrow",
     "p2p_distance",
     "sssp_bounded",
     "sssp_distances",

@@ -22,7 +22,7 @@ from repro.graph.graph import Graph
 from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.spatial.rtree import RTree
 from repro.utils.counters import Counters, NULL_COUNTERS
-from repro.utils.pqueue import MaxHeap
+from repro.utils.pqueue import BinaryHeap
 
 INF = float("inf")
 
@@ -84,7 +84,8 @@ class IER(KNNAlgorithm):
         if begin is not None:
             begin(query)
         cursor = self.rtree.nearest_cursor(float(graph.x[query]), float(graph.y[query]))
-        candidates = MaxHeap()  # k best candidates keyed by network distance
+        # k best candidates on negated network distance: furthest on top.
+        candidates = BinaryHeap()
         d_k = INF
         while True:
             nxt = cursor.next()
@@ -99,20 +100,20 @@ class IER(KNNAlgorithm):
             d = self.oracle.distance(query, obj)
             counters.add("verify_network_computations")
             if len(candidates) < k:
-                candidates.push(d, obj)
+                candidates.push(-d, obj)
                 if len(candidates) == k:
-                    d_k = candidates.peek_key()
+                    d_k = -candidates.peek_key()
             elif d < d_k:
                 candidates.pop()
-                candidates.push(d, obj)
-                d_k = candidates.peek_key()
+                candidates.push(-d, obj)
+                d_k = -candidates.peek_key()
                 counters.add("euclid_candidate_replacements")
             else:
                 counters.add("verify_false_hits")
         results: List[Tuple[float, int]] = []
         while candidates:
-            d, obj = candidates.pop()
-            results.append((d, obj))
+            neg_d, obj = candidates.pop()
+            results.append((-neg_d, obj))
         return self._finalise(results, k)
 
 

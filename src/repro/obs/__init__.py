@@ -45,7 +45,6 @@ from repro.obs.tracing import (
     traced,
     tracing,
 )
-from repro.utils.counters import LEGACY_ALIASES, canonical_name
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -53,7 +52,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS_S",
-    "LEGACY_ALIASES",
     "MetricsRegistry",
     "NOOP_SPAN",
     "REGISTRY",
@@ -62,7 +60,6 @@ __all__ = [
     "Span",
     "TRACER",
     "Tracer",
-    "canonical_name",
     "disabled",
     "get_registry",
     "git_revision",

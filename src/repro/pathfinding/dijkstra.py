@@ -8,13 +8,13 @@ interpreter loops they are checked against live in
 :mod:`repro.reference`; they return identical distances and record
 identical ``sssp_settled`` counters.
 
-:func:`dijkstra_path` and :func:`dijkstra_restricted` need per-settle
-control (parent pointers, a vertex filter) and stay interpreter loops.
+:func:`dijkstra_path` needs per-settle control (parent pointers) and
+stays an interpreter loop.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -65,44 +65,6 @@ def dijkstra_path(
                 parent[v] = u
                 heap.push(nd, v)
     return INF, []
-
-
-def dijkstra_restricted(
-    graph: Graph,
-    source: int,
-    allowed: Sequence[int],
-) -> Dict[int, float]:
-    """SSSP restricted to the subgraph induced by ``allowed`` vertices.
-
-    Used for within-leaf G-tree distances and within-Rnet ROAD shortcuts,
-    where paths must not leave the region.
-    """
-    allowed_set = allowed if isinstance(allowed, (set, frozenset)) else set(
-        int(v) for v in allowed
-    )
-    if source not in allowed_set:
-        raise ValueError("source must be inside the allowed region")
-    dist: Dict[int, float] = {source: 0.0}
-    settled = set()
-    heap = BinaryHeap()
-    heap.push(0.0, source)
-    vertex_start = graph.vertex_start
-    edge_target = graph.edge_target
-    edge_weight = graph.edge_weight
-    while heap:
-        d, u = heap.pop()
-        if u in settled:
-            continue
-        settled.add(u)
-        for i in range(vertex_start[u], vertex_start[u + 1]):
-            v = int(edge_target[i])
-            if v not in allowed_set:
-                continue
-            nd = d + edge_weight[i]
-            if nd < dist.get(v, INF):
-                dist[v] = nd
-                heap.push(nd, v)
-    return dist
 
 
 class DijkstraOracle:

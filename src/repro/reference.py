@@ -8,7 +8,11 @@ that Figure 7's implementation ladder plots —
 
 * :func:`dijkstra_distance`, :func:`dijkstra_sssp`,
   :func:`dijkstra_to_targets` — binary-heap Dijkstra over the CSR arrays,
-  one settle and one edge at a time;
+  one settle and one edge at a time, on a fresh distance array per call;
+* :func:`dijkstra_restricted` — SSSP inside a vertex subset, the oracle
+  for G-tree leaf matrices and ROAD shortcuts;
+* :class:`DecreaseKeyHeap` — the textbook indexed heap of the "1st Cut"
+  rung (every production queue is :class:`~repro.utils.pqueue.BinaryHeap`);
 * :class:`ReferenceINE` — INE on each of the four Figure 7 rungs:
   ``first_cut`` (decrease-key heap, dict distances, set settled,
   per-vertex adjacency objects), ``pqueue`` (+ no-decrease-key heap),
@@ -28,16 +32,15 @@ kernels it stands in for.  Nothing under ``repro.knn``, ``repro.index``,
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.kernels.scratch import borrow
 from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.utils.bitset import BitArray
 from repro.utils.counters import Counters, NULL_COUNTERS
-from repro.utils.pqueue import BinaryHeap, DecreaseKeyHeap
+from repro.utils.pqueue import BinaryHeap
 
 INF = float("inf")
 
@@ -53,31 +56,29 @@ def dijkstra_distance(
     """Point-to-point network distance."""
     if source == target:
         return 0.0
-    with borrow(graph) as scratch:
-        gen = scratch.begin()
-        dist, stamp, settled = scratch.dist, scratch.stamp, scratch.settled
-        heap = BinaryHeap()
-        dist[source] = 0.0
-        stamp[source] = gen
-        heap.push(0.0, source)
-        vertex_start = graph.vertex_start
-        edge_target = graph.edge_target
-        edge_weight = graph.edge_weight
-        while heap:
-            d, u = heap.pop()
-            if settled[u] == gen:
-                continue
-            settled[u] = gen
-            counters.add("sssp_settled")
-            if u == target:
-                return d
-            for i in range(vertex_start[u], vertex_start[u + 1]):
-                v = int(edge_target[i])
-                nd = d + edge_weight[i]
-                if stamp[v] != gen or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = gen
-                    heap.push(nd, v)
+    n = graph.num_vertices
+    dist = np.full(n, INF)
+    settled = np.zeros(n, dtype=bool)
+    heap = BinaryHeap()
+    dist[source] = 0.0
+    heap.push(0.0, source)
+    vertex_start = graph.vertex_start
+    edge_target = graph.edge_target
+    edge_weight = graph.edge_weight
+    while heap:
+        d, u = heap.pop()
+        if settled[u]:
+            continue
+        settled[u] = True
+        counters.add("sssp_settled")
+        if u == target:
+            return d
+        for i in range(vertex_start[u], vertex_start[u + 1]):
+            v = int(edge_target[i])
+            nd = d + edge_weight[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                heap.push(nd, v)
     return INF
 
 
@@ -93,32 +94,30 @@ def dijkstra_sssp(
     loop leaves whatever tentative values its frontier held, where the
     production kernel reports ``inf`` — compare the settled region only.
     """
-    with borrow(graph) as scratch:
-        gen = scratch.begin()
-        dist, stamp, settled = scratch.dist, scratch.stamp, scratch.settled
-        heap = BinaryHeap()
-        dist[source] = 0.0
-        stamp[source] = gen
-        heap.push(0.0, source)
-        vertex_start = graph.vertex_start
-        edge_target = graph.edge_target
-        edge_weight = graph.edge_weight
-        while heap:
-            d, u = heap.pop()
-            if settled[u] == gen:
-                continue
-            if d > cutoff:
-                break
-            settled[u] = gen
-            counters.add("sssp_settled")
-            for i in range(vertex_start[u], vertex_start[u + 1]):
-                v = int(edge_target[i])
-                nd = d + edge_weight[i]
-                if stamp[v] != gen or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = gen
-                    heap.push(nd, v)
-        return np.where(stamp == gen, dist, INF)
+    n = graph.num_vertices
+    dist = np.full(n, INF)
+    settled = np.zeros(n, dtype=bool)
+    heap = BinaryHeap()
+    dist[source] = 0.0
+    heap.push(0.0, source)
+    vertex_start = graph.vertex_start
+    edge_target = graph.edge_target
+    edge_weight = graph.edge_weight
+    while heap:
+        d, u = heap.pop()
+        if settled[u]:
+            continue
+        if d > cutoff:
+            break
+        settled[u] = True
+        counters.add("sssp_settled")
+        for i in range(vertex_start[u], vertex_start[u + 1]):
+            v = int(edge_target[i])
+            nd = d + edge_weight[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                heap.push(nd, v)
+    return dist
 
 
 def dijkstra_to_targets(
@@ -135,37 +134,163 @@ def dijkstra_to_targets(
         remaining.discard(source)
     if not remaining:
         return out
-    with borrow(graph) as scratch:
-        gen = scratch.begin()
-        dist, stamp, settled = scratch.dist, scratch.stamp, scratch.settled
-        heap = BinaryHeap()
-        dist[source] = 0.0
-        stamp[source] = gen
-        heap.push(0.0, source)
-        vertex_start = graph.vertex_start
-        edge_target = graph.edge_target
-        edge_weight = graph.edge_weight
-        while heap and remaining:
-            d, u = heap.pop()
-            if settled[u] == gen:
-                continue
-            settled[u] = gen
-            counters.add("sssp_settled")
-            if u in remaining:
-                out[u] = d
-                remaining.discard(u)
-                if not remaining:
-                    break
-            for i in range(vertex_start[u], vertex_start[u + 1]):
-                v = int(edge_target[i])
-                nd = d + edge_weight[i]
-                if stamp[v] != gen or nd < dist[v]:
-                    dist[v] = nd
-                    stamp[v] = gen
-                    heap.push(nd, v)
+    n = graph.num_vertices
+    dist = np.full(n, INF)
+    settled = np.zeros(n, dtype=bool)
+    heap = BinaryHeap()
+    dist[source] = 0.0
+    heap.push(0.0, source)
+    vertex_start = graph.vertex_start
+    edge_target = graph.edge_target
+    edge_weight = graph.edge_weight
+    while heap and remaining:
+        d, u = heap.pop()
+        if settled[u]:
+            continue
+        settled[u] = True
+        counters.add("sssp_settled")
+        if u in remaining:
+            out[u] = d
+            remaining.discard(u)
+            if not remaining:
+                break
+        for i in range(vertex_start[u], vertex_start[u + 1]):
+            v = int(edge_target[i])
+            nd = d + edge_weight[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                heap.push(nd, v)
     for t in remaining:
         out[t] = INF
     return out
+
+
+def dijkstra_restricted(
+    graph: Graph,
+    source: int,
+    allowed: Sequence[int],
+) -> Dict[int, float]:
+    """SSSP restricted to the subgraph induced by ``allowed`` vertices.
+
+    The oracle for within-leaf G-tree distances and within-Rnet ROAD
+    shortcuts, where paths must not leave the region.
+    """
+    allowed_set = allowed if isinstance(allowed, (set, frozenset)) else set(
+        int(v) for v in allowed
+    )
+    if source not in allowed_set:
+        raise ValueError("source must be inside the allowed region")
+    dist: Dict[int, float] = {source: 0.0}
+    settled = set()
+    heap = BinaryHeap()
+    heap.push(0.0, source)
+    vertex_start = graph.vertex_start
+    edge_target = graph.edge_target
+    edge_weight = graph.edge_weight
+    while heap:
+        d, u = heap.pop()
+        if u in settled:
+            continue
+        settled.add(u)
+        for i in range(vertex_start[u], vertex_start[u + 1]):
+            v = int(edge_target[i])
+            if v not in allowed_set:
+                continue
+            nd = d + edge_weight[i]
+            if nd < dist.get(v, INF):
+                dist[v] = nd
+                heap.push(nd, v)
+    return dist
+
+
+class DecreaseKeyHeap:
+    """Indexed binary min-heap supporting decrease-key, no duplicates.
+
+    This is the "first cut" queue from Figure 7: every vertex appears at
+    most once and :meth:`push` updates the key in place when the vertex is
+    already queued.  The position index makes each operation slower than
+    :class:`BinaryHeap` — which is exactly the effect the ablation shows.
+    """
+
+    def __init__(self) -> None:
+        self._keys: List[float] = []
+        self._items: List[Any] = []
+        self._pos: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __bool__(self) -> bool:
+        return bool(self._keys)
+
+    def __contains__(self, item: Any) -> bool:
+        return item in self._pos
+
+    def key_of(self, item: Any) -> Optional[float]:
+        i = self._pos.get(item)
+        return None if i is None else self._keys[i]
+
+    def push(self, key: float, item: Any) -> bool:
+        """Insert ``item`` or decrease its key.
+
+        Returns True if the heap changed (new item, or smaller key).
+        """
+        i = self._pos.get(item)
+        if i is None:
+            self._keys.append(key)
+            self._items.append(item)
+            self._pos[item] = len(self._keys) - 1
+            self._sift_up(len(self._keys) - 1)
+            return True
+        if key < self._keys[i]:
+            self._keys[i] = key
+            self._sift_up(i)
+            return True
+        return False
+
+    def pop(self) -> Tuple[float, Any]:
+        key, item = self._keys[0], self._items[0]
+        del self._pos[item]
+        last_key, last_item = self._keys.pop(), self._items.pop()
+        if self._keys:
+            self._keys[0], self._items[0] = last_key, last_item
+            self._pos[last_item] = 0
+            self._sift_down(0)
+        return key, item
+
+    def peek_key(self) -> float:
+        return self._keys[0] if self._keys else float("inf")
+
+    def _sift_up(self, i: int) -> None:
+        keys, items, pos = self._keys, self._items, self._pos
+        key, item = keys[i], items[i]
+        while i > 0:
+            parent = (i - 1) >> 1
+            if keys[parent] <= key:
+                break
+            keys[i], items[i] = keys[parent], items[parent]
+            pos[items[i]] = i
+            i = parent
+        keys[i], items[i] = key, item
+        pos[item] = i
+
+    def _sift_down(self, i: int) -> None:
+        keys, items, pos = self._keys, self._items, self._pos
+        n = len(keys)
+        key, item = keys[i], items[i]
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            if child + 1 < n and keys[child + 1] < keys[child]:
+                child += 1
+            if keys[child] >= key:
+                break
+            keys[i], items[i] = keys[child], items[child]
+            pos[items[i]] = i
+            i = child
+        keys[i], items[i] = key, item
+        pos[item] = i
 
 
 class ReferenceINE(KNNAlgorithm):

@@ -22,7 +22,7 @@ Quickstart::
     engine = QueryEngine(graph, uniform_objects(graph, 0.02, seed=1))
     with KNNServer(engine, workers=4) as server:
         response = server.query(42, k=5)
-        assert response.result == engine.query(42, k=5)
+        assert response.result.neighbors == engine.query(42, k=5).neighbors
 
 CLI equivalents: ``repro serve`` and ``repro loadtest``.
 """

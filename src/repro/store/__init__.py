@@ -2,8 +2,9 @@
 
 Separates the paper's expensive preprocessing (Fig. 8 / Fig. 26) from
 the latency-critical query path: indexes are built once, serialized to
-content-addressed ``.npz`` artifacts, and every later ``IndexCache`` /
-``QueryEngine`` / benchmark run warm-starts from disk.
+content-addressed ``flat`` artifacts (memory-mapped on load), and every
+later ``IndexCache`` / ``QueryEngine`` / benchmark run warm-starts from
+disk.
 
 Typical use::
 
@@ -22,7 +23,6 @@ CLI equivalents: ``repro build`` (prebuild + save), ``repro store ls``,
 
 from repro.store.store import (
     FORMAT_VERSION,
-    STORE_FORMATS,
     ArtifactInfo,
     ArtifactMissing,
     IndexStore,
@@ -49,7 +49,6 @@ __all__ = [
     "StoreCorruption",
     "StoreError",
     "FORMAT_VERSION",
-    "STORE_FORMATS",
     "artifact_key",
     "INDEX_KINDS",
     "IndexKind",

@@ -5,37 +5,34 @@ Fig. 26, Table 3): G-tree and ROAD take seconds-to-minutes to build, SILC
 hours — yet queries run in microseconds.  A long-lived query service must
 therefore never rebuild an index it has already paid for.  ``IndexStore``
 is that separation: every expensive build product is serialized (via the
-index's ``to_arrays``) into a compressed ``.npz`` artifact keyed by a
-content hash of the *graph* and the *build parameters*, with a JSON
-manifest recording the store format version, per-array shapes and the
-original build wall-time.
+index's ``to_arrays``) into a ``flat`` artifact keyed by a content hash
+of the *graph* and the *build parameters*, with a JSON manifest recording
+the store format version, per-array shapes and the original build
+wall-time.
 
-Two payload formats live under the same manifest scheme:
+A ``flat`` artifact is one *directory* of per-array ``.npy`` files
+written via ``np.lib.format``.  Loads return **read-only memory maps**
+(``np.load(..., mmap_mode="r")``): pages are faulted in on demand and
+shared across processes through the OS page cache, which is what makes
+continental-scale graphs (millions of vertices) servable without copying
+the arrays per worker.
 
-* ``"npz"`` (default) — one compressed ``.npz`` per artifact.  Small on
-  disk, but every load decompresses and materialises every array in
-  every process.
-* ``"flat"`` — one *directory* of per-array ``.npy`` files written via
-  ``np.lib.format``.  Loads return **read-only memory maps**
-  (``np.load(..., mmap_mode="r")``): pages are faulted in on demand and
-  shared across processes through the OS page cache, which is what makes
-  continental-scale graphs (millions of vertices) servable without
-  copying the arrays per worker.
-
-The knob is per-*store* for writes (``IndexStore(root, format="flat")``)
-and per-*entry* for reads: the manifest records each artifact's format,
-so a store can hold a mix and old ``.npz`` artifacts keep loading
-transparently from a store opened with ``format="flat"``.
+Stores written by earlier builds may also hold compressed ``.npz``
+artifacts (manifest records whose ``format`` is ``npz`` or absent).
+Those stay *readable* — :meth:`IndexStore.get` decompresses them into
+ordinary arrays — and re-:meth:`~IndexStore.put` of the same key
+replaces the record with a ``flat`` one; nothing writes ``.npz`` any
+more.
 
 Layout::
 
     <root>/
         manifest.json               # format version + artifact records
-        gtree-1f2e3d4c5b6a7988.npz  # one npz artifact per (kind, key)
-        graph-9a8b7c6d5e4f3a2b.flat/   # ... or one flat directory
+        graph-9a8b7c6d5e4f3a2b.flat/   # one directory per (kind, key)
             vertex_start.npy
             edge_target.npy
             ...
+        gtree-1f2e3d4c5b6a7988.npz  # legacy, read-only
 
 Integrity rules:
 
@@ -84,9 +81,9 @@ from repro.resilience.faults import fault_check
 #: artifacts clean misses, and ``gc`` reclaims them.
 FORMAT_VERSION = 1
 
-#: Payload formats a store can write.  Reads always honour the format
-#: recorded per manifest entry, so the knob never invalidates artifacts.
-STORE_FORMATS = ("npz", "flat")
+#: The payload format :meth:`IndexStore.put` writes.  Reads honour the
+#: format recorded per manifest entry, so legacy ``npz`` entries load.
+_FLAT = "flat"
 
 _MANIFEST = "manifest.json"
 
@@ -127,13 +124,18 @@ class ArtifactInfo:
     created_at: float
     nbytes: int
     params: Dict[str, object] = field(default_factory=dict)
-    #: Payload format ("npz" | "flat").  Defaults to "npz" so manifests
-    #: written before the flat format existed keep parsing unchanged.
+    #: Payload format: "flat", or "npz" on legacy entries.  Defaults to
+    #: "npz" so manifests written before the field existed keep parsing.
     format: str = "npz"
     #: Sum of the arrays' in-memory sizes (``arr.nbytes``) — what a full
     #: materialisation costs, vs ``nbytes`` which is the on-disk size.
     #: 0 on entries written before the field existed.
     mapped_nbytes: int = 0
+
+    @property
+    def mapped(self) -> bool:
+        """True when :meth:`IndexStore.get` returns read-only memory maps."""
+        return self.format == _FLAT
 
 
 def canonical_params(params: Optional[Dict[str, object]]) -> Dict[str, object]:
@@ -177,20 +179,14 @@ def artifact_key(graph, params: Optional[Dict[str, object]] = None) -> str:
 class IndexStore:
     """A directory of versioned, content-addressed artifacts.
 
-    ``format`` selects the payload written by :meth:`put`: ``"npz"``
-    (compressed, fully materialised on load) or ``"flat"`` (per-array
-    ``.npy`` files, loaded as read-only memory maps).  Reads dispatch on
-    the format recorded in each manifest entry, so either setting reads
-    a store containing both.
+    :meth:`put` writes ``flat`` payloads (per-array ``.npy`` files,
+    loaded as read-only memory maps).  Reads dispatch on the format
+    recorded in each manifest entry, so legacy ``npz`` entries in an
+    older store still load.
     """
 
-    def __init__(self, root, format: str = "npz") -> None:
-        if format not in STORE_FORMATS:
-            raise ValueError(
-                f"unknown store format {format!r}; choose from {STORE_FORMATS}"
-            )
+    def __init__(self, root) -> None:
         self.root = Path(root).expanduser()
-        self.format = format
 
     def _ensure_root(self) -> None:
         """Create the store directory on first *write* — read-only
@@ -271,27 +267,23 @@ class IndexStore:
     ) -> ArtifactInfo:
         """Write one artifact atomically and record it in the manifest.
 
-        The payload format is the store's ``format`` knob.  Re-putting a
-        (kind, key) that exists under the *other* format replaces the
-        manifest entry; the superseded payload becomes an orphan the
-        next ``gc`` reclaims — that is the whole migration story.
+        Re-putting a (kind, key) recorded as a legacy ``npz`` entry
+        replaces the manifest entry; the superseded ``.npz`` becomes an
+        orphan the next ``gc`` reclaims — that is the whole migration
+        story.
         """
         fault_check("store.save")
         self._ensure_root()
         artifact_id = self._artifact_id(kind, key)
-        if self.format == "flat":
-            filename = f"{artifact_id}.flat"
-            tmp = self._write_flat_tmp(artifact_id, arrays)
-        else:
-            filename = f"{artifact_id}.npz"
-            tmp = self._write_npz_tmp(artifact_id, arrays)
+        filename = f"{artifact_id}.flat"
+        tmp = self._write_flat_tmp(artifact_id, arrays)
         path = self.root / filename
         # Publish + register under one lock so a concurrent gc can never
         # see the renamed file without its manifest entry (and sweep it
         # as an orphan).
         with self._locked():
             try:
-                if self.format == "flat" and path.is_dir():
+                if path.is_dir():
                     # os.replace cannot overwrite a non-empty directory;
                     # drop the superseded payload first.  Readers that
                     # already mapped it keep their pages (POSIX unlink
@@ -321,7 +313,7 @@ class IndexStore:
                 created_at=time.time(),
                 nbytes=_payload_nbytes(path),
                 params=canonical_params(params),
-                format=self.format,
+                format=_FLAT,
                 mapped_nbytes=int(
                     sum(np.asarray(v).nbytes for v in arrays.values())
                 ),
@@ -331,26 +323,11 @@ class IndexStore:
             self._write_manifest(manifest)
         return info
 
-    def _write_npz_tmp(self, artifact_id: str, arrays) -> str:
-        """Write the compressed payload to a unique temp file.
-
-        Unique temp name per writer: two processes racing to save the
-        same artifact each publish a complete file; last rename wins.
-        """
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=f"{artifact_id}-", suffix=".npz.tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, **arrays)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
-            raise
-        return tmp
-
     def _write_flat_tmp(self, artifact_id: str, arrays) -> str:
         """Write one ``<name>.npy`` per array into a unique temp dir.
+
+        Unique temp name per writer: two processes racing to save the
+        same artifact each publish a complete payload; last rename wins.
 
         ``np.save`` streams C-contiguous arrays straight to the file
         object, so saving memmap-backed inputs (the ingest path) never
@@ -418,10 +395,10 @@ class IndexStore:
     def get(self, kind: str, key: str) -> Dict[str, np.ndarray]:
         """Load one artifact's arrays, verifying version, file and shapes.
 
-        Dispatches on the format recorded in the manifest entry: ``npz``
-        artifacts decompress into ordinary (writable) arrays, ``flat``
+        Dispatches on the format recorded in the manifest entry: ``flat``
         artifacts return **read-only memory maps** — zero-copy views the
-        OS pages in on demand.  Callers that need to mutate must copy.
+        OS pages in on demand — and legacy ``npz`` artifacts decompress
+        into ordinary arrays.  Callers that need to mutate must copy.
 
         Raises :class:`ArtifactMissing` on a clean miss (caller builds)
         and :class:`StoreCorruption` — never ``KeyError`` — when the
@@ -436,7 +413,7 @@ class IndexStore:
                 f"(kind={kind!r}, key={key!r}); run `repro store gc` to "
                 "drop the stale entry, then rebuild"
             )
-        if info.format == "flat":
+        if info.mapped:
             arrays = self._load_flat(info, path)
         else:
             try:
@@ -554,17 +531,17 @@ class IndexStore:
             if file_name is None:
                 # No manifest entry to consult: either payload spelling
                 # may be on disk (damage can hit the manifest itself).
-                for candidate in (f"{artifact_id}.npz", f"{artifact_id}.flat"):
+                for candidate in (f"{artifact_id}.flat", f"{artifact_id}.npz"):
                     if (self.root / candidate).exists():
                         file_name = candidate
                         break
                 else:
-                    file_name = f"{artifact_id}.npz"
+                    return None
             src = self.root / file_name
             if src.exists():
                 qdir = self.root / "quarantine"
                 qdir.mkdir(parents=True, exist_ok=True)
-                suffix = Path(file_name).suffix or ".npz"
+                suffix = Path(file_name).suffix
                 dest = qdir / file_name
                 n = 1
                 while dest.exists():
@@ -582,8 +559,8 @@ class IndexStore:
 
         Removes (or with ``dry_run`` just reports) every manifest entry
         whose file is missing or whose format version differs from
-        :data:`FORMAT_VERSION`, plus ``.npz`` files no manifest entry
-        references and ``.tmp`` leftovers from interrupted writes.
+        :data:`FORMAT_VERSION`, plus ``.flat``/``.npz`` payloads no manifest
+        entry references and ``.tmp`` leftovers from interrupted writes.
         ``clear=True`` reclaims everything.  An unreadable manifest is
         itself a corruption gc repairs: every artifact file is then
         swept as orphaned and a fresh manifest written.  Returns
@@ -660,7 +637,7 @@ class IndexStore:
         — unreadable zip/headers, missing arrays/members, shape drift —
         so gc reclaims exactly what load refuses to serve.
         """
-        if entry.get("format", "npz") == "flat":
+        if entry.get("format") == _FLAT:
             for name, shape in entry.get("shapes", {}).items():
                 member = path / f"{name}.npy"
                 try:

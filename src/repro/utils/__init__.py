@@ -7,13 +7,12 @@ shared implementations so every algorithm uses the *same* subroutines, as
 the paper's methodology requires.
 """
 
-from repro.utils.pqueue import BinaryHeap, DecreaseKeyHeap
+from repro.utils.pqueue import BinaryHeap
 from repro.utils.bitset import BitArray
 from repro.utils.counters import Counters, NULL_COUNTERS
 
 __all__ = [
     "BinaryHeap",
-    "DecreaseKeyHeap",
     "BitArray",
     "Counters",
     "NULL_COUNTERS",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: Canonical counter names follow a documented ``<phase>_<what>`` scheme
+#: Counter names follow a documented ``<phase>_<what>`` scheme
 #: (see docs/performance.md): the *phase* names the algorithm stage doing
 #: the work (``expand`` — incremental network expansion; ``sssp`` —
 #: bounded single-source searches; ``bidir`` — bidirectional upward CH
@@ -22,53 +22,18 @@ from typing import Dict
 #: verification; ``interval``/``browse`` — SILC interval lookups and
 #: distance browsing; ``table``/``local`` — TNR table hits and local
 #: fallbacks; ``label`` — hub-label scans), and the *what* names the
-#: event.  Algorithms record canonical names; this table maps the
-#: pre-normalization method-prefixed names onto them, and
-#: :meth:`Counters.__getitem__` resolves both spellings, so every
-#: historical ``result.counters["ine_settled"]`` read keeps working.
-LEGACY_ALIASES: Dict[str, str] = {
-    "ine_settled": "expand_settled",
-    "road_settled": "expand_settled",
-    "road_bypassed": "expand_bypassed",
-    "dijkstra_settled": "sssp_settled",
-    "astar_settled": "sssp_settled",
-    "ch_settled": "bidir_settled",
-    "gtree_leaf_settled": "leaf_settled",
-    "gtree_matrix_ops": "matrix_ops",
-    "ier_network_computations": "verify_network_computations",
-    "ier_false_hits": "verify_false_hits",
-    "ier_candidate_replacements": "euclid_candidate_replacements",
-    "disbrw_interval_lookups": "interval_lookups",
-    "disbrw_insert_pruned": "browse_insert_pruned",
-    "disbrw_block_pruned": "browse_block_pruned",
-    "disbrw_dropped": "browse_dropped",
-    "disbrw_refinements": "browse_refinements",
-    "disbrw_region_bounds": "browse_region_bounds",
-    "disbrw_enn_retrieved": "browse_enn_retrieved",
-    "tnr_table_queries": "table_lookups",
-    "tnr_local_queries": "local_searches",
-    "hl_queries": "label_scans",
-}
-
-
-def canonical_name(name: str) -> str:
-    """The canonical ``<phase>_<what>`` spelling of a counter name."""
-    return LEGACY_ALIASES.get(name, name)
+#: event.
 
 
 class Counters:
-    """Mutable bag of named event counters.
-
-    Lookups resolve :data:`LEGACY_ALIASES`, so the pre-normalization
-    method-prefixed names keep reading the canonical counts.
+    """Mutable bag of named event counters; an unrecorded name reads 0.
 
     >>> c = Counters()
     >>> c.add("heap_pops"); c.add("heap_pops", 2)
     >>> c["heap_pops"]
     3
-    >>> c.add("expand_settled", 7)
-    >>> c["ine_settled"]
-    7
+    >>> c["expand_settled"]
+    0
     """
 
     __slots__ = ("enabled", "_counts")
@@ -82,11 +47,7 @@ class Counters:
             self._counts[name] = self._counts.get(name, 0) + amount
 
     def __getitem__(self, name: str) -> int:
-        counts = self._counts
-        value = counts.get(name)
-        if value is not None:
-            return value
-        return counts.get(LEGACY_ALIASES.get(name, name), 0)
+        return self._counts.get(name, 0)
 
     def reset(self) -> None:
         self._counts.clear()
@@ -105,6 +66,6 @@ NULL_COUNTERS = Counters(enabled=False)
 #: Process-wide build-event counters.  Every road-network index records a
 #: ``build:<name>`` event when it runs its (expensive) constructor, and
 #: *not* when it is rehydrated via ``from_arrays`` — which is how the
-#: store tests assert that a warm-started ``Workbench`` performs zero
+#: store tests assert that a warm-started ``IndexCache`` performs zero
 #: index builds.
 BUILD_COUNTERS = Counters()

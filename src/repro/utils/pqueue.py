@@ -5,16 +5,17 @@ decrease-key — i.e. one that tolerates duplicate entries and discards
 stale ones on pop — is about twice as fast as a heap that maintains a
 position index for key updates, because road networks are degree bounded
 and duplicates are rare.  ``BinaryHeap`` is that structure and is the queue
-used by every algorithm in this library.
+used by every algorithm in this library.  A caller that needs the *largest*
+key first (IER's k-candidate list) pushes negated keys.
 
-``DecreaseKeyHeap`` implements the textbook indexed heap.  It exists only
-so the Figure 7 ablation ("1st Cut" vs "PQueue") can be reproduced.
+The textbook indexed heap the paper compares it with lives in
+:mod:`repro.reference`, beside the Figure 7 "1st Cut" rung that uses it.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 
 class BinaryHeap:
@@ -62,146 +63,3 @@ class BinaryHeap:
 
     def clear(self) -> None:
         self._heap.clear()
-
-
-class MaxHeap:
-    """Max-heap of ``(key, item)`` pairs (keys negated internally).
-
-    Used as the candidate list ``L`` in Distance Browsing, where the
-    furthest of the current k candidates must be evicted quickly.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Any]] = []
-        self._seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, key: float, item: Any) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (-key, self._seq, item))
-
-    def pop(self) -> Tuple[float, Any]:
-        key, _, item = heapq.heappop(self._heap)
-        return -key, item
-
-    def peek(self) -> Tuple[float, Any]:
-        key, _, item = self._heap[0]
-        return -key, item
-
-    def peek_key(self) -> float:
-        return -self._heap[0][0] if self._heap else float("-inf")
-
-    def remove(self, item: Any) -> bool:
-        """Remove one entry for ``item``; returns False if not present.
-
-        Linear scan — the heap holds at most k entries in DisBrw, so this
-        is cheap in practice.
-        """
-        for i, (_, _, existing) in enumerate(self._heap):
-            if existing == item:
-                last = self._heap.pop()
-                if i < len(self._heap):
-                    self._heap[i] = last
-                    heapq.heapify(self._heap)
-                return True
-        return False
-
-    def __contains__(self, item: Any) -> bool:
-        return any(existing == item for _, _, existing in self._heap)
-
-
-class DecreaseKeyHeap:
-    """Indexed binary min-heap supporting decrease-key, no duplicates.
-
-    This is the "first cut" queue from Figure 7: every vertex appears at
-    most once and :meth:`push` updates the key in place when the vertex is
-    already queued.  The position index makes each operation slower than
-    :class:`BinaryHeap` — which is exactly the effect the ablation shows.
-    """
-
-    def __init__(self) -> None:
-        self._keys: List[float] = []
-        self._items: List[Any] = []
-        self._pos: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __bool__(self) -> bool:
-        return bool(self._keys)
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self._pos
-
-    def key_of(self, item: Any) -> Optional[float]:
-        i = self._pos.get(item)
-        return None if i is None else self._keys[i]
-
-    def push(self, key: float, item: Any) -> bool:
-        """Insert ``item`` or decrease its key.
-
-        Returns True if the heap changed (new item, or smaller key).
-        """
-        i = self._pos.get(item)
-        if i is None:
-            self._keys.append(key)
-            self._items.append(item)
-            self._pos[item] = len(self._keys) - 1
-            self._sift_up(len(self._keys) - 1)
-            return True
-        if key < self._keys[i]:
-            self._keys[i] = key
-            self._sift_up(i)
-            return True
-        return False
-
-    def pop(self) -> Tuple[float, Any]:
-        key, item = self._keys[0], self._items[0]
-        del self._pos[item]
-        last_key, last_item = self._keys.pop(), self._items.pop()
-        if self._keys:
-            self._keys[0], self._items[0] = last_key, last_item
-            self._pos[last_item] = 0
-            self._sift_down(0)
-        return key, item
-
-    def peek_key(self) -> float:
-        return self._keys[0] if self._keys else float("inf")
-
-    def _sift_up(self, i: int) -> None:
-        keys, items, pos = self._keys, self._items, self._pos
-        key, item = keys[i], items[i]
-        while i > 0:
-            parent = (i - 1) >> 1
-            if keys[parent] <= key:
-                break
-            keys[i], items[i] = keys[parent], items[parent]
-            pos[items[i]] = i
-            i = parent
-        keys[i], items[i] = key, item
-        pos[item] = i
-
-    def _sift_down(self, i: int) -> None:
-        keys, items, pos = self._keys, self._items, self._pos
-        n = len(keys)
-        key, item = keys[i], items[i]
-        while True:
-            child = 2 * i + 1
-            if child >= n:
-                break
-            if child + 1 < n and keys[child + 1] < keys[child]:
-                child += 1
-            if keys[child] >= key:
-                break
-            keys[i], items[i] = keys[child], items[child]
-            pos[items[i]] = i
-            i = child
-        keys[i], items[i] = key, item
-        pos[item] = i

@@ -22,7 +22,6 @@ from repro.engine import (
     unregister_method,
 )
 from repro.engine import workbench as workbench_mod
-from repro.experiments.runner import Workbench
 from repro.graph.generators import road_network
 from repro.knn.base import verify_knn_result
 from repro.knn.ine import INE
@@ -94,16 +93,18 @@ class TestKNNResultBackCompat:
     def test_iterates_as_distance_vertex_pairs(self, engine, road400, objects400):
         result = engine.query(7, 4, method="ine")
         raw = INE(road400, objects400).knn(7, 4)
-        assert [(d, v) for d, v in result] == raw
-        assert result.as_tuples() == raw
-        assert result == raw
-        assert len(result) == len(raw)
-        assert tuple(result[0]) == raw[0]
+        assert [(d, v) for d, v in result.neighbors] == raw
+        assert list(zip(result.distances, result.vertices)) == raw
+        assert result.neighbors[0].as_tuple() == raw[0]
+        # A record, not a sequence: the tuple-list surface is gone.
+        for op in (len, iter, lambda r: r[0]):
+            with pytest.raises(TypeError):
+                op(result)
 
     def test_verify_knn_result_accepts_engine_result(self, engine, road400, objects400):
         result = engine.query(7, 4, method="gtree")
         truth = INE(road400, objects400).knn(7, 4)
-        assert verify_knn_result(result, truth)
+        assert verify_knn_result(result.neighbors, truth)
 
     def test_result_carries_provenance(self, engine):
         result = engine.query(7, 4, method="gtree")
@@ -114,7 +115,7 @@ class TestKNNResultBackCompat:
 
     def test_with_paths(self, engine):
         result = engine.query(7, 3, method="ine", with_paths=True)
-        for n in result:
+        for n in result.neighbors:
             assert n.path is not None
             assert n.path[0] == 7 and n.path[-1] == n.vertex
 
@@ -125,13 +126,13 @@ class TestBatch:
         assert len(batch) == 8
         for q, result in zip(queries400[:8], batch):
             single = engine.query(q, 5, method="gtree")
-            assert result.as_tuples() == single.as_tuples()
+            assert result.neighbors == single.neighbors
 
     def test_batch_of_knnqueries_mixes_methods(self, engine):
         queries = [KNNQuery(3, 2, "ine"), KNNQuery(3, 2, "ier-phl")]
         a, b = engine.batch(queries)
         assert (a.method, b.method) == ("ine", "ier-phl")
-        assert verify_knn_result(a, b.as_tuples())
+        assert verify_knn_result(a.neighbors, b.neighbors)
 
     def test_explicit_args_override_knnquery_fields(self, engine):
         q = KNNQuery(3, 2)  # method defaults to "auto"
@@ -141,7 +142,7 @@ class TestBatch:
         assert batched.method == "ier-phl"
         assert batched.query.k == 4
         with_paths = engine.query(q, with_paths=True)
-        assert all(n.path is not None for n in with_paths)
+        assert all(n.path is not None for n in with_paths.neighbors)
 
     def test_batch_requires_k_for_bare_ids(self, engine):
         with pytest.raises(ValueError):
@@ -198,14 +199,16 @@ class TestExplain:
             if reference is None:
                 reference = result
             else:
-                assert verify_knn_result(result, reference.as_tuples()), method
+                assert verify_knn_result(
+                    result.neighbors, reference.neighbors
+                ), method
 
     def test_explain_counter_plumbing_per_method(self, engine):
         reports = engine.explain(11, 4, methods=("ine", "gtree", "road", "ier-phl"))
-        assert reports["ine"].counters["ine_settled"] > 0
-        assert reports["gtree"].counters["gtree_matrix_ops"] > 0
-        assert reports["road"].counters["road_settled"] > 0
-        assert reports["ier-phl"].counters["ier_network_computations"] > 0
+        assert reports["ine"].counters["expand_settled"] > 0
+        assert reports["gtree"].counters["matrix_ops"] > 0
+        assert reports["road"].counters["expand_settled"] > 0
+        assert reports["ier-phl"].counters["verify_network_computations"] > 0
 
 
 class TestEngineConstruction:
@@ -221,7 +224,7 @@ class TestEngineConstruction:
         counters = Counters()
         result = engine.query(5, 3, method="ine", counters=counters)
         assert result.counters is counters
-        assert counters["ine_settled"] > 0
+        assert counters["expand_settled"] > 0
 
     def test_requires_graph_or_workbench(self):
         with pytest.raises(ValueError):
@@ -243,12 +246,12 @@ class TestBaseSignature:
             reference.ReferenceINE(road400, objects400, variant=variant).knn(
                 9, 3, counters=counters
             )
-            assert counters["ine_settled"] > 0, variant
+            assert counters["expand_settled"] > 0, variant
 
 
 class TestOneImplementationPerMethod:
     """The reproduction is fair by construction: the experiment harness
-    (``Workbench.make``) and the service layer (``QueryEngine.algorithm``)
+    (``IndexCache.make``) and the service layer (``QueryEngine.algorithm``)
     run the same code for every method, and none of it is a reference
     loop — except the terminal degradation rung, which is nothing else."""
 
@@ -256,7 +259,7 @@ class TestOneImplementationPerMethod:
     def routes(self):
         graph = road_network(250, seed=13)
         objects = uniform_objects(graph, density=0.04, seed=2, minimum=6)
-        return graph, objects, Workbench(graph), QueryEngine(graph, objects)
+        return graph, objects, IndexCache(graph), QueryEngine(graph, objects)
 
     def test_workbench_and_engine_build_the_same_algorithm(self, routes):
         graph, objects, bench, engine = routes

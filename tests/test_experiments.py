@@ -1,11 +1,12 @@
-"""Experiment harness tests: Workbench, results, figures, cache study."""
+"""Experiment harness tests: index cache, results, figures, cache study."""
 
 import pytest
 
+from repro.engine import IndexCache
+from repro.engine import workbench as workbench_mod
 from repro.experiments.cache_study import format_table3, table3_cache_profile
 from repro.experiments.runner import (
     ExperimentResult,
-    Workbench,
     measure_query_time,
     random_queries,
 )
@@ -18,7 +19,7 @@ from repro.objects import uniform_objects
 
 @pytest.fixture(scope="module")
 def wb():
-    return Workbench(road_network(350, seed=77, name="S-wb"))
+    return IndexCache(road_network(350, seed=77, name="S-wb"))
 
 
 class TestWorkbench:
@@ -39,20 +40,12 @@ class TestWorkbench:
         assert wb.gtree is wb.gtree
         assert wb.ch is wb.ch
 
-    def test_silc_cap(self):
-        big = Workbench(road_network(300, seed=1))
-        big.graph_num_vertices = 300
-        from repro.experiments import runner
-
-        capped = Workbench(big.graph)
-        old = runner.SILC_MAX_VERTICES
-        runner.SILC_MAX_VERTICES = 100
-        try:
-            assert not capped.silc_available
-            with pytest.raises(MemoryError):
-                capped.silc
-        finally:
-            runner.SILC_MAX_VERTICES = old
+    def test_silc_cap(self, monkeypatch):
+        capped = IndexCache(road_network(300, seed=1))
+        monkeypatch.setattr(workbench_mod, "SILC_MAX_VERTICES", 100)
+        assert not capped.silc_available
+        with pytest.raises(MemoryError):
+            capped.silc
 
     def test_available_methods(self, wb):
         methods = wb.available_methods()

@@ -102,7 +102,7 @@ class TestDistanceExactness:
     def test_counters_record_matrix_ops(self, road400, gtree400):
         counters = Counters()
         gtree400.distance(0, road400.num_vertices - 1, counters=counters)
-        assert counters["gtree_matrix_ops"] > 0
+        assert counters["matrix_ops"] > 0
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 10_000))

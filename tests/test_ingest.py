@@ -35,7 +35,7 @@ def dimacs_files(tmp_path_factory):
 
 def test_ingest_matches_load_dimacs_fingerprint(tmp_path, dimacs_files):
     graph, gr, co = dimacs_files
-    store = IndexStore(tmp_path / "store", format="flat")
+    store = IndexStore(tmp_path / "store")
     report = ingest_dimacs(gr, co, store, name=graph.name)
     assert load_graph(store, report.key).fingerprint() == (
         load_dimacs(gr, co, name=graph.name).fingerprint()
@@ -47,7 +47,7 @@ def test_ingest_matches_load_dimacs_fingerprint(tmp_path, dimacs_files):
 def test_tiny_budget_spills_runs_and_still_matches(tmp_path, dimacs_files):
     """A 1 MB budget forces multi-run external sorting; same bytes out."""
     graph, gr, co = dimacs_files
-    store = IndexStore(tmp_path / "store", format="flat")
+    store = IndexStore(tmp_path / "store")
     report = ingest_dimacs(
         gr, co, store, name=graph.name, memory_budget_mb=1.0
     )
@@ -63,7 +63,7 @@ def test_gzipped_ingest_matches(tmp_path, dimacs_files):
     co_gz = tmp_path / "net.co.gz"
     gr_gz.write_bytes(gzip.compress(open(gr, "rb").read()))
     co_gz.write_bytes(gzip.compress(open(co, "rb").read()))
-    store = IndexStore(tmp_path / "store", format="flat")
+    store = IndexStore(tmp_path / "store")
     report = ingest_dimacs(
         str(gr_gz), str(co_gz), store, name=graph.name
     )
@@ -79,7 +79,7 @@ def test_no_lcc_path_matches(tmp_path):
         "a 1 2 1\n a 2 1 1\n a 2 3 2\n a 3 2 2\n"
         "a 5 6 1\n a 6 5 1\n a 4 5 3\n a 5 4 3\n"
     )
-    store = IndexStore(tmp_path / "store", format="flat")
+    store = IndexStore(tmp_path / "store")
     name = "frag"
     report = ingest_dimacs(
         str(gr), store=store, name=name, restrict_to_lcc=False
@@ -109,7 +109,7 @@ def test_ingest_requires_store_and_arcs(tmp_path):
 
 def test_from_store_mmap_serves_ingested_graph(tmp_path, dimacs_files):
     graph, gr, co = dimacs_files
-    store = IndexStore(tmp_path / "store", format="flat")
+    store = IndexStore(tmp_path / "store")
     report = ingest_dimacs(gr, co, store, name=graph.name)
     mapped = Graph.from_store_mmap(store, report.key)
     assert not mapped.edge_weight.flags.writeable
@@ -147,7 +147,7 @@ def test_cli_ingest_then_query(tmp_path, dimacs_files, capsys):
 def test_ingested_arrays_match_load_dimacs_bytes(tmp_path, dimacs_files):
     """Beyond the fingerprint: raw CSR bytes are equal array-for-array."""
     graph, gr, co = dimacs_files
-    store = IndexStore(tmp_path / "store", format="flat")
+    store = IndexStore(tmp_path / "store")
     report = ingest_dimacs(gr, co, store, name=graph.name)
     arrays = store.get("graph", report.key)
     reference = load_dimacs(gr, co, name=graph.name)

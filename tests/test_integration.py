@@ -14,6 +14,7 @@ from repro.graph.generators import (
     road_network,
     travel_time_weights,
 )
+from repro.graph.graph import GraphBuilder
 from repro.index.gtree import GTree, GTreeOracle
 from repro.index.road import RoadIndex
 from repro.index.silc import SILCIndex
@@ -55,6 +56,37 @@ def _all_methods(graph, objects, with_silc=True):
     return methods
 
 
+def _unit_grid(side):
+    """Unit weights on integer coordinates: network distance is Manhattan
+    distance, exactly, so whole rings of vertices tie."""
+    builder = GraphBuilder()
+    for r in range(side):
+        for c in range(side):
+            builder.add_vertex(float(c), float(r))
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c
+            if c + 1 < side:
+                builder.add_edge(i, i + 1, 1.0)
+            if r + 1 < side:
+                builder.add_edge(i, i + side, 1.0)
+    return builder.build(name=f"unit-grid-{side}")
+
+
+def _assert_tie_rule(got, objects, dist_of, k, label):
+    """The repo's tie rule: the distances are *the* k smallest, exactly;
+    which of several equidistant objects fill the last places is free,
+    but each entry is a distinct real object at its true distance and the
+    list is ordered by (distance, vertex)."""
+    brute = sorted((dist_of(o), o) for o in objects)[:k]
+    assert [d for d, _ in got] == [d for d, _ in brute], label
+    assert got == sorted(got), label
+    assert len({v for _, v in got}) == len(got), label
+    assert all(v in objects and d == dist_of(v) for d, v in got), label
+    d_k = brute[-1][0]
+    assert {v for _, v in got} >= {o for d, o in brute if d < d_k}, label
+
+
 class TestAgreementDistanceWeights:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -74,6 +106,25 @@ class TestAgreementDistanceWeights:
                     assert verify_knn_result(alg.knn(q, k), truth), (
                         alg.name, q, k
                     )
+        # More equidistant objects than k: a ring of 12 ties at distance
+        # 3 around the query and a second ring of 20 at distance 5.
+        side, centre = 11, (5, 5)
+        grid = _unit_grid(side)
+        q = centre[1] * side + centre[0]
+
+        def manhattan(v):
+            return float(
+                abs(v % side - centre[0]) + abs(v // side - centre[1])
+            )
+
+        rings = [v for v in range(side * side) if manhattan(v) in (3.0, 5.0)]
+        ties = sum(manhattan(v) == 3.0 for v in rings)
+        assert ties == 12
+        for alg in _all_methods(grid, rings):
+            for k in (1, ties - 1, ties + 1):
+                _assert_tie_rule(
+                    alg.knn(q, k), set(rings), manhattan, k, (alg.name, k)
+                )
 
     def test_clustered_objects(self, setup):
         graph, _, _ = setup

@@ -1,5 +1,4 @@
-"""Kernel-layer tests: ArrayHeap, scratch buffers, and the
-production-vs-reference equality guarantees.
+"""Kernel-layer tests: the production-vs-reference equality guarantees.
 
 The property tests are the regression guard the one-implementation
 design rests on: every production algorithm must return *byte-identical*
@@ -19,7 +18,7 @@ from repro.engine import QueryEngine
 from repro.graph.generators import grid_network, road_network
 from repro.index.gtree import GTree
 from repro.index.silc import SILCIndex
-from repro.kernels import ArrayHeap, borrow, bulk_sssp
+from repro.kernels import bulk_sssp
 from repro.knn.distance_browsing import DistanceBrowsing
 from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ine import INE
@@ -38,114 +37,12 @@ INF = float("inf")
 
 
 # ----------------------------------------------------------------------
-# ArrayHeap
-# ----------------------------------------------------------------------
-class TestArrayHeap:
-    def test_pops_in_key_order(self):
-        rng = np.random.default_rng(0)
-        keys = rng.random(500) * 1e6
-        heap = ArrayHeap()
-        for i, k in enumerate(keys):
-            heap.push(float(k), i)
-        assert len(heap) == 500
-        popped = [heap.pop() for _ in range(500)]
-        assert [k for k, _ in popped] == sorted(keys.tolist())
-        assert sorted(i for _, i in popped) == list(range(500))
-        assert not heap
-
-    def test_duplicate_and_stale_entries_survive(self):
-        # Same no-decrease-key contract as BinaryHeap: duplicates stay,
-        # the caller filters stale pops.
-        heap = ArrayHeap()
-        heap.push(5.0, 7)
-        heap.push(3.0, 7)
-        heap.push(4.0, 8)
-        assert heap.pop() == (3.0, 7)
-        assert heap.pop() == (4.0, 8)
-        assert heap.pop() == (5.0, 7)
-
-    def test_peek_key_on_empty_is_inf(self):
-        heap = ArrayHeap()
-        assert heap.peek_key() == INF
-        heap.push(2.5, 1)
-        assert heap.peek_key() == 2.5
-        assert heap.peek() == (2.5, 1)
-        heap.clear()
-        assert heap.peek_key() == INF
-        with pytest.raises(IndexError):
-            heap.pop()
-
-    def test_ties_break_by_payload(self):
-        heap = ArrayHeap()
-        for item in (9, 3, 6):
-            heap.push(1.25, item)
-        assert [heap.pop()[1] for _ in range(3)] == [3, 6, 9]
-
-    def test_keys_roundtrip_exactly(self):
-        # The packed word must preserve every float64 bit.
-        rng = np.random.default_rng(3)
-        keys = np.concatenate(
-            [rng.random(64) * 1e-300, rng.random(64) * 1e300, [0.0, INF]]
-        )
-        heap = ArrayHeap()
-        heap.push_many(keys, np.arange(len(keys)))
-        out = sorted(heap.pop()[0] for _ in range(len(keys)))
-        assert out == sorted(keys.tolist())
-
-    def test_push_many_matches_scalar_pushes(self):
-        rng = np.random.default_rng(1)
-        keys = rng.random(200)
-        items = rng.integers(0, 1000, size=200)
-        one, many = ArrayHeap(), ArrayHeap()
-        for k, i in zip(keys, items):
-            one.push(float(k), int(i))
-        many.push_many(keys[:150], items[:150])  # heapify path
-        many.push_many(keys[150:], items[150:])  # sift path
-        while one:
-            assert one.pop() == many.pop()
-        assert not many
-
-    def test_growth_beyond_initial_capacity(self):
-        heap = ArrayHeap()
-        n = 10_000
-        heap.push_many(
-            np.arange(n, dtype=np.float64)[::-1], np.arange(n)
-        )
-        assert len(heap) == n
-        assert heap.pop() == (0.0, n - 1)
-
-    def test_invalid_inputs_rejected(self):
-        heap = ArrayHeap()
-        with pytest.raises(ValueError):
-            heap.push(-1.0, 0)
-        with pytest.raises(ValueError):
-            heap.push(0.0, -1)
-        with pytest.raises(ValueError):
-            heap.push(0.0, 1 << 32)
-        with pytest.raises(ValueError):
-            heap.push_many(np.asarray([-0.5]), np.asarray([0]))
-
-
-# ----------------------------------------------------------------------
-# Scratch buffers
+# No state carried between searches
 # ----------------------------------------------------------------------
 class TestScratch:
-    def test_repeated_queries_reuse_one_buffer(self):
-        graph = road_network(300, seed=4)
-        with borrow(graph) as first:
-            first_dist = first.dist
-        with borrow(graph) as second:
-            assert second.dist is first_dist  # no reallocation
-
-    def test_reentrant_borrow_gets_fresh_buffer(self):
-        graph = road_network(300, seed=4)
-        with borrow(graph) as outer:
-            with borrow(graph) as inner:
-                assert inner is not outer
-
     def test_stale_state_invisible_across_queries(self):
-        # Back-to-back queries on one graph share buffers; the stamp
-        # reset must hide the first query's distances from the second.
+        # Back-to-back searches on one graph must not see each other's
+        # distances, on the kernel or on the reference loop.
         graph = road_network(400, seed=5)
         rng = np.random.default_rng(5)
         pairs = [
@@ -158,6 +55,8 @@ class TestScratch:
         ]
         warm = [dijkstra_distance(graph, s, t) for s, t in pairs]
         assert warm == cold
+        loop = [reference.dijkstra_distance(graph, s, t) for s, t in pairs]
+        assert loop == cold
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestINE:
     def test_counters(self, road400, objects400):
         c = Counters()
         INE(road400, objects400).knn(0, 5, counters=c)
-        assert c["ine_settled"] > 0
+        assert c["expand_settled"] > 0
 
     def test_rejects_unknown_variant(self, road400, objects400):
         with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ class TestIER:
         alg = IER(road400, objects400, DijkstraOracle(road400))
         for q in (0, 50, 100):
             alg.knn(q, 5, counters=c)
-        assert c["ier_network_computations"] >= 15
+        assert c["verify_network_computations"] >= 15
 
     def test_k_exceeds_objects(self, road400):
         alg = IER(road400, [5, 10], DijkstraOracle(road400))
@@ -166,7 +166,7 @@ class TestGTreeKNN:
     def test_counters_record_leaf_work(self, gtree400, objects400):
         c = Counters()
         GTreeKNN(gtree400, objects400).knn(0, 5, counters=c)
-        assert c["gtree_matrix_ops"] >= 0  # present even if leaf-only
+        assert c["matrix_ops"] >= 0  # present even if leaf-only
 
 
 class TestRoadKNN:
@@ -185,7 +185,7 @@ class TestRoadKNN:
         c = Counters()
         alg = RoadKNN(road_index400, [0])
         alg.knn(road400.num_vertices - 1, 1, counters=c)
-        assert c["road_bypassed"] > 0
+        assert c["expand_bypassed"] > 0
 
     def test_requires_objects_or_ad(self, road_index400):
         with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ class TestDistanceBrowsing:
     def test_refinement_counter(self, silc400, objects400):
         c = Counters()
         DistanceBrowsing(silc400, objects400).knn(0, 5, counters=c)
-        assert c["disbrw_refinements"] > 0
+        assert c["browse_refinements"] > 0
 
     def test_rejects_unknown_source(self, silc400, objects400):
         with pytest.raises(ValueError):

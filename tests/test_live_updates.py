@@ -35,6 +35,7 @@ from repro.objects import uniform_objects
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.pathfinding.dijkstra import dijkstra_distance
 from repro.spatial.rtree import RTree
+from repro.store import IndexStore, load_graph, save_graph
 from repro.updates import (
     ObjectDelta,
     RepairUnavailable,
@@ -370,6 +371,52 @@ class TestEngineApplyUpdates:
                 ref = [(float(d), int(v)) for d, v in rebuilt[method].knn(q, 5)]
                 assert inc == ref, (method, q)
 
+    def test_update_through_store_loaded_graph(self, tmp_path):
+        """A graph mapped from the store takes live weight updates: it
+        gets a private ``edge_weight`` at the first write, everything
+        else stays mapped, and the store's pages are never written to."""
+        twin = fresh_graph(seed=43)
+        store = IndexStore(tmp_path / "store")
+        info = save_graph(store, twin)
+        payload = store.root / store.info("graph", info.key).file
+        on_disk = {p.name: p.read_bytes() for p in sorted(payload.iterdir())}
+
+        loaded = load_graph(store, info.key)
+        mapped = {name: getattr(loaded, name) for name, _ in loaded._CSR_FIELDS}
+        assert not any(arr.flags.writeable for arr in mapped.values())
+
+        objects = uniform_objects(twin, density=0.03, seed=5)
+        engines = QueryEngine(loaded, objects), QueryEngine(twin, objects)
+        rng = np.random.default_rng(7)
+        deltas = random_weight_deltas(twin, rng, 8)
+        for engine in engines:
+            for method in self.METHODS:
+                engine.algorithm(method)  # warm pre-delta instances
+            report = engine.apply_updates(deltas)
+            assert report.weights_changed > 0
+            assert "gtree" in report.repaired and "road" in report.repaired
+        assert loaded.fingerprint() == twin.fingerprint()
+
+        queries = rng.integers(0, twin.num_vertices, size=12).tolist()
+        for method in self.METHODS:
+            for q in queries:
+                from_store, in_memory = (
+                    e.query(q, 5, method=method).neighbors for e in engines
+                )
+                assert from_store == in_memory, (method, q)
+
+        # Only edge_weight went private; the other four are the same
+        # read-only views of the map they were before the update.
+        assert loaded.edge_weight.flags.writeable
+        assert not np.shares_memory(loaded.edge_weight, mapped["edge_weight"])
+        for name in ("vertex_start", "edge_target", "x", "y"):
+            assert np.shares_memory(getattr(loaded, name), mapped[name]), name
+            assert not getattr(loaded, name).flags.writeable, name
+        assert {
+            p.name: p.read_bytes() for p in sorted(payload.iterdir())
+        } == on_disk
+        assert load_graph(store, info.key).fingerprint() != loaded.fingerprint()
+
     def test_object_report_counts_and_set_evolution(self):
         g = fresh_graph(seed=47)
         objects = sorted(uniform_objects(g, density=0.03, seed=5))
@@ -450,7 +497,9 @@ class TestServerUpdates:
             assert server.cache.stats()["size"] == 0
             response = server.query(10, 4, "ine")
             assert not response.cache_hit
-            assert response.result == server.engine_for().query(10, 4, "ine")
+            assert response.result.neighbors == (
+                server.engine_for().query(10, 4, "ine").neighbors
+            )
             truth = ine_knn(g, objects, 10, 4)
             got = [(n.distance, n.vertex) for n in response.result.neighbors]
             assert got == [(float(d), int(v)) for d, v in truth]
@@ -469,7 +518,9 @@ class TestServerUpdates:
             assert server.query(10, 4, "ine", category="fuel").cache_hit
             response = server.query(10, 4, "ine")
             assert not response.cache_hit
-            assert response.result == server.engine_for().query(10, 4, "ine")
+            assert response.result.neighbors == (
+                server.engine_for().query(10, 4, "ine").neighbors
+            )
             truth = ine_knn(g, objects + [free[0]], 10, 4)
             got = [(n.distance, n.vertex) for n in response.result.neighbors]
             assert got == [(float(d), int(v)) for d, v in truth]
@@ -509,8 +560,8 @@ class TestServerUpdates:
             truth_engine = QueryEngine(shadow, objects)
             truth_engine.apply_updates([delta])
             truth = truth_engine.query(10, 4, method="gtree")
-            assert response.result.as_tuples() == truth.as_tuples()
-            assert response.result.as_tuples() != stale.result.as_tuples()
+            assert response.result.neighbors == truth.neighbors
+            assert response.result.neighbors != stale.result.neighbors
 
     def test_readers_racing_writer_never_see_torn_state(self):
         """The concurrency regression: cached answers racing live updates.

@@ -23,7 +23,7 @@ from repro.obs import (
     tracing,
 )
 from repro.objects import uniform_objects
-from repro.utils.counters import LEGACY_ALIASES, Counters, canonical_name
+from repro.utils.counters import Counters
 
 
 @pytest.fixture(autouse=True)
@@ -282,31 +282,20 @@ class TestSlowQueryLog:
 
 
 # ----------------------------------------------------------------------
-# Counter-name scheme back-compat
+# Counter-name scheme
 # ----------------------------------------------------------------------
 class TestCounterAliases:
-    def test_legacy_reads_resolve_to_canonical(self):
-        c = Counters()
-        c.add("expand_settled", 7)
-        assert c["ine_settled"] == 7
-        assert c["road_settled"] == 7
-        assert c["expand_settled"] == 7
-
-    def test_canonical_name_mapping(self):
-        assert canonical_name("dijkstra_settled") == "sssp_settled"
-        assert canonical_name("expand_settled") == "expand_settled"
-        for legacy, canonical in LEGACY_ALIASES.items():
-            phase = canonical.split("_", 1)[0]
-            assert phase in {
-                "expand", "sssp", "bidir", "leaf", "matrix", "euclid",
-                "verify", "interval", "browse", "table", "local", "label",
-            }, (legacy, canonical)
-
-    def test_engine_queries_record_canonical_names(self, engine):
-        result = engine.query(10, 3, method="ine")
-        names = set(result.counters.as_dict())
-        assert "expand_settled" in names
-        assert not names & set(LEGACY_ALIASES)
+    def test_engine_queries_record_scheme_names(self, engine):
+        phases = {
+            "expand", "sssp", "bidir", "leaf", "matrix", "euclid",
+            "verify", "interval", "browse", "table", "local", "label",
+        }
+        for method in ("ine", "gtree", "road", "ier-gt"):
+            result = engine.query(10, 3, method=method)
+            names = set(result.counters.as_dict())
+            assert names, method
+            assert {n.split("_", 1)[0] for n in names} <= phases, names
+        assert engine.query(10, 3, method="ine").counters["expand_settled"] > 0
 
 
 # ----------------------------------------------------------------------

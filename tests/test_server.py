@@ -187,7 +187,7 @@ class TestKNNServer:
             for vertex in (3, 50, 200):
                 response = server.query(vertex, 4)
                 assert response.status == OK
-                assert response.result == engine.query(vertex, 4)
+                assert response.result.neighbors == engine.query(vertex, 4).neighbors
 
     def test_submit_requires_running_server(self, engine):
         server = make_server(engine)
@@ -274,13 +274,13 @@ class TestKNNServer:
             fresh = server.query(7, 5, category="poi")
             # The swapped category was recomputed against the new set...
             assert fresh.cache_hit is False
-            assert fresh.result == QueryEngine(
+            assert fresh.result.neighbors == QueryEngine(
                 road400, replacement
-            ).query(7, 5)
+            ).query(7, 5).neighbors
             assert server.cache.invalidations > 0
             # ...while the default category's entry survived.
             assert server.query(7, 5).cache_hit
-            assert stale.result != fresh.result
+            assert stale.result.neighbors != fresh.result.neighbors
             assert default_response.status == OK
 
     def test_with_objects_same_set_keeps_cache(self, road400, engine):
@@ -295,7 +295,7 @@ class TestKNNServer:
         with make_server(engine, categories={"fuel": cat_objects}) as server:
             response = server.query(33, 4, category="fuel")
         truth = QueryEngine(road400, cat_objects).query(33, 4)
-        assert response.result == truth
+        assert response.result.neighbors == truth.neighbors
 
     def test_error_requests_answer_not_crash(self, road400):
         # An engine whose planner resolves to a method that cannot run:
@@ -472,9 +472,9 @@ class TestCallerThreadHits:
 
             monkeypatch.setattr(engine, "resolve_method", swapping_resolve)
             raced = server.query(7, 5)
-            assert raced.ok and raced.result == truth
+            assert raced.ok and raced.result.neighbors == truth.neighbors
             after = server.query(7, 5)
-            assert after.cache_hit and after.result == truth
+            assert after.cache_hit and after.result.neighbors == truth.neighbors
 
 
 # ----------------------------------------------------------------------
@@ -485,7 +485,7 @@ class TestEngineEdgeCases:
         objects = [5, 80, 200]
         engine = QueryEngine(road400, objects)
         result = engine.query(7, k=50)
-        assert len(result) == 3
+        assert len(result.neighbors) == 3
         assert sorted(result.vertices) == sorted(objects)
 
     def test_k_larger_than_object_count_via_server(self, road400):
@@ -493,12 +493,11 @@ class TestEngineEdgeCases:
         with make_server(engine) as server:
             response = server.query(7, 50)
         assert response.status == OK
-        assert len(response.result) == 3
+        assert len(response.result.neighbors) == 3
 
     def test_empty_object_set_returns_empty_result(self, road400):
         engine = QueryEngine(road400, [])
         result = engine.query(7, k=5)
-        assert len(result) == 0
         assert result.neighbors == ()
 
     def test_empty_object_set_via_server(self, road400):
@@ -506,7 +505,7 @@ class TestEngineEdgeCases:
         with make_server(engine) as server:
             response = server.query(7, 5)
         assert response.status == OK
-        assert len(response.result) == 0
+        assert response.result.neighbors == ()
 
     def test_batch_dedup_reuses_results_and_counts(self, engine):
         before = engine.counters["batch_dedup_hits"]
@@ -514,7 +513,7 @@ class TestEngineEdgeCases:
         assert engine.counters["batch_dedup_hits"] - before == 3
         assert results[0] is results[1] is results[3]
         assert results[2] is results[4]
-        assert results[0] == engine.query(7, 5)
+        assert results[0].neighbors == engine.query(7, 5).neighbors
 
     def test_batch_distinct_queries_not_deduped(self, engine):
         before = engine.counters["batch_dedup_hits"]
@@ -617,7 +616,9 @@ class TestLoadgen:
         items = uniform_workload(road400, 10, 4, seed=9)
         qps, results = sequential_baseline(engine, items)
         assert qps > 0
-        assert results[0] == engine.query(items[0].vertex, items[0].k)
+        assert results[0].neighbors == engine.query(
+            items[0].vertex, items[0].k
+        ).neighbors
 
 
 # ----------------------------------------------------------------------
@@ -666,7 +667,7 @@ class TestServingAcceptance:
         # Every request served, answers byte-identical to engine.query.
         assert report.completed == len(items)
         for expected, response in zip(truth, report.responses):
-            assert response.result == expected
+            assert response.result.neighbors == expected.neighbors
             assert response.result.method == expected.method
         # Throughput: >= 5x the single-threaded sequential baseline.
         assert report.throughput_qps >= 5 * baseline_qps, (

@@ -1,7 +1,7 @@
 """Persistent index store: round-trips, warm starts, corruption handling.
 
 The acceptance property for PR 2: ``load(save(idx))`` answers identical
-kNN results for *every* index, a second store-backed ``Workbench``
+kNN results for *every* index, a second store-backed ``IndexCache``
 performs **zero** index builds (asserted via the global build counters),
 and a damaged store surfaces :class:`StoreCorruption` with repair
 instructions — never a bare ``KeyError``.
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.engine.workbench import IndexCache
-from repro.experiments.runner import Workbench
 from repro.graph.generators import road_network, travel_time_weights
 from repro.objects import uniform_objects
 from repro.store import (
@@ -37,9 +36,29 @@ ALL_KINDS = ("gtree", "road", "silc", "ch", "hub_labels", "tnr")
 
 
 @pytest.fixture(params=["npz", "flat"])
-def store_format(request):
-    """Run format-sensitive store tests against both artifact layouts."""
+def entry_format(request):
+    """Run every read-side store test against both entry layouts: the
+    ``flat`` entries this build writes and the legacy ``npz`` records an
+    older build left behind (see :func:`_as_legacy_npz`)."""
     return request.param
+
+
+def _as_legacy_npz(store):
+    """Rewrite every entry of ``store`` the way builds before the flat
+    format wrote it: one ``np.savez_compressed`` file and a manifest
+    record with no ``format`` / ``mapped_nbytes`` field."""
+    manifest_path = store.root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for artifact_id, record in manifest["artifacts"].items():
+        arrays = store.get(record["kind"], record["key"])
+        with open(store.root / f"{artifact_id}.npz", "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        del arrays  # unmap before removing the directory
+        _delete_payload(store.root / record["file"])
+        record["file"] = f"{artifact_id}.npz"
+        record["nbytes"] = (store.root / record["file"]).stat().st_size
+        del record["format"], record["mapped_nbytes"]
+    manifest_path.write_text(json.dumps(manifest))
 
 
 def _delete_payload(path):
@@ -75,43 +94,50 @@ def objects250(graph250):
 def built_store(tmp_path_factory, graph250):
     """A store populated with every index kind for ``graph250``."""
     store = IndexStore(tmp_path_factory.mktemp("store"))
-    bench = Workbench(graph250, store=store)
+    bench = IndexCache(graph250, store=store)
     bench.prebuild(ALL_KINDS)
     save_graph(store, graph250)
     return store
 
 
 @pytest.fixture()
-def tiny_store(tmp_path, store_format):
+def tiny_store(tmp_path, entry_format):
     """A small fresh store holding one cheap artifact (corruption tests).
 
-    Parametrized over both artifact formats, so every corruption / gc /
-    quarantine scenario below is proven for ``.npz`` files *and*
+    Parametrized over both entry layouts, so every corruption / gc /
+    quarantine scenario below is proven for legacy ``.npz`` files *and*
     ``.flat`` directories.
     """
     graph = road_network(120, seed=5)
-    store = IndexStore(tmp_path / "tiny", format=store_format)
-    bench = Workbench(graph, store=store)
+    store = IndexStore(tmp_path / "tiny")
+    bench = IndexCache(graph, store=store)
     bench.road  # build + persist
+    if entry_format == "npz":
+        _as_legacy_npz(store)
+    assert _single_entry(store).format == entry_format
     return store, graph
 
 
 # ----------------------------------------------------------------------
 # Artifact basics
 # ----------------------------------------------------------------------
-def test_graph_artifact_roundtrip(tmp_path, graph250, store_format):
-    store = IndexStore(tmp_path, format=store_format)
+def test_graph_artifact_roundtrip(tmp_path, graph250, entry_format):
+    store = IndexStore(tmp_path)
     info = save_graph(store, graph250)
+    if entry_format == "npz":
+        _as_legacy_npz(store)
     loaded = load_graph(store, info.key)
     assert loaded.fingerprint() == graph250.fingerprint()
     assert loaded.name == graph250.name
     assert loaded.weight_kind == graph250.weight_kind
 
 
-def test_object_set_roundtrip(tmp_path, graph250, objects250, store_format):
-    store = IndexStore(tmp_path, format=store_format)
+def test_object_set_roundtrip(tmp_path, graph250, objects250, entry_format):
+    store = IndexStore(tmp_path)
     params = {"density": 0.04, "seed": 3}
     save_objects(store, graph250, objects250, params=params)
+    if entry_format == "npz":
+        _as_legacy_npz(store)
     loaded = load_objects(store, graph250, params=params)
     assert list(loaded) == [int(o) for o in objects250]
 
@@ -144,7 +170,7 @@ def test_manifest_records_version_shapes_and_build_time(built_store):
 
 def test_flat_arrays_are_readonly_mmap(tmp_path, graph250):
     """Flat members load as read-only views; mutation must raise."""
-    store = IndexStore(tmp_path, format="flat")
+    store = IndexStore(tmp_path)
     info = save_graph(store, graph250)
     arrays = store.get("graph", info.key)
     for name in ("vertex_start", "edge_target", "edge_weight", "x", "y"):
@@ -158,7 +184,7 @@ def test_flat_arrays_are_readonly_mmap(tmp_path, graph250):
 def test_from_store_mmap_shares_memory_with_flat_artifact(tmp_path, graph250):
     from repro.graph.graph import Graph
 
-    flat = IndexStore(tmp_path / "flat", format="flat")
+    flat = IndexStore(tmp_path / "flat")
     info = save_graph(flat, graph250)
     mapped = Graph.from_store_mmap(flat, info.key)
     for name, _ in Graph._CSR_FIELDS:
@@ -174,37 +200,55 @@ def test_from_store_mmap_shares_memory_with_flat_artifact(tmp_path, graph250):
     # the transparent-fallback contract) and answer identically.
     npz = IndexStore(tmp_path / "npz")
     info2 = save_graph(npz, graph250)
+    _as_legacy_npz(npz)
     fallback = Graph.from_store_mmap(npz, info2.key)
     assert fallback.fingerprint() == graph250.fingerprint()
 
 
-def test_mixed_format_store_and_upgrade_path(tmp_path, graph250):
-    """One manifest can hold both layouts; a re-put upgrades in place.
+def test_mixed_format_store_and_upgrade_path(tmp_path, graph250, capsys):
+    """A legacy npz record stays readable; a re-put upgrades it in place.
 
-    Opening an old npz store with ``format="flat"`` must (a) keep every
-    existing artifact readable, (b) write *new* artifacts flat, and
+    A store an older build wrote must (a) keep serving its ``.npz``
+    artifacts through ``get`` / ``info`` / ``entries`` / ``store ls`` /
+    ``gc --dry-run``, (b) take *new* artifacts as flat beside them, and
     (c) on re-put of an existing key, swap the entry to flat and leave
     the superseded npz payload to gc.
     """
-    npz_store = IndexStore(tmp_path / "s")  # default format: npz
-    info = save_graph(npz_store, graph250)
-    old_file = npz_store.info("graph", info.key).file
+    store = IndexStore(tmp_path / "s")
+    info = save_graph(store, graph250)
+    _as_legacy_npz(store)
+    raw = json.loads((store.root / "manifest.json").read_text())
+    assert "format" not in raw["artifacts"][info.artifact_id]
+
+    legacy = store.info("graph", info.key)
+    assert legacy.format == "npz" and legacy.mapped_nbytes == 0
+    old_file = legacy.file
     assert old_file.endswith(".npz")
+    assert [e.artifact_id for e in store.entries()] == [info.artifact_id]
+    arrays = store.get("graph", info.key)
+    assert arrays["edge_weight"].flags.writeable  # decompressed, not mapped
+    assert load_graph(store, info.key).fingerprint() == graph250.fingerprint()
+    assert store.gc(dry_run=True) == []
+    assert cli.main(["store", "ls", "--store", str(store.root)]) == 0
+    assert " npz " in capsys.readouterr().out
 
-    flat_store = IndexStore(tmp_path / "s", format="flat")
-    loaded = load_graph(flat_store, info.key)
-    assert loaded.fingerprint() == graph250.fingerprint()
+    # (b) a new artifact lands flat in the same manifest.
+    save_objects(store, graph250, [1, 2, 3])
+    assert {e.format for e in store.entries()} == {"npz", "flat"}
 
-    info2 = save_graph(flat_store, graph250)
-    entry = flat_store.info("graph", info2.key)
+    # (c) re-put of the legacy key upgrades the entry.
+    info2 = save_graph(store, graph250)
+    entry = store.info("graph", info2.key)
     assert entry.format == "flat"
     assert entry.file.endswith(".flat")
     assert entry.mapped_nbytes > 0
     # The npz payload the entry no longer references is orphaned...
-    swept = dict(flat_store.gc())
-    assert swept.get(old_file) == "orphaned file"
+    assert (store.root / old_file).exists()
+    swept = dict(store.gc())
+    assert swept == {old_file: "orphaned file"}
+    assert not (store.root / old_file).exists()
     # ...and the store still serves the upgraded artifact.
-    assert load_graph(flat_store, info2.key).fingerprint() == (
+    assert load_graph(store, info2.key).fingerprint() == (
         graph250.fingerprint()
     )
 
@@ -213,8 +257,8 @@ def test_mixed_format_store_and_upgrade_path(tmp_path, graph250):
 # Round-trip equivalence + warm start
 # ----------------------------------------------------------------------
 def test_loaded_indexes_answer_identical_knn(graph250, objects250, built_store):
-    cold = Workbench(graph250)  # fresh builds, no store
-    warm = Workbench(graph250, store=built_store)  # everything from disk
+    cold = IndexCache(graph250)  # fresh builds, no store
+    warm = IndexCache(graph250, store=built_store)  # everything from disk
     rng = np.random.default_rng(9)
     queries = [int(q) for q in rng.integers(0, graph250.num_vertices, size=8)]
     methods = cold.available_methods() + ["ier-ch", "ier-tnr", "disbrw-oh"]
@@ -227,14 +271,14 @@ def test_loaded_indexes_answer_identical_knn(graph250, objects250, built_store):
 
 def test_warm_start_performs_zero_builds(graph250, built_store):
     before = BUILD_COUNTERS.as_dict()
-    warm = Workbench(graph250, store=built_store)
+    warm = IndexCache(graph250, store=built_store)
     assert warm.prebuild(ALL_KINDS) == list(ALL_KINDS)
     assert BUILD_COUNTERS.as_dict() == before
 
 
 def test_warm_hub_labels_skip_the_ch_build(graph250, built_store):
     before = BUILD_COUNTERS.as_dict()
-    warm = Workbench(graph250, store=built_store)
+    warm = IndexCache(graph250, store=built_store)
     warm.hub_labels
     after = BUILD_COUNTERS.as_dict()
     assert after.get("build:ch", 0) == before.get("build:ch", 0)
@@ -242,7 +286,7 @@ def test_warm_hub_labels_skip_the_ch_build(graph250, built_store):
 
 
 def test_loaded_index_reports_original_build_time(graph250, built_store):
-    warm = Workbench(graph250, store=built_store)
+    warm = IndexCache(graph250, store=built_store)
     info = built_store.info(
         "gtree",
         artifact_key(graph250, {"tau": None, "seed": 0}),
@@ -277,7 +321,7 @@ def test_numpy_scalar_params_hash_and_serialize_like_python(tmp_path, graph250):
 def test_store_rejects_engine_with_foreign_workbench(tmp_path, graph250):
     from repro.engine import QueryEngine
 
-    bench = Workbench(graph250)
+    bench = IndexCache(graph250)
     with pytest.raises(ValueError, match="store="):
         QueryEngine(bench, [], store=IndexStore(tmp_path))
 
@@ -288,7 +332,7 @@ def test_engine_accepts_store(tmp_path, graph250, objects250):
 
     engine = QueryEngine(graph250, objects250, store=store)
     result = engine.query(5, k=3, method="gtree")
-    assert len(result) == 3
+    assert len(result.neighbors) == 3
     assert store.contains(
         "gtree",
         artifact_key(graph250, {"tau": None, "seed": 0}),
@@ -307,7 +351,7 @@ def test_object_indexes_roundtrip_through_store(
     from repro.index.gtree import OccurrenceList
     from repro.index.road import AssociationDirectory
 
-    warm = Workbench(graph250, store=built_store)
+    warm = IndexCache(graph250, store=built_store)
     store = IndexStore(tmp_path)
     params = {"density": 0.04, "seed": 3}
 
@@ -362,16 +406,24 @@ def test_cache_miss_path_quarantines_corruption(tiny_store):
 
     store, graph = tiny_store
     entry = _single_entry(store)
-    _delete_payload(store.root / entry.file)
+    _corrupt_payload(store.root / entry.file)
     reset_quarantine_counts()
     try:
-        road = Workbench(graph, store=store).road
+        road = IndexCache(graph, store=store).road
         assert road is not None
         assert quarantine_counts(store.root) == {"road": 1}
-        # The rebuild re-saved a fresh artifact under the same key.
+        # The damaged payload is kept for post-mortem, layout intact...
+        (kept,) = (store.root / "quarantine").iterdir()
+        assert kept.name == entry.file
+        # ...and the rebuild re-saved a fresh (flat) artifact under the
+        # same key, whatever layout the damaged one had.
         (fresh,) = store.entries()
-        assert fresh.kind == "road"
-        assert (store.root / fresh.file).exists()
+        assert (fresh.kind, fresh.key, fresh.format) == ("road", entry.key, "flat")
+        load_index(store, "road", graph, params={"levels": None, "seed": 0})
+        # A payload that is simply gone heals the same way.
+        _delete_payload(store.root / fresh.file)
+        assert IndexCache(graph, store=store).road is not None
+        assert quarantine_counts(store.root) == {"road": 2}
         load_index(store, "road", graph, params={"levels": None, "seed": 0})
     finally:
         reset_quarantine_counts()
@@ -420,7 +472,7 @@ def test_gc_reclaims_missing_version_mismatch_and_orphans(tiny_store):
     assert not stray_dir.exists()
     assert store.entries() == []
     # After gc the store is a clean miss again, so the cache rebuilds.
-    bench = Workbench(graph, store=store)
+    bench = IndexCache(graph, store=store)
     bench.road
     assert len(store.entries()) == 1
 
@@ -515,15 +567,17 @@ def test_cli_quarantines_store_corruption_and_answers(tmp_path, capsys):
     capsys.readouterr()
     store = IndexStore(store_dir)
     victim = next(e for e in store.entries() if e.kind == "road")
-    (store.root / victim.file).write_bytes(b"garbage")
+    _corrupt_payload(store.root / victim.file)
     code = cli.main(["query", *base, "--store", store_dir, "--k", "3",
                      "--methods", "road"])
     assert code == 0
     out = capsys.readouterr().out
     assert "road" in out
-    quarantined = list((store.root / "quarantine").glob("*.npz"))
-    assert len(quarantined) == 1
-    assert quarantined[0].read_bytes() == b"garbage"
+    (quarantined,) = (store.root / "quarantine").glob("*.flat")
+    assert any(
+        member.read_bytes().startswith(b"garbage")
+        for member in quarantined.iterdir()
+    )
     # The rebuild re-saved a healthy replacement under the same key.
     fresh = next(e for e in store.entries() if e.kind == "road")
     assert (store.root / fresh.file).exists()
@@ -537,7 +591,7 @@ def test_gc_repairs_unreadable_manifest(tiny_store):
     removed = dict(store.gc())
     assert removed["manifest.json"] == "unreadable manifest"
     assert store.entries() == []  # fresh manifest written
-    Workbench(graph, store=store).road  # store is usable again
+    IndexCache(graph, store=store).road  # store is usable again
     assert len(store.entries()) == 1
 
 
@@ -586,7 +640,7 @@ def test_gc_reclaims_unreadable_artifact_payload(tiny_store):
     removed = dict(store.gc())
     assert removed[entry.artifact_id] == "unreadable artifact file"
     assert store.entries() == []
-    Workbench(graph, store=store).road  # clean miss -> rebuild + persist
+    IndexCache(graph, store=store).road  # clean miss -> rebuild + persist
     assert len(store.entries()) == 1
 
 
@@ -632,7 +686,7 @@ def test_cli_build_ls_gc_cycle(tmp_path, capsys):
     # Sabotaged store: gc reports and removes.
     store = IndexStore(store_dir)
     victim = next(e for e in store.entries() if e.kind == "road")
-    (store.root / victim.file).unlink()
+    _delete_payload(store.root / victim.file)
     assert cli.main(["store", "gc", "--store", store_dir]) == 0
     assert "missing artifact file" in capsys.readouterr().out
 
