@@ -319,15 +319,17 @@ class IndexCache:
         """Mutate the graph and repair the built indexes in place.
 
         Coalesces ``deltas`` (last writer wins per edge), applies them to
-        the shared :class:`Graph` and then, per already-built index:
+        the shared :class:`Graph` and then, per already-built index in
+        ``INDEX_KINDS`` order:
 
-        * ``gtree`` / ``road`` / ``ch`` — bounded in-place repair via the
-          index's own ``apply_weight_deltas`` (affected G-tree nodes /
-          ROAD Rnets / CH shortcuts only).  An index that cannot repair
-          itself (:class:`~repro.updates.RepairUnavailable`, e.g. loaded
-          without provenance) is dropped and rebuilt lazily on next use.
-        * ``silc`` / ``hub_labels`` / ``tnr`` — always dropped; their
-          all-pairs nature admits no bounded repair.
+        * an index that exposes ``apply_weight_deltas`` (``gtree``,
+          ``road``, ``ch``) gets that bounded in-place repair (affected
+          G-tree nodes / ROAD Rnets / CH shortcuts only); when it cannot
+          repair itself (:class:`~repro.updates.RepairUnavailable`, e.g.
+          loaded without provenance) it is dropped and rebuilt lazily on
+          next use.
+        * any other (``silc``, ``hub_labels``, ``tnr``) is always
+          dropped; their all-pairs nature admits no bounded repair.
 
         Unbuilt slots cost nothing.  Repaired indexes are *not* written
         back to the store — the mutated graph has a new fingerprint, so
@@ -336,23 +338,29 @@ class IndexCache:
 
         Returns ``(changed, repaired, dropped)``: the graph's effective
         ``(u, v, old, new)`` list, per-index repair counters, and the
-        names of dropped index kinds.
+        names of dropped index kinds (failed repairs first).
         """
+        from repro.store import INDEX_KINDS
         from repro.updates import RepairUnavailable, coalesce_weight_deltas
 
         changed = self.graph.apply_weight_deltas(
             coalesce_weight_deltas(deltas)
         )
         repaired: Dict[str, Dict[str, int]] = {}
-        dropped: List[str] = []
+        failed: List[str] = []
+        unrepairable: List[str] = []
         if not changed:
-            return changed, repaired, dropped
+            return changed, repaired, []
         reg = obs.REGISTRY
-        for kind in ("gtree", "road", "ch"):
+        for kind in INDEX_KINDS:
             slot = "_" + kind
             with self._build_lock(kind):
                 index = getattr(self, slot)
                 if index is None:
+                    continue
+                if not hasattr(index, "apply_weight_deltas"):
+                    setattr(self, slot, None)
+                    unrepairable.append(kind)
                     continue
                 try:
                     with _span("index_repair", kind=kind):
@@ -372,13 +380,8 @@ class IndexCache:
                     # lazily.  The graph already mutated, so serving the
                     # unrepaired index would be wrong; dropping is safe.
                     setattr(self, slot, None)
-                    dropped.append(kind)
-        for kind in ("silc", "hub_labels", "tnr"):
-            slot = "_" + kind
-            with self._build_lock(kind):
-                if getattr(self, slot) is not None:
-                    setattr(self, slot, None)
-                    dropped.append(kind)
+                    failed.append(kind)
+        dropped = failed + unrepairable
         if reg.enabled:
             for kind in dropped:
                 reg.counter(

@@ -1,7 +1,9 @@
 """Road-network indexes: G-tree, ROAD and SILC.
 
 Each module provides an index (built once per road network) and the kNN /
-distance machinery the paper evaluates on top of it.  Object-set indexes
+distance machinery the paper evaluates on top of it.  G-tree and ROAD
+share one partition hierarchy (:mod:`repro.index.hierarchy`: skeleton,
+minigraph kernel, build-as-repair driver).  Object-set indexes
 (Occurrence Lists, Association Directories) live here too since they are
 bound to the corresponding road-network index.
 """

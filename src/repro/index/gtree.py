@@ -36,53 +36,20 @@ from scipy.sparse.csgraph import floyd_warshall as _floyd_warshall
 
 from repro.graph.graph import Graph
 from repro.graph.partition import recursive_partition
+from repro.index.hierarchy import (
+    HierarchyNode,
+    PartitionHierarchy,
+    clique_coo,
+    dedup_min,
+    locate,
+    pack_matrices,
+    unpack_matrix,
+)
 from repro.updates import RepairUnavailable
 from repro.utils.arrays import concat_ragged, ragged_row
 from repro.utils.counters import BUILD_COUNTERS, Counters, NULL_COUNTERS
 
 INF = float("inf")
-
-
-def _dedup_min(rows, cols, data):
-    """Collapse duplicate COO entries to their *minimum* weight.
-
-    scipy's constructors *sum* duplicate entries, which is wrong for
-    distance graphs (a raw edge coinciding with a clique edge must keep
-    the smaller weight).  Vectorised: sort by (row, col), reduce runs.
-    """
-    rows = np.concatenate(rows) if isinstance(rows, (list, tuple)) else rows
-    cols = np.concatenate(cols) if isinstance(cols, (list, tuple)) else cols
-    data = np.concatenate(data) if isinstance(data, (list, tuple)) else data
-    if len(rows) == 0:
-        return rows, cols, data
-    order = np.lexsort((cols, rows))
-    r, c, d = rows[order], cols[order], data[order]
-    first = np.empty(len(r), dtype=bool)
-    first[0] = True
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(first)
-    return r[starts], c[starts], np.minimum.reduceat(d, starts)
-
-
-def _min_csr(n: int, rows, cols, data) -> csr_matrix:
-    """CSR from COO triplets with duplicates collapsed to their minimum."""
-    r, c, d = _dedup_min(rows, cols, data)
-    if len(r) == 0:
-        return csr_matrix((n, n))
-    return csr_matrix((d, (r, c)), shape=(n, n))
-
-
-def _clique_coo(positions: np.ndarray, matrix: np.ndarray):
-    """COO triplets for a distance clique over local ``positions``."""
-    nb = len(positions)
-    if nb == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0)
-    rows = np.repeat(positions, nb)
-    cols = np.tile(positions, nb)
-    data = np.asarray(matrix, dtype=np.float64).ravel()
-    keep = np.isfinite(data) & (rows != cols)
-    return rows[keep], cols[keep], data[keep]
 
 
 def _matrix_dense(matrix) -> np.ndarray:
@@ -217,20 +184,13 @@ MATRIX_BACKENDS = {
 # ----------------------------------------------------------------------
 # Tree node
 # ----------------------------------------------------------------------
-class GTreeNode:
+class GTreeNode(HierarchyNode):
     """One G-tree node (a subgraph of the road network)."""
 
     __slots__ = (
-        "id",
-        "parent",
-        "children",
-        "level",
-        "leaf_lo",
-        "leaf_hi",
-        "vertices",
-        "borders",
         "child_borders",
         "matrix",
+        "raw",
         "pos_in_parent",
         "own_border_pos",
         "vertex_pos",
@@ -239,16 +199,12 @@ class GTreeNode:
     )
 
     def __init__(self, node_id: int, parent: int, level: int) -> None:
-        self.id = node_id
-        self.parent = parent
-        self.children: List[int] = []
-        self.level = level
-        self.leaf_lo = 0  # DFS leaf-interval for subtree membership tests
-        self.leaf_hi = 0
-        self.vertices: Optional[np.ndarray] = None  # leaf only
-        self.borders: np.ndarray = np.empty(0, dtype=np.int64)
+        super().__init__(node_id, parent, level)
         self.child_borders: Optional[np.ndarray] = None  # internal only
         self.matrix = None
+        # Pass-1 (within-subgraph) matrix: what parents' minigraphs and
+        # incremental repair read.  Not serialized.
+        self.raw: Optional[np.ndarray] = None
         self.pos_in_parent: np.ndarray = np.empty(0, dtype=np.int64)
         self.own_border_pos: np.ndarray = np.empty(0, dtype=np.int64)
         self.vertex_pos: Optional[Dict[int, int]] = None  # leaf only
@@ -258,12 +214,8 @@ class GTreeNode:
         self.leaf_csr = None
         self.leaf_lists: Optional[Tuple[list, list, list]] = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
-
-class GTree:
+class GTree(PartitionHierarchy):
     """The G-tree index.
 
     Parameters
@@ -279,11 +231,13 @@ class GTree:
         One of ``"array"`` (default), ``"hash_tuple"``, ``"hash_packed"``.
 
     The build is array-native throughout: vectorised geometric
-    partitioning, vectorised minigraph assembly, multi-source C Dijkstra
-    and closed-form min-plus corrections — no per-edge Python work.
+    partitioning, the shared vectorised minigraph assembly
+    (:mod:`repro.index.hierarchy`), multi-source C Dijkstra and
+    closed-form min-plus corrections — no per-edge Python work.
     """
 
     name = "gtree"
+    node_class = GTreeNode
 
     def __init__(
         self,
@@ -311,222 +265,64 @@ class GTree:
     # Construction
     # ------------------------------------------------------------------
     def _build(self, seed: int, partition=None) -> None:
-        graph = self.graph
         # ``partition`` lets callers (the rebuild-equality harness) pin
         # the hierarchy an existing tree was built on.
-        hierarchy = partition if partition is not None else recursive_partition(
-            graph,
+        self._flatten(partition if partition is not None else recursive_partition(
+            self.graph,
             fanout=self.fanout,
             max_leaf_size=self.tau,
             seed=seed,
             method="geometric",
-        )
-        self.partition = hierarchy
-
-        # Flatten the hierarchy into id-addressed nodes.
-        self.nodes: List[GTreeNode] = []
-
-        def add(pnode, parent_id: int, level: int) -> int:
-            node = GTreeNode(len(self.nodes), parent_id, level)
-            self.nodes.append(node)
-            for child in pnode.children:
-                cid = add(child, node.id, level + 1)
-                node.children.append(cid)
-            if not pnode.children:
-                node.vertices = np.sort(np.asarray(pnode.vertices, dtype=np.int64))
-            return node.id
-
-        add(hierarchy, -1, 0)
-        self.root = 0
-
-        # DFS leaf intervals + per-vertex leaf assignment.
-        n = graph.num_vertices
-        self.leaf_of = np.full(n, -1, dtype=np.int64)
-        self.leaf_index_of = np.full(n, -1, dtype=np.int64)
-        counter = [0]
-
-        def assign(node: GTreeNode) -> None:
-            node.leaf_lo = counter[0]
-            if node.is_leaf:
-                self.leaf_of[node.vertices] = node.id
-                counter[0] += 1
-            else:
-                for cid in node.children:
-                    assign(self.nodes[cid])
-            node.leaf_hi = counter[0]
-
-        assign(self.nodes[self.root])
-        for node in self.nodes:
-            if node.is_leaf:
-                self.leaf_index_of[node.vertices] = node.leaf_lo
-
-        # Borders: vertex u is a border of node N iff some neighbour's
-        # leaf-interval index falls outside N's interval.  One reduceat
-        # per bound over the flat CSR arrays — no per-vertex loop.
-        nmin = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        nmax = np.full(n, -1, dtype=np.int64)
-        li_all = self.leaf_index_of[graph.edge_target]
-        nonempty = np.flatnonzero(np.diff(graph.vertex_start) > 0)
-        if len(nonempty):
-            seg_starts = graph.vertex_start[nonempty]
-            nmin[nonempty] = np.minimum.reduceat(li_all, seg_starts)
-            nmax[nonempty] = np.maximum.reduceat(li_all, seg_starts)
-        for node in self.nodes:
-            verts = self._node_vertices(node)
-            mask = (nmin[verts] < node.leaf_lo) | (nmax[verts] >= node.leaf_hi)
-            node.borders = verts[mask]
-
+        ))
         # Grouped child borders + positional indexes.
         for node in self.nodes:
             if node.is_leaf:
                 node.vertex_pos = {int(v): i for i, v in enumerate(node.vertices)}
                 continue
-            groups = []
             offset = 0
             for cid in node.children:
                 child = self.nodes[cid]
-                groups.append(child.borders)
                 child.pos_in_parent = np.arange(
                     offset, offset + len(child.borders), dtype=np.int64
                 )
                 offset += len(child.borders)
-            node.child_borders = (
-                np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
+            node.child_borders = np.concatenate(
+                [self.nodes[cid].borders for cid in node.children]
             )
-            pos_of = {int(v): i for i, v in enumerate(node.child_borders)}
-            node.own_border_pos = np.asarray(
-                [pos_of[int(b)] for b in node.borders], dtype=np.int64
-            )
-
-        self._build_matrices_bulk()
-
-    def _node_vertices(self, node: GTreeNode) -> np.ndarray:
-        if node.is_leaf:
-            return node.vertices
-        parts = [self._node_vertices(self.nodes[c]) for c in node.children]
-        return np.concatenate(parts)
+            node.own_border_pos = locate(node.child_borders, node.borders)[0]
+        # The build is the repair routine with every node triggered.
+        self._repair(*self.every_node())
+        if self.matrix_backend != "array":
+            backend = MATRIX_BACKENDS[self.matrix_backend]
+            for node in self.nodes:
+                node.matrix = backend(node.matrix.m)
 
     # -- matrix machinery ------------------------------------------------
-    def _child_border_to_border(self, child: GTreeNode) -> np.ndarray:
-        """Border-to-border submatrix of a child node's raw matrix."""
-        m = child.matrix.m if hasattr(child.matrix, "m") else None
-        if m is None:
-            raise RuntimeError("matrices must be built as arrays first")
+    @staticmethod
+    def _raw_border_to_border(child: GTreeNode) -> np.ndarray:
+        """Border-to-border block of a child's pass-1 matrix."""
         if child.is_leaf:
-            cols = [child.vertex_pos[int(b)] for b in child.borders]
-            rows = np.arange(len(child.borders))
-            return m[np.ix_(rows, cols)]
-        return m[np.ix_(child.own_border_pos, child.own_border_pos)]
+            return child.raw[:, np.searchsorted(child.vertices, child.borders)]
+        return child.raw[np.ix_(child.own_border_pos, child.own_border_pos)]
 
-    def _induced_triplets(self, vs: np.ndarray):
-        """COO triplets of the subgraph induced by sorted vertex ids ``vs``.
+    def _raw_matrix(self, node: GTreeNode) -> np.ndarray:
+        """Pass-1 matrix: within-subgraph distances on the node's minigraph.
 
-        Direct CSR-slice gathering — one batch of numpy ops per call,
-        an order of magnitude cheaper than scipy's generic fancy
-        indexing for the small subgraphs the build extracts per node.
+        A leaf gets (borders x leaf vertices) from one multi-source C
+        Dijkstra.  An internal node gets all pairs over its child
+        borders; the child cliques make those minigraphs dense (~half
+        the entries are edges), so the solve is dense Floyd–Warshall,
+        which measures >2x faster here than heap-based Dijkstra.
         """
-        graph = self.graph
-        starts = graph.vertex_start[vs]
-        lens = (graph.vertex_start[vs + 1] - starts).astype(np.int64)
-        total = int(lens.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-        inc = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-        gather = np.repeat(starts, lens) + inc
-        tg = graph.edge_target[gather]
-        loc = np.searchsorted(vs, tg)
-        loc_clipped = np.minimum(loc, len(vs) - 1)
-        keep = vs[loc_clipped] == tg
-        rows = np.repeat(np.arange(len(vs), dtype=np.int64), lens)[keep]
-        return rows, loc_clipped[keep], graph.edge_weight[gather][keep]
-
-    def _leaf_matrix_bulk(
-        self, node: GTreeNode, border_clique: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """(borders x leaf vertices) distance matrix for a leaf.
-
-        The minigraph — induced leaf subgraph plus the optional exact
-        border clique — is assembled entirely with array operations and
-        solved in one multi-source C Dijkstra call.
-        """
-        vs = node.vertices
-        ir, ic, iw = self._induced_triplets(vs)
-        bpos = np.searchsorted(vs, node.borders)
-        rows, cols, data = [ir], [ic], [iw]
-        if border_clique is not None:
-            cr, cc, cd = _clique_coo(bpos, border_clique)
-            rows.append(cr)
-            cols.append(cc)
-            data.append(cd)
-        if len(bpos) == 0:
-            return np.empty((0, len(vs)))
-        local = _min_csr(len(vs), rows, cols, data)
-        return _csgraph_dijkstra(local, directed=True, indices=bpos)
-
-    def _internal_matrix_bulk(
-        self, node: GTreeNode, own_clique: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Internal-node matrix over the ``node.child_borders`` minigraph.
-
-        Edges: per-child border cliques (from child matrices), original
-        cross edges between children (both endpoints are borders of
-        their child, hence present in ``child_borders``), and optionally
-        a clique over the node's own borders carrying parent-level exact
-        distances — built as COO triplet batches, duplicates collapsed
-        to their minimum.  The child
-        cliques make these minigraphs dense (~half the entries are
-        edges), so the all-pairs solve uses dense Floyd–Warshall, which
-        measures >2x faster here than heap-based multi-source Dijkstra.
-        """
-        cb = node.child_borders
-        nb = len(cb)
-        if nb == 0:
+        n, border_pos, r, c, d = self.minigraph(node, self._raw_border_to_border)
+        if node.is_leaf:
+            if len(border_pos) == 0:
+                return np.empty((0, n))
+            local = csr_matrix((d, (r, c)), shape=(n, n))
+            return _csgraph_dijkstra(local, directed=True, indices=border_pos)
+        if n == 0:
             return np.empty((0, 0))
-        buf = self._pos_buf
-        buf[cb] = np.arange(nb)
-        try:
-            rows: List[np.ndarray] = []
-            cols: List[np.ndarray] = []
-            data: List[np.ndarray] = []
-            child_of_pos = np.empty(nb, dtype=np.int64)
-            for ci, cid in enumerate(node.children):
-                child = self.nodes[cid]
-                idx = child.pos_in_parent
-                child_of_pos[idx] = ci
-                cr, cc, cd = _clique_coo(
-                    idx, self._child_border_to_border(child)
-                )
-                rows.append(cr)
-                cols.append(cc)
-                data.append(cd)
-            graph = self.graph
-            starts = graph.vertex_start[cb]
-            lens = (graph.vertex_start[cb + 1] - starts).astype(np.int64)
-            total = int(lens.sum())
-            if total:
-                inc = np.arange(total) - np.repeat(
-                    np.cumsum(lens) - lens, lens
-                )
-                gather = np.repeat(starts, lens) + inc
-                j = buf[graph.edge_target[gather]]
-                keep = j >= 0
-                r2 = np.repeat(np.arange(nb, dtype=np.int64), lens)[keep]
-                j2 = j[keep]
-                w2 = graph.edge_weight[gather][keep]
-                cross = child_of_pos[r2] != child_of_pos[j2]
-                rows.append(r2[cross])
-                cols.append(j2[cross])
-                data.append(w2[cross])
-            if own_clique is not None:
-                cr, cc, cd = _clique_coo(node.own_border_pos, own_clique)
-                rows.append(cr)
-                cols.append(cc)
-                data.append(cd)
-            r, c, d = _dedup_min(rows, cols, data)
-        finally:
-            buf[cb] = -1
-        dense = np.full((nb, nb), INF)
+        dense = np.full((n, n), INF)
         dense[r, c] = d
         return _floyd_warshall(dense, directed=True)
 
@@ -582,204 +378,66 @@ class GTree:
             np.minimum(out[lo : lo + chunk], best, out=out[lo : lo + chunk])
         return out
 
-    def _build_matrices_bulk(self) -> None:
-        """Two-pass matrix construction.
-
-        Pass 1 (bottom-up) computes within-subgraph matrices, every
-        minigraph assembled vectorised and solved by multi-source C
-        Dijkstra.  Pass 2 (top-down) injects parent-level exact border
-        distances so every matrix becomes globally exact (out-and-back
-        paths), as closed-form min-plus corrections — no per-edge Python
-        work anywhere."""
-        self._pos_buf = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        post_order: List[GTreeNode] = []
-
-        def visit(node: GTreeNode) -> None:
-            for cid in node.children:
-                visit(self.nodes[cid])
-            post_order.append(node)
-
-        visit(self.nodes[self.root])
-        for node in post_order:
-            if node.is_leaf:
-                node.matrix = ArrayMatrix(self._leaf_matrix_bulk(node, None))
-            else:
-                node.matrix = ArrayMatrix(self._internal_matrix_bulk(node, None))
-        del self._pos_buf
-
-        # Pass-1 matrices of children feed their parent's correction, so
-        # keep them and correct top-down in level order.  They are also
-        # retained for incremental weight-delta repair.
-        raw = {node.id: node.matrix.m for node in self.nodes}
-        self._raw = raw
-        for node in sorted(self.nodes, key=lambda nd: nd.level):
-            if node.id == self.root:
-                continue
-            parent = self.nodes[node.parent]
-            clique = parent.matrix.m[
-                np.ix_(node.pos_in_parent, node.pos_in_parent)
-            ]
-            if node.is_leaf:
-                node.matrix = ArrayMatrix(
-                    self._correct_leaf(clique, raw[node.id])
-                )
-            else:
-                node.matrix = ArrayMatrix(
-                    self._correct_internal(
-                        raw[node.id], node.own_border_pos, clique
-                    )
-                )
-
-        if self.matrix_backend != "array":
-            backend = MATRIX_BACKENDS[self.matrix_backend]
-            for node in self.nodes:
-                node.matrix = backend(node.matrix.m)
-
     # ------------------------------------------------------------------
-    # Incremental repair (live weight deltas)
+    # Build and incremental repair: one two-pass routine
     # ------------------------------------------------------------------
-    def _ancestor_chain(self, node_id: int) -> List[int]:
-        chain: List[int] = []
-        while node_id >= 0:
-            chain.append(node_id)
-            node_id = self.nodes[node_id].parent
-        return chain
+    def _repair(self, triggers: Set[int], affected: Set[int]) -> Dict[str, int]:
+        """Two-pass matrix construction restricted to what can have changed.
 
-    def apply_weight_deltas(
-        self, changed: Sequence[Tuple[int, int, float, float]]
-    ) -> Dict[str, int]:
-        """Repair distance matrices after in-place edge-weight changes.
-
-        ``changed`` is :meth:`Graph.apply_weight_deltas` output — the
-        graph already holds the new weights.  The repair replays the
-        exact two-pass build restricted to *affected* nodes (the union
-        of the ancestor chains of the changed edges' endpoint leaves):
-
-        * a raw edge appears in exactly one minigraph — the endpoint
-          leaf for an intra-leaf edge, else the LCA of the two endpoint
-          leaves — so pass-1 recomputation starts there and propagates
-          upward only while a child's raw matrix actually changed
-          (bitwise compare);
-        * pass 2 sweeps in the build's level order from an all-raw
-          matrix state, reusing the previous corrected matrix whenever
-          a node's raw matrix and its parent-clique block are both
-          bitwise unchanged.
-
-        Because every recomputation calls the same kernels on bitwise
-        identical inputs as a from-scratch build on this partition
-        hierarchy, the repaired tree is byte-identical to that rebuild.
-        Returns repair counters.  Raises :class:`RepairUnavailable` for
-        trees without raw matrices (loaded from the store) or non-array
-        matrix backends.
+        Pass 1 (bottom-up, :meth:`recompute_bottom_up`) re-solves the
+        pass-1 matrix of every trigger and of every ancestor a bitwise
+        change reaches.  Pass 2 (top-down, level order) injects
+        parent-level exact border distances so every matrix becomes
+        globally exact (out-and-back paths), as closed-form min-plus
+        corrections; a node keeps its previous corrected matrix when its
+        pass-1 matrix and its parent-clique block are both bitwise
+        unchanged.  A build runs this with every node triggered and no
+        previous matrices, so both passes visit every node.
         """
-        if getattr(self, "_raw", None) is None:
-            raise RepairUnavailable(
-                "gtree was loaded without pass-1 matrices; rebuild instead"
-            )
-        if self.matrix_backend != "array":
-            raise RepairUnavailable(
-                "gtree repair supports the array matrix backend only"
-            )
+        old = [node.matrix for node in self.nodes]
+        solves, raw_changed = self.recompute_bottom_up(
+            triggers, affected, "raw", self._raw_matrix
+        )
         counters = {
-            "nodes_affected": 0,
-            "raw_recomputed": 0,
+            "nodes_affected": len(affected),
+            "raw_recomputed": solves,
             "corrected_recomputed": 0,
             "leaves_reset": 0,
         }
-        if not changed:
-            return counters
-
-        triggers: Set[int] = set()
-        affected: Set[int] = set()
-        for u, v, _old, _new in changed:
-            chain_u = self._ancestor_chain(int(self.leaf_of[int(u)]))
-            chain_v = self._ancestor_chain(int(self.leaf_of[int(v)]))
-            affected.update(chain_u)
-            affected.update(chain_v)
-            if chain_u[0] == chain_v[0]:
-                triggers.add(chain_u[0])
-            else:
-                common = set(chain_u) & set(chain_v)
-                triggers.add(max(common, key=lambda nid: self.nodes[nid].level))
-        counters["nodes_affected"] = len(affected)
-
-        raw = self._raw
-        old_corr = {node.id: node.matrix for node in self.nodes}
-        # Full-swap discipline: both build passes read *raw* child
-        # matrices, so restore the all-raw state the build passes see.
-        for node in self.nodes:
-            node.matrix = ArrayMatrix(raw[node.id])
-
-        self._pos_buf = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-        try:
-            # Pass 1: bottom-up raw recomputation over affected nodes.
-            raw_changed: Set[int] = set()
-            for node in sorted(
-                (self.nodes[i] for i in affected), key=lambda nd: -nd.level
-            ):
-                if node.id not in triggers and not any(
-                    c in raw_changed for c in node.children
-                ):
-                    continue
-                new_raw = (
-                    self._leaf_matrix_bulk(node, None)
-                    if node.is_leaf
-                    else self._internal_matrix_bulk(node, None)
-                )
-                counters["raw_recomputed"] += 1
-                if not np.array_equal(raw[node.id], new_raw):
-                    raw[node.id] = new_raw
-                    node.matrix = ArrayMatrix(new_raw)
-                    raw_changed.add(node.id)
-
-            # Pass 2: level-order correction sweep with bitwise pruning.
-            corrected_changed: Set[int] = set()
-            if self.root in raw_changed:
-                corrected_changed.add(self.root)
-            for node in sorted(self.nodes, key=lambda nd: nd.level):
-                if node.id == self.root:
-                    continue  # the root's corrected matrix IS its raw one
-                parent = self.nodes[node.parent]
-                if (
-                    node.id not in raw_changed
-                    and parent.id not in corrected_changed
-                ):
-                    node.matrix = old_corr[node.id]
-                    continue
-                clique = parent.matrix.m[
-                    np.ix_(node.pos_in_parent, node.pos_in_parent)
-                ]
-                if node.id not in raw_changed and np.array_equal(
-                    clique,
-                    old_corr[parent.id].m[
-                        np.ix_(node.pos_in_parent, node.pos_in_parent)
-                    ],
-                ):
-                    node.matrix = old_corr[node.id]
-                    continue
-                corrected = (
-                    self._correct_leaf(clique, raw[node.id])
-                    if node.is_leaf
-                    else self._correct_internal(
-                        raw[node.id], node.own_border_pos, clique
-                    )
-                )
-                counters["corrected_recomputed"] += 1
-                node.matrix = ArrayMatrix(corrected)
-                if not np.array_equal(corrected, old_corr[node.id].m):
+        corrected_changed: Set[int] = set()
+        for node in sorted(self.nodes, key=lambda nd: nd.level):
+            if node.id == self.root:
+                # The root's corrected matrix IS its pass-1 matrix.
+                if node.id in raw_changed:
+                    node.matrix = ArrayMatrix(node.raw)
                     corrected_changed.add(node.id)
-        finally:
-            del self._pos_buf
+                continue
+            parent = self.nodes[node.parent]
+            if node.id not in raw_changed and parent.id not in corrected_changed:
+                continue
+            block = np.ix_(node.pos_in_parent, node.pos_in_parent)
+            clique = parent.matrix.m[block]
+            if node.id not in raw_changed and np.array_equal(
+                clique, old[parent.id].m[block]
+            ):
+                continue
+            corrected = (
+                self._correct_leaf(clique, node.raw)
+                if node.is_leaf
+                else self._correct_internal(node.raw, node.own_border_pos, clique)
+            )
+            counters["corrected_recomputed"] += 1
+            node.matrix = ArrayMatrix(corrected)
+            if old[node.id] is None or not np.array_equal(corrected, old[node.id].m):
+                corrected_changed.add(node.id)
 
         # Leaf search caches embed raw edge weights and the parent
         # clique; drop the stale ones for lazy rebuild.
         for node in self.nodes:
-            if not node.is_leaf:
-                continue
-            if (
+            if node.is_leaf and (
                 node.id in triggers
                 or node.id in raw_changed
-                or (node.parent >= 0 and node.parent in corrected_changed)
+                or node.parent in corrected_changed
             ):
                 if node.leaf_csr is not None:
                     counters["leaves_reset"] += 1
@@ -787,23 +445,35 @@ class GTree:
                 node.leaf_lists = None
         return counters
 
+    def apply_weight_deltas(
+        self, changed: Sequence[Tuple[int, int, float, float]]
+    ) -> Dict[str, int]:
+        """Repair distance matrices after in-place edge-weight changes.
+
+        ``changed`` is :meth:`Graph.apply_weight_deltas` output — the
+        graph already holds the new weights.  The repair is the build
+        (:meth:`_repair`) restricted to the nodes
+        :meth:`~PartitionHierarchy.repair_plan` names, so every
+        recomputation calls the same kernels on bitwise identical inputs
+        as a from-scratch build on this partition hierarchy and the
+        repaired tree is byte-identical to that rebuild.  Returns repair
+        counters.  Raises :class:`RepairUnavailable` for trees without
+        pass-1 matrices (loaded from the store) or non-array matrix
+        backends.
+        """
+        if self.nodes[self.root].raw is None:
+            raise RepairUnavailable(
+                "gtree was loaded without pass-1 matrices; rebuild instead"
+            )
+        if self.matrix_backend != "array":
+            raise RepairUnavailable(
+                "gtree repair supports the array matrix backend only"
+            )
+        return self._repair(*self.repair_plan(changed))
+
     # ------------------------------------------------------------------
     # Assembly (materialized distance computation)
     # ------------------------------------------------------------------
-    def is_ancestor(self, node_id: int, leaf_id: int) -> bool:
-        node = self.nodes[node_id]
-        leaf = self.nodes[leaf_id]
-        return node.leaf_lo <= leaf.leaf_lo and leaf.leaf_hi <= node.leaf_hi
-
-    def child_towards(self, node_id: int, leaf_id: int) -> int:
-        """The child of ``node_id`` whose subtree contains ``leaf_id``."""
-        leaf = self.nodes[leaf_id]
-        for cid in self.nodes[node_id].children:
-            child = self.nodes[cid]
-            if child.leaf_lo <= leaf.leaf_lo and leaf.leaf_hi <= child.leaf_hi:
-                return cid
-        raise ValueError(f"node {node_id} is not an ancestor of leaf {leaf_id}")
-
     def leaf_border_distances(self, vertex: int) -> np.ndarray:
         """Exact distances from ``vertex`` to its leaf's borders (O(B))."""
         leaf = self.nodes[int(self.leaf_of[vertex])]
@@ -873,15 +543,13 @@ class GTree:
         if leaf.leaf_csr is None:
             clique = self._leaf_border_clique(leaf)
             vs = leaf.vertices
-            ir, ic, iw = self._induced_triplets(vs)
-            rows, cols, data = [ir], [ic], [iw]
+            batches = [self.induced_triplets(vs)]
             if clique is not None:
-                bpos = np.searchsorted(vs, leaf.borders)
-                cr, cc, cd = _clique_coo(bpos, clique)
-                rows.append(cr)
-                cols.append(cc)
-                data.append(cd)
-            leaf.leaf_csr = _min_csr(len(vs), rows, cols, data)
+                batches.append(
+                    clique_coo(np.searchsorted(vs, leaf.borders), clique)
+                )
+            r, c, d = dedup_min(*zip(*batches))
+            leaf.leaf_csr = csr_matrix((d, (r, c)), shape=(len(vs), len(vs)))
         return leaf.leaf_csr
 
     def leaf_local_lists(self, leaf: GTreeNode) -> Tuple[list, list, list]:
@@ -1001,57 +669,29 @@ class GTree:
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Flatten the tree into numpy arrays (Section 6.2 layout, on disk).
 
-        Ragged per-node sequences (vertices, borders, matrices, ...) are
-        concatenated with ``*_off`` offset arrays; ``from_arrays`` slices
-        them back.  The paper's flat-array layout is thereby also the
-        storage format — no pickling of node objects.
+        The shared :meth:`topology_arrays` plus G-tree's grouped child
+        borders, positional indexes and corrected matrices — no pickling
+        of node objects.
         """
         nodes = self.nodes
+        out = self.topology_arrays()
         empty = np.empty(0, dtype=np.int64)
-        verts, verts_off = concat_ragged(
-            [n.vertices if n.vertices is not None else empty for n in nodes],
-            np.int64,
-        )
-        borders, borders_off = concat_ragged([n.borders for n in nodes], np.int64)
-        cb, cb_off = concat_ragged(
-            [n.child_borders if n.child_borders is not None else empty for n in nodes],
-            np.int64,
-        )
-        children, children_off = concat_ragged(
-            [np.asarray(n.children, dtype=np.int64) for n in nodes], np.int64
-        )
-        pip, pip_off = concat_ragged([n.pos_in_parent for n in nodes], np.int64)
-        obp, obp_off = concat_ragged([n.own_border_pos for n in nodes], np.int64)
-        mats = [_matrix_dense(n.matrix) for n in nodes]
-        mat_flat, mat_off = concat_ragged([m.ravel() for m in mats], np.float64)
-        mat_shape = np.asarray([m.shape for m in mats], dtype=np.int64)
-        return {
-            "parent": np.asarray([n.parent for n in nodes], dtype=np.int64),
-            "level": np.asarray([n.level for n in nodes], dtype=np.int64),
-            "leaf_lo": np.asarray([n.leaf_lo for n in nodes], dtype=np.int64),
-            "leaf_hi": np.asarray([n.leaf_hi for n in nodes], dtype=np.int64),
-            "children": children,
-            "children_off": children_off,
-            "vertices": verts,
-            "vertices_off": verts_off,
-            "borders": borders,
-            "borders_off": borders_off,
-            "child_borders": cb,
-            "child_borders_off": cb_off,
-            "pos_in_parent": pip,
-            "pos_in_parent_off": pip_off,
-            "own_border_pos": obp,
-            "own_border_pos_off": obp_off,
-            "matrix": mat_flat,
-            "matrix_off": mat_off,
-            "matrix_shape": mat_shape,
-            "leaf_of": self.leaf_of,
-            "leaf_index_of": self.leaf_index_of,
-            "fanout": np.asarray(self.fanout),
-            "tau": np.asarray(self.tau),
-            "matrix_backend": np.asarray(self.matrix_backend),
-            "build_time": np.asarray(self._build_time),
+        ragged = {
+            "child_borders": [
+                n.child_borders if n.child_borders is not None else empty
+                for n in nodes
+            ],
+            "pos_in_parent": [n.pos_in_parent for n in nodes],
+            "own_border_pos": [n.own_border_pos for n in nodes],
         }
+        for name, rows in ragged.items():
+            out[name], out[f"{name}_off"] = concat_ragged(rows, np.int64)
+        out.update(pack_matrices("matrix", [_matrix_dense(n.matrix) for n in nodes]))
+        out["fanout"] = np.asarray(self.fanout)
+        out["tau"] = np.asarray(self.tau)
+        out["matrix_backend"] = np.asarray(self.matrix_backend)
+        out["build_time"] = np.asarray(self._build_time)
+        return out
 
     @classmethod
     def from_arrays(cls, graph: Graph, arrays: Dict[str, np.ndarray]) -> "GTree":
@@ -1059,48 +699,29 @@ class GTree:
 
         ``build_time()`` reports the *original* construction wall-time
         (recorded in the artifact), so preprocessing figures stay honest
-        when served from the store.
+        when served from the store.  Leaf caches are rebuilt lazily on
+        first same-leaf search.  Pass-1 matrices are not serialized, so
+        a loaded tree cannot repair in place (``apply_weight_deltas``
+        raises RepairUnavailable and callers rebuild).
         """
-        self = cls.__new__(cls)
-        self.graph = graph
+        self = cls._from_topology(graph, arrays)
         self.fanout = int(arrays["fanout"])
         self.tau = int(arrays["tau"])
         self.matrix_backend = str(arrays["matrix_backend"])
         self._build_time = float(arrays["build_time"])
         backend = MATRIX_BACKENDS[self.matrix_backend]
 
-        parent = arrays["parent"]
-        n_nodes = len(parent)
-
         def rag(name: str, i: int) -> np.ndarray:
             return ragged_row(arrays[name], arrays[f"{name}_off"], i)
 
-        self.nodes = []
-        for i in range(n_nodes):
-            node = GTreeNode(i, int(parent[i]), int(arrays["level"][i]))
-            node.leaf_lo = int(arrays["leaf_lo"][i])
-            node.leaf_hi = int(arrays["leaf_hi"][i])
-            node.children = [int(c) for c in rag("children", i)]
-            node.borders = rag("borders", i)
+        for i, node in enumerate(self.nodes):
             node.pos_in_parent = rag("pos_in_parent", i)
             node.own_border_pos = rag("own_border_pos", i)
-            rows, cols = (int(v) for v in arrays["matrix_shape"][i])
-            node.matrix = backend(rag("matrix", i).reshape(rows, cols))
+            node.matrix = backend(unpack_matrix(arrays, "matrix", i))
             if node.is_leaf:
-                node.vertices = rag("vertices", i)
                 node.vertex_pos = {int(v): j for j, v in enumerate(node.vertices)}
             else:
                 node.child_borders = rag("child_borders", i)
-            self.nodes.append(node)
-        self.root = 0
-        self.leaf_of = np.asarray(arrays["leaf_of"], dtype=np.int64)
-        self.leaf_index_of = np.asarray(arrays["leaf_index_of"], dtype=np.int64)
-        # Leaf caches are rebuilt lazily on first same-leaf search.  Pass-1
-        # matrices and the partition hierarchy are not serialized, so a
-        # loaded tree cannot repair in place (apply_weight_deltas raises
-        # RepairUnavailable and callers rebuild).
-        self._raw = None
-        self.partition = None
         return self
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -28,48 +28,28 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.graph import Graph
 from repro.graph.partition import recursive_partition
-from repro.utils.arrays import concat_ragged, ragged_row
+from repro.index.hierarchy import (
+    HierarchyNode,
+    PartitionHierarchy,
+    pack_matrices,
+    unpack_matrix,
+)
 from repro.utils.counters import BUILD_COUNTERS
 
-INF = float("inf")
 
-
-class RnetNode:
+class RnetNode(HierarchyNode):
     """One Rnet in the hierarchy."""
 
-    __slots__ = (
-        "id",
-        "parent",
-        "children",
-        "level",
-        "leaf_lo",
-        "leaf_hi",
-        "vertices",
-        "borders",
-        "border_pos",
-        "shortcut_matrix",
-        "interior_size",
-    )
+    __slots__ = ("border_pos", "shortcut_matrix", "interior_size")
 
     def __init__(self, node_id: int, parent: int, level: int) -> None:
-        self.id = node_id
-        self.parent = parent
-        self.children: List[int] = []
-        self.level = level
-        self.leaf_lo = 0
-        self.leaf_hi = 0
-        self.vertices: Optional[np.ndarray] = None  # leaf Rnets only
-        self.borders: np.ndarray = np.empty(0, dtype=np.int64)
+        super().__init__(node_id, parent, level)
         self.border_pos: Dict[int, int] = {}
         self.shortcut_matrix: Optional[np.ndarray] = None
         self.interior_size = 0
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
-
-class RoadIndex:
+class RoadIndex(PartitionHierarchy):
     """The ROAD road-network index (Route Overlay + shortcut hierarchy).
 
     Parameters
@@ -84,6 +64,7 @@ class RoadIndex:
     """
 
     name = "road"
+    node_class = RnetNode
 
     def __init__(
         self,
@@ -103,69 +84,25 @@ class RoadIndex:
         self._build(seed, partition)
         self._build_time = time.perf_counter() - start
 
+    @property
+    def rnets(self) -> List[RnetNode]:
+        return self.nodes
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build(self, seed: int, partition=None) -> None:
-        graph = self.graph
         # The multilevel partitioner reads edge weights; ``partition``
         # pins the hierarchy so a rebuild after weight deltas can be
         # compared against in-place repair (see apply_weight_deltas).
-        hierarchy = partition if partition is not None else recursive_partition(
-            graph, fanout=self.fanout, max_levels=self.levels, seed=seed
-        )
-        self.partition = hierarchy
-        self.rnets: List[RnetNode] = []
-
-        def add(pnode, parent_id: int, level: int) -> int:
-            node = RnetNode(len(self.rnets), parent_id, level)
-            self.rnets.append(node)
-            for child in pnode.children:
-                cid = add(child, node.id, level + 1)
-                node.children.append(cid)
-            if not pnode.children:
-                node.vertices = np.sort(np.asarray(pnode.vertices, dtype=np.int64))
-            return node.id
-
-        add(hierarchy, -1, 0)
-        self.root = 0
-
-        n = graph.num_vertices
-        self.leaf_of = np.full(n, -1, dtype=np.int64)
-        self.leaf_index_of = np.full(n, -1, dtype=np.int64)
-        counter = [0]
-
-        def assign(node: RnetNode) -> None:
-            node.leaf_lo = counter[0]
-            if node.is_leaf:
-                self.leaf_of[node.vertices] = node.id
-                self.leaf_index_of[node.vertices] = counter[0]
-                counter[0] += 1
-            else:
-                for cid in node.children:
-                    assign(self.rnets[cid])
-            node.leaf_hi = counter[0]
-
-        assign(self.rnets[self.root])
-
-        # Borders per Rnet via the neighbour leaf-interval trick.
-        nmin = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        nmax = np.full(n, -1, dtype=np.int64)
-        for u in range(n):
-            targets, _ = graph.neighbor_slice(u)
-            if len(targets):
-                li = self.leaf_index_of[targets]
-                nmin[u] = li.min()
-                nmax[u] = li.max()
-        for node in self.rnets:
-            verts = self._rnet_vertices(node)
-            mask = (nmin[verts] < node.leaf_lo) | (nmax[verts] >= node.leaf_hi)
-            node.borders = verts[mask]
+        self._flatten(partition if partition is not None else recursive_partition(
+            self.graph, fanout=self.fanout, max_levels=self.levels, seed=seed
+        ))
+        for node in self.nodes:
             node.border_pos = {int(b): i for i, b in enumerate(node.borders)}
-            node.interior_size = len(verts) - len(node.borders)
-
-        self._build_shortcuts()
-        self._build_query_structures()
+            node.interior_size = len(self.node_vertices(node)) - len(node.borders)
+        # The build is the repair routine with every Rnet triggered.
+        self._repair(*self.every_node())
 
     def _build_query_structures(self) -> None:
         """Derived structures shared by ``_build`` and ``from_arrays``."""
@@ -205,187 +142,58 @@ class RoadIndex:
                     rows.append(row)
             self._shortcut_lists.append(rows)
 
-    def _rnet_vertices(self, node: RnetNode) -> np.ndarray:
-        if node.is_leaf:
-            return node.vertices
-        parts = [self._rnet_vertices(self.rnets[c]) for c in node.children]
-        return np.concatenate(parts)
-
-    @staticmethod
-    def _multi_dijkstra(
-        adj: List[List[Tuple[int, float]]], sources: Sequence[int]
-    ) -> np.ndarray:
-        """Dijkstra over a local adjacency; parallel edges collapse to min
-        (scipy's COO constructor would otherwise sum duplicates)."""
-        n = len(adj)
-        if n == 0 or not sources:
-            return np.empty((len(sources), n))
-        best: Dict[Tuple[int, int], float] = {}
-        for u, lst in enumerate(adj):
-            for v, w in lst:
-                key = (u, v)
-                prev = best.get(key)
-                if prev is None or w < prev:
-                    best[key] = w
-        rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-        cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-        data = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-        m = csr_matrix((data, (rows, cols)), shape=(n, n))
-        return _csgraph_dijkstra(m, directed=True, indices=list(sources))
-
-    def _node_shortcut_matrix(self, node: RnetNode) -> np.ndarray:
-        """Within-Rnet border-to-border distances for one Rnet.
-
-        Leaves run Dijkstra over their induced subgraph; internal Rnets
-        over the minigraph of child shortcut cliques plus the original
-        cross edges between different children.  Children's matrices
-        must be current — both the build and the incremental repair call
-        this bottom-up.
-        """
-        graph = self.graph
-        if node.is_leaf:
-            verts = node.vertices
-            pos = {int(v): i for i, v in enumerate(verts)}
-            adj: List[List[Tuple[int, float]]] = [[] for _ in verts]
-            for v in verts:
-                i = pos[int(v)]
-                targets, weights = graph.neighbor_slice(int(v))
-                for t, w in zip(targets, weights):
-                    j = pos.get(int(t))
-                    if j is not None:
-                        adj[i].append((j, float(w)))
-            if not len(node.borders):
-                return np.empty((0, 0))
-            sources = [pos[int(b)] for b in node.borders]
-            return self._multi_dijkstra(adj, sources)[
-                :, [pos[int(b)] for b in node.borders]
-            ]
-        # Minigraph over child borders.  (Children partition vertices,
-        # so each border belongs to exactly one child.)
-        groups: List[np.ndarray] = []
-        for cid in node.children:
-            groups.append(self.rnets[cid].borders)
-        cb = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
-        pos_of = {int(v): i for i, v in enumerate(cb)}
-        adj = [[] for _ in cb]
-        offset = 0
-        for cid in node.children:
-            child = self.rnets[cid]
-            bb = child.shortcut_matrix
-            nb = len(child.borders)
-            for a in range(nb):
-                for b2 in range(nb):
-                    if a != b2 and np.isfinite(bb[a, b2]):
-                        adj[offset + a].append((offset + b2, float(bb[a, b2])))
-            offset += nb
-        for i, u in enumerate(cb):
-            targets, weights = graph.neighbor_slice(int(u))
-            for t, w in zip(targets, weights):
-                j = pos_of.get(int(t))
-                if j is None:
-                    continue
-                if self._child_of(node, int(u)) != self._child_of(node, int(t)):
-                    adj[i].append((j, float(w)))
-        if not len(node.borders):
+    def _shortcuts(self, node: RnetNode) -> np.ndarray:
+        """Within-Rnet border-to-border distances for one Rnet: one
+        multi-source C Dijkstra from the Rnet's own borders over its
+        minigraph (children's shortcut matrices must be current)."""
+        n, border_pos, r, c, d = self.minigraph(
+            node, lambda child: child.shortcut_matrix
+        )
+        if len(border_pos) == 0:
             return np.empty((0, 0))
-        sources = [pos_of[int(b)] for b in node.borders]
-        return self._multi_dijkstra(adj, sources)[:, sources]
-
-    def _build_shortcuts(self) -> None:
-        """Bottom-up within-Rnet border-to-border distances."""
-        post_order: List[RnetNode] = []
-
-        def visit(node: RnetNode) -> None:
-            for cid in node.children:
-                visit(self.rnets[cid])
-            post_order.append(node)
-
-        visit(self.rnets[self.root])
-        for node in post_order:
-            node.shortcut_matrix = self._node_shortcut_matrix(node)
+        local = csr_matrix((d, (r, c)), shape=(n, n))
+        return _csgraph_dijkstra(local, directed=True, indices=border_pos)[
+            :, border_pos
+        ]
 
     # ------------------------------------------------------------------
-    # Incremental repair (live weight deltas)
+    # Build and incremental repair: one bottom-up routine
     # ------------------------------------------------------------------
+    def _repair(self, triggers: Set[int], affected: Set[int]) -> Dict[str, int]:
+        solves, changed = self.recompute_bottom_up(
+            triggers, affected, "shortcut_matrix", self._shortcuts
+        )
+        if affected:
+            # The flat query-time lists snapshot edge weights and
+            # shortcut rows, so any weight change refreshes them.
+            self._build_query_structures()
+        return {
+            "rnets_affected": len(affected),
+            "shortcuts_recomputed": solves,
+            "shortcuts_changed": len(changed),
+        }
+
     def apply_weight_deltas(
         self, changed: Sequence[Tuple[int, int, float, float]]
     ) -> Dict[str, int]:
         """Repair shortcut matrices after in-place edge-weight changes.
 
-        ``changed`` is :meth:`Graph.apply_weight_deltas` output.  A raw
-        edge enters exactly one Rnet's computation directly — the
-        endpoint leaf for an intra-leaf edge, else the LCA Rnet of the
-        two endpoint leaves (the only Rnet where the endpoints fall in
-        *different* children, which is the minigraph's cross-edge test).
-        Repair recomputes bottom-up along the endpoint-leaf ancestor
-        chains, stopping early when a recomputed matrix is bitwise
-        unchanged, then refreshes the derived query structures (which
-        snapshot edge weights).  Because :meth:`_node_shortcut_matrix`
-        is the build's own per-node computation, the repaired index is
-        byte-identical to a rebuild on the same partition hierarchy.
+        ``changed`` is :meth:`Graph.apply_weight_deltas` output.  The
+        repair is the build restricted to the Rnets
+        :meth:`~PartitionHierarchy.repair_plan` names — bottom-up along
+        the endpoint-leaf ancestor chains, stopping early when a
+        recomputed matrix is bitwise unchanged — followed by a refresh
+        of the derived query structures (which snapshot edge weights).
+        Because :meth:`_shortcuts` is the build's own per-node
+        computation, the repaired index is byte-identical to a rebuild
+        on the same partition hierarchy.  Returns repair counters.
         """
-        counters = {
-            "rnets_affected": 0,
-            "shortcuts_recomputed": 0,
-            "shortcuts_changed": 0,
-        }
-        if not changed:
-            return counters
-        triggers: set = set()
-        affected: set = set()
-
-        def chain(node_id: int) -> List[int]:
-            out = []
-            while node_id >= 0:
-                out.append(node_id)
-                node_id = self.rnets[node_id].parent
-            return out
-
-        for u, v, _old, _new in changed:
-            chain_u = chain(int(self.leaf_of[int(u)]))
-            chain_v = chain(int(self.leaf_of[int(v)]))
-            affected.update(chain_u)
-            affected.update(chain_v)
-            if chain_u[0] == chain_v[0]:
-                triggers.add(chain_u[0])
-            else:
-                common = set(chain_u) & set(chain_v)
-                triggers.add(max(common, key=lambda nid: self.rnets[nid].level))
-        counters["rnets_affected"] = len(affected)
-        matrix_changed: set = set()
-        for node in sorted(
-            (self.rnets[i] for i in affected), key=lambda nd: -nd.level
-        ):
-            if node.id not in triggers and not any(
-                c in matrix_changed for c in node.children
-            ):
-                continue
-            new_matrix = self._node_shortcut_matrix(node)
-            counters["shortcuts_recomputed"] += 1
-            if not np.array_equal(node.shortcut_matrix, new_matrix):
-                node.shortcut_matrix = new_matrix
-                matrix_changed.add(node.id)
-        counters["shortcuts_changed"] = len(matrix_changed)
-        # The flat query-time lists snapshot edge weights and shortcut
-        # rows; always refresh them.
-        self._build_query_structures()
-        return counters
-
-    def _child_of(self, node: RnetNode, vertex: int) -> int:
-        li = int(self.leaf_index_of[vertex])
-        for cid in node.children:
-            child = self.rnets[cid]
-            if child.leaf_lo <= li < child.leaf_hi:
-                return cid
-        return -1
+        return self._repair(*self.repair_plan(changed))
 
     # ------------------------------------------------------------------
     # Search support
     # ------------------------------------------------------------------
-    def in_rnet(self, rnet_id: int, vertex: int) -> bool:
-        node = self.rnets[rnet_id]
-        li = int(self.leaf_index_of[vertex])
-        return node.leaf_lo <= li < node.leaf_hi
+    in_rnet = PartitionHierarchy.contains
 
     def shortcut_row(self, rnet_id: int, vertex: int) -> Tuple[np.ndarray, np.ndarray]:
         """(border vertices, shortcut distances) from ``vertex`` in an Rnet."""
@@ -434,85 +242,30 @@ class RoadIndex:
         structures, recomputed cheaply by ``from_arrays`` — only the
         expensive Dijkstra products (shortcut matrices) are stored.
         """
-        rnets = self.rnets
-        empty = np.empty(0, dtype=np.int64)
-        verts, verts_off = concat_ragged(
-            [n.vertices if n.vertices is not None else empty for n in rnets],
-            np.int64,
+        out = self.topology_arrays()
+        out["interior_size"] = np.asarray(
+            [n.interior_size for n in self.nodes], dtype=np.int64
         )
-        borders, borders_off = concat_ragged([n.borders for n in rnets], np.int64)
-        children, children_off = concat_ragged(
-            [np.asarray(n.children, dtype=np.int64) for n in rnets], np.int64
-        )
-        mats = [
-            n.shortcut_matrix
-            if n.shortcut_matrix is not None
-            else np.empty((0, 0))
-            for n in rnets
-        ]
-        mat_flat, mat_off = concat_ragged([m.ravel() for m in mats], np.float64)
-        mat_shape = np.asarray([m.shape for m in mats], dtype=np.int64)
-        return {
-            "parent": np.asarray([n.parent for n in rnets], dtype=np.int64),
-            "level": np.asarray([n.level for n in rnets], dtype=np.int64),
-            "leaf_lo": np.asarray([n.leaf_lo for n in rnets], dtype=np.int64),
-            "leaf_hi": np.asarray([n.leaf_hi for n in rnets], dtype=np.int64),
-            "interior_size": np.asarray(
-                [n.interior_size for n in rnets], dtype=np.int64
-            ),
-            "children": children,
-            "children_off": children_off,
-            "vertices": verts,
-            "vertices_off": verts_off,
-            "borders": borders,
-            "borders_off": borders_off,
-            "shortcut": mat_flat,
-            "shortcut_off": mat_off,
-            "shortcut_shape": mat_shape,
-            "leaf_of": self.leaf_of,
-            "leaf_index_of": self.leaf_index_of,
-            "fanout": np.asarray(self.fanout),
-            "levels": np.asarray(self.levels),
-            "build_time": np.asarray(self._build_time),
-        }
+        out.update(pack_matrices("shortcut", [n.shortcut_matrix for n in self.nodes]))
+        out["fanout"] = np.asarray(self.fanout)
+        out["levels"] = np.asarray(self.levels)
+        out["build_time"] = np.asarray(self._build_time)
+        return out
 
     @classmethod
     def from_arrays(cls, graph: Graph, arrays: Dict[str, np.ndarray]) -> "RoadIndex":
-        """Rehydrate a :meth:`to_arrays` dump without re-running Dijkstra."""
-        self = cls.__new__(cls)
-        self.graph = graph
+        """Rehydrate a :meth:`to_arrays` dump without re-running Dijkstra.
+
+        Repair still works on a loaded index (it needs only the current
+        shortcut matrices)."""
+        self = cls._from_topology(graph, arrays)
         self.fanout = int(arrays["fanout"])
         self.levels = int(arrays["levels"])
         self._build_time = float(arrays["build_time"])
-
-        parent = arrays["parent"]
-        self.rnets = []
-        for i in range(len(parent)):
-            node = RnetNode(i, int(parent[i]), int(arrays["level"][i]))
-            node.leaf_lo = int(arrays["leaf_lo"][i])
-            node.leaf_hi = int(arrays["leaf_hi"][i])
+        for i, node in enumerate(self.nodes):
             node.interior_size = int(arrays["interior_size"][i])
-            node.children = [
-                int(c)
-                for c in ragged_row(arrays["children"], arrays["children_off"], i)
-            ]
-            node.borders = ragged_row(arrays["borders"], arrays["borders_off"], i)
             node.border_pos = {int(b): j for j, b in enumerate(node.borders)}
-            rows, cols = (int(v) for v in arrays["shortcut_shape"][i])
-            node.shortcut_matrix = ragged_row(
-                arrays["shortcut"], arrays["shortcut_off"], i
-            ).reshape(rows, cols)
-            if node.is_leaf:
-                node.vertices = ragged_row(
-                    arrays["vertices"], arrays["vertices_off"], i
-                )
-            self.rnets.append(node)
-        self.root = 0
-        self.leaf_of = np.asarray(arrays["leaf_of"], dtype=np.int64)
-        self.leaf_index_of = np.asarray(arrays["leaf_index_of"], dtype=np.int64)
-        # Not serialized; repair still works (it needs only the current
-        # shortcut matrices), but rebuild-equality pinning does not.
-        self.partition = None
+            node.shortcut_matrix = unpack_matrix(arrays, "shortcut", i)
         self._build_query_structures()
         return self
 

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from repro.graph.generators import road_network, grid_network, travel_time_weights
-from repro.graph.graph import from_edge_list
+from repro.graph.graph import Graph, from_edge_list
 from repro.objects import uniform_objects
 
 
@@ -64,3 +65,84 @@ def objects400(road400):
 def queries400(road400):
     rng = np.random.default_rng(3)
     return [int(q) for q in rng.integers(0, road400.num_vertices, size=20)]
+
+
+# ----------------------------------------------------------------------
+# Adversarial inputs for the shared partition hierarchy
+# ----------------------------------------------------------------------
+def _unit_grid_edges(width, height, offset=0):
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            i = offset + r * width + c
+            if c + 1 < width:
+                edges.append((i, i + 1, 1.0))
+            if r + 1 < height:
+                edges.append((i, i + width, 1.0))
+    return edges
+
+
+def _with_parallel_edges(graph: Graph) -> Graph:
+    """``graph`` plus, on every third edge, two parallel copies — one
+    heavier, one lighter — written straight into the CSR (GraphBuilder
+    would collapse them)."""
+    arcs = []
+    for k, (u, v, w) in enumerate(graph.edge_list()):
+        weights = (w, 1.7 * w, 0.6 * w) if k % 3 == 0 else (w,)
+        for x in weights:
+            arcs += [(u, v, x), (v, u, x)]
+    arcs.sort(key=lambda a: (a[0], a[1]))
+    src = np.asarray([a[0] for a in arcs])
+    vertex_start = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.add.at(vertex_start, src + 1, 1)
+    return Graph(
+        np.cumsum(vertex_start),
+        np.asarray([a[1] for a in arcs], dtype=np.int32),
+        np.asarray([a[2] for a in arcs], dtype=np.float64),
+        graph.x, graph.y, name="parallel",
+    )
+
+
+@pytest.fixture(scope="session")
+def adversarial_graphs():
+    """Two disconnected pieces, a unit-weight grid (ties everywhere) and
+    a network with parallel edges of different weight."""
+    coords = [(float(c), float(r)) for r in range(9) for c in range(9)]
+    far = [(x + 40.0, y) for x, y in coords]
+    return {
+        "disconnected": from_edge_list(
+            coords + far,
+            _unit_grid_edges(9, 9) + [
+                (u, v, 1.5) for u, v, _ in _unit_grid_edges(9, 9, offset=81)
+            ],
+            name="two-pieces", require_connected=False,
+        ),
+        "unit-grid": from_edge_list(
+            [(float(c), float(r)) for r in range(13) for c in range(13)],
+            _unit_grid_edges(13, 13), name="unit-grid",
+        ),
+        "parallel": _with_parallel_edges(road_network(180, seed=3)),
+    }
+
+
+def _induced_min_csr(graph: Graph, vertices) -> csr_matrix:
+    pos = {int(v): i for i, v in enumerate(vertices)}
+    best = {}
+    for v, i in pos.items():
+        for t, w in graph.neighbors(v):
+            j = pos.get(t)
+            if j is not None and w < best.get((i, j), np.inf):
+                best[(i, j)] = w
+    rows, cols = zip(*best) if best else ((), ())
+    return csr_matrix(
+        (list(best.values()), (rows, cols)), shape=(len(pos), len(pos))
+    )
+
+
+@pytest.fixture(scope="session")
+def induced_min_csr():
+    """``f(graph, vertices)``: the subgraph induced by ``vertices`` as a
+    scipy CSR in positions of ``vertices``, parallel edges collapsed to
+    their minimum — built edge by edge, sharing no code with
+    ``repro.index.hierarchy``."""
+    return _induced_min_csr

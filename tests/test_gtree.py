@@ -1,9 +1,15 @@
 """G-tree index tests: structure, matrix exactness, backends, oracle."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
+from repro.engine.engine import QueryEngine
 from repro.graph.generators import delaunay_network
 from repro.index.gtree import (
     ArrayMatrix,
@@ -117,6 +123,30 @@ class TestDistanceExactness:
             )
 
 
+    @pytest.mark.parametrize("name", ("disconnected", "unit-grid", "parallel"))
+    def test_exact_on_adversarial_inputs(
+        self, adversarial_graphs, induced_min_csr, name
+    ):
+        """Disconnected pieces, all-ties and parallel edges through the
+        shared skeleton, against scipy on an edge-by-edge built matrix."""
+        graph = adversarial_graphs[name]
+        n = graph.num_vertices
+        exact = scipy_dijkstra(induced_min_csr(graph, range(n)), directed=True)
+        gtree = GTree(graph, tau=16)
+        assert gtree.num_levels() >= 3
+        rng = np.random.default_rng(11)
+        same_leaf = gtree.leaves()[0].vertices
+        pairs = [(int(same_leaf[0]), int(v)) for v in same_leaf[:8]]
+        pairs += [(0, n - 1)] + rng.integers(0, n, size=(60, 2)).tolist()
+        for s, t in pairs:
+            assert gtree.distance(s, t) == pytest.approx(exact[s, t], rel=1e-9)
+        for leaf in gtree.leaves():
+            cols = leaf.vertices
+            np.testing.assert_allclose(
+                leaf.matrix.m, exact[np.ix_(leaf.borders, cols)], rtol=1e-9
+            )
+
+
 class TestMatrixBackends:
     def test_backends_registry(self):
         assert set(MATRIX_BACKENDS) == {"array", "hash_tuple", "hash_packed"}
@@ -208,3 +238,45 @@ class TestGTreeOracle:
         oracle = GTreeOracle(gtree400)
         assert oracle.size_bytes() == gtree400.size_bytes()
         assert oracle.build_time() == gtree400.build_time()
+
+    def test_shared_ier_gt_instance_under_four_thread_hammer(
+        self, road400, objects400
+    ):
+        """ROADMAP correctness (iv): ``GTreeOracle`` keeps ``_source`` /
+        ``_cache`` on an instance server workers share.  Four threads
+        with four different source streams hammer one ``ier-gt``
+        algorithm at a 1 µs switch interval; every answer must equal the
+        single-threaded one.  Refuted on CPython 3.11: ``begin_source``
+        resets the pair, and ``distance`` reads ``_cache``, between two
+        eval-breaker checks, so no thread sees another source's cache.
+        """
+        alg = QueryEngine(road400, objects400).algorithm("ier-gt")
+        rng = np.random.default_rng(17)
+        streams = rng.integers(0, road400.num_vertices, size=(4, 12)).tolist()
+        truth = [[alg.knn(q, 5) for q in stream] for stream in streams]
+        wrong, passes = [], [0] * len(streams)
+        deadline = time.monotonic() + 1.0
+
+        def hammer(me: int) -> None:
+            while time.monotonic() < deadline:
+                for q, want in zip(streams[me], truth[me]):
+                    if alg.knn(q, 5) != want:
+                        wrong.append((me, q))
+                passes[me] += 1
+
+        threads = [
+            threading.Thread(target=hammer, args=(me,))
+            for me in range(len(streams))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert min(passes) >= 1

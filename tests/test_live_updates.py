@@ -269,6 +269,64 @@ class TestIndexRepair:
         for a, b in zip(rd.rnets, rebuilt.rnets):
             assert np.array_equal(a.shortcut_matrix, b.shortcut_matrix)
 
+    @staticmethod
+    def _one_delta_per_leaf(g, index):
+        """A weight delta per leaf: on an intra-leaf edge when the leaf
+        has one (the leaf is then a trigger itself), else on any edge."""
+        deltas = []
+        for node in index.nodes:
+            if not node.is_leaf:
+                continue
+            arcs = [
+                (int(u), j)
+                for u in node.vertices
+                for j in range(g.vertex_start[u], g.vertex_start[u + 1])
+            ]
+            u, j = next(
+                (a for a in arcs if index.leaf_of[g.edge_target[a[1]]] == node.id),
+                arcs[0],
+            )
+            deltas.append(set_weight(
+                u, int(g.edge_target[j]), float(g.edge_weight[j]) * 1.3
+            ))
+        return deltas
+
+    @staticmethod
+    def _assert_same_arrays(a, b):
+        left, right = a.to_arrays(), b.to_arrays()
+        assert left.keys() == right.keys()
+        for name in left.keys() - {"build_time"}:
+            assert np.array_equal(left[name], right[name]), name
+
+    @pytest.mark.parametrize("make", (
+        lambda g, **kw: GTree(g, tau=32, seed=0, **kw),
+        lambda g, **kw: RoadIndex(g, levels=3, seed=0, **kw),
+    ), ids=("gtree", "road"))
+    def test_build_is_repair_of_everything(self, make):
+        """The build is the repair routine with every node triggered:
+        re-running it over a built index changes nothing, and a repair
+        whose deltas reach every leaf (hence every node) equals a
+        rebuild on the same partition, array for array."""
+        g = fresh_graph(seed=47)
+        index = make(g)
+        every = set(range(len(index.nodes)))
+        assert index.every_node() == (every, every)
+        before = {k: np.array(v) for k, v in index.to_arrays().items()}
+        counters = index._repair(*index.every_node())
+        assert len(every) in counters.values()  # every node was re-solved
+        assert counters.get("shortcuts_changed", 0) == 0
+        assert counters.get("corrected_recomputed", 0) == 0
+        for name, ref in before.items():
+            assert np.array_equal(index.to_arrays()[name], ref), name
+
+        changed = g.apply_weight_deltas(coalesce_weight_deltas(
+            self._one_delta_per_leaf(g, index)
+        ))
+        triggers, affected = index.repair_plan(changed)
+        assert affected == every and len(triggers) > len(every) // 2
+        index.apply_weight_deltas(changed)
+        self._assert_same_arrays(index, make(g, partition=index.partition))
+
     def test_ch_repair_exact_decrease_only(self):
         g = fresh_graph(seed=31)
         ch = ContractionHierarchy(g)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from repro.index.road import AssociationDirectory, RoadIndex
 from repro.pathfinding.dijkstra import dijkstra_distance
@@ -11,6 +12,29 @@ from repro.reference import dijkstra_restricted
 @pytest.fixture(scope="module")
 def road_index(road400):
     return RoadIndex(road400, levels=3)
+
+
+def assert_every_shortcut_within_rnet(graph, road, induced_min_csr):
+    """Every Rnet's shortcut matrix against scipy Dijkstra on the Rnet's
+    induced subgraph, border to border.  The vertex sets come from the
+    partition tree itself (a preorder walk pairs it with the Rnet ids)."""
+    pnodes, stack = [], [road.partition]
+    while stack:
+        pnode = stack.pop()
+        pnodes.append(pnode)
+        stack.extend(reversed(pnode.children))
+    assert len(pnodes) == len(road.rnets)
+    for pnode, rnet in zip(pnodes, road.rnets):
+        verts = np.sort(np.asarray(pnode.vertices))
+        border_pos = np.searchsorted(verts, rnet.borders)
+        assert np.array_equal(verts[border_pos], rnet.borders)
+        if len(border_pos) == 0:
+            assert rnet.shortcut_matrix.shape == (0, 0)
+            continue
+        within = scipy_dijkstra(
+            induced_min_csr(graph, verts), directed=True, indices=border_pos
+        )[:, border_pos]
+        np.testing.assert_allclose(rnet.shortcut_matrix, within, rtol=1e-9)
 
 
 class TestHierarchy:
@@ -24,12 +48,12 @@ class TestHierarchy:
 
     def test_borders_subset_of_vertices(self, road_index):
         for node in road_index.rnets:
-            verts = set(int(v) for v in road_index._rnet_vertices(node))
+            verts = set(int(v) for v in road_index.node_vertices(node))
             assert set(int(b) for b in node.borders) <= verts
 
     def test_interior_size(self, road_index):
         for node in road_index.rnets:
-            verts = road_index._rnet_vertices(node)
+            verts = road_index.node_vertices(node)
             assert node.interior_size == len(verts) - len(node.borders)
 
     def test_bookkeeping(self, road_index):
@@ -48,6 +72,19 @@ class TestShortcuts:
             for j, b2 in enumerate(leaf.borders):
                 expected = within.get(int(b2), float("inf"))
                 assert leaf.shortcut_matrix[i, j] == pytest.approx(expected)
+
+    def test_every_rnet_at_every_level_matches_scipy(
+        self, road400, road_index, induced_min_csr
+    ):
+        assert max(n.level for n in road_index.rnets) >= 2
+        assert_every_shortcut_within_rnet(road400, road_index, induced_min_csr)
+
+    @pytest.mark.parametrize("name", ("disconnected", "unit-grid", "parallel"))
+    def test_adversarial_inputs(self, adversarial_graphs, induced_min_csr, name):
+        graph = adversarial_graphs[name]
+        road = RoadIndex(graph, levels=3)
+        assert sum(len(n.borders) for n in road.rnets) > 0
+        assert_every_shortcut_within_rnet(graph, road, induced_min_csr)
 
     def test_shortcuts_upper_bound_global_distance(self, road400, road_index):
         """Within-Rnet distances can never undercut global distances."""

@@ -724,3 +724,34 @@ def test_cli_build_requires_known_index_kinds(tmp_path, capsys):
                      "--indexes", "bogus"]) == 2
     err = capsys.readouterr().err
     assert "unknown index kind" in err and "gtree" in err
+
+
+def test_hierarchy_index_artifact_layouts_are_pinned(graph250):
+    """``GTree`` / ``RoadIndex`` artifacts written by any earlier build
+    must keep loading, so the ``to_arrays`` key sets (and what
+    ``from_arrays`` therefore reads) are frozen here; both share the
+    topology half that ``repro.index.hierarchy`` writes."""
+    from repro.index.gtree import GTree
+    from repro.index.road import RoadIndex
+
+    def with_offsets(*names):
+        return {n for name in names for n in (name, f"{name}_off")}
+
+    topology = {
+        "parent", "level", "leaf_lo", "leaf_hi", "leaf_of", "leaf_index_of",
+        "build_time", "fanout",
+    } | with_offsets("children", "vertices", "borders")
+    gtree = GTree(graph250).to_arrays()
+    assert set(gtree) == topology | with_offsets(
+        "child_borders", "pos_in_parent", "own_border_pos", "matrix"
+    ) | {"matrix_shape", "tau", "matrix_backend"}
+    road = RoadIndex(graph250).to_arrays()
+    assert set(road) == topology | with_offsets("shortcut") | {
+        "shortcut_shape", "interior_size", "levels",
+    }
+    for arrays, prefix in ((gtree, "matrix"), (road, "shortcut")):
+        n = len(arrays["parent"])
+        assert arrays[f"{prefix}_shape"].shape == (n, 2)
+        assert arrays[prefix].dtype == np.float64
+        for name in ("parent", "children", "vertices", "borders", "leaf_of"):
+            assert arrays[name].dtype == np.int64, name
