@@ -63,7 +63,6 @@ from repro.graph.generators import road_network, travel_time_weights
 from repro.graph.graph import Graph
 from repro.objects import uniform_objects
 from repro.store import (
-    INDEX_KINDS,
     ArtifactMissing,
     IndexStore,
     StoreError,
@@ -115,10 +114,6 @@ def _validate_methods(methods: Optional[Sequence[str]]) -> Optional[str]:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    error = _validate_methods(args.methods)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     graph, objects, engine = _engine_and_objects(args)
     query = args.query if args.query is not None else graph.num_vertices // 2
     print(f"{graph}, |O|={len(objects)}, query={query}, k={args.k}")
@@ -152,10 +147,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    error = _validate_methods(args.methods)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     graph = _build_graph(args)
     engine = QueryEngine(graph, [], seed=args.seed, store=_open_store(args))
     queries = random_queries(graph, args.queries, seed=args.seed)
@@ -214,23 +205,15 @@ def cmd_build(args: argparse.Namespace) -> int:
     declarations — exactly what the chosen methods will need at query
     time, nothing more.
     """
-    error = _validate_methods(args.methods)
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     store = _open_store(args)
     if store is None:
         print("build requires --store PATH", file=sys.stderr)
         return 2
-    if args.indexes:
-        unknown = [k for k in args.indexes if k not in INDEX_KINDS]
-        if unknown:
-            print(
-                f"unknown index kind {unknown[0]!r}; persistable kinds: "
-                f"{', '.join(INDEX_KINDS)}",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        expand_kinds(args.indexes or ())
+    except ValueError as exc:  # an unknown index kind
+        print(exc, file=sys.stderr)
+        return 2
     graph = _build_graph(args)
     if not store.contains("graph", artifact_key(graph)):
         save_graph(store, graph)
@@ -262,7 +245,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         obtained = bench.prebuild([kind])  # owns the applicability skips
         elapsed = time.perf_counter() - start
         if not obtained:
-            print(f"  {kind:11} skipped (over the {bench.silc_limit}-vertex cap)")
+            print(f"  {kind:11} skipped ({bench.unavailable_reason(kind)})")
             continue
         index = getattr(bench, kind)
         how = "built" if BUILD_COUNTERS.as_dict().get(counter, 0) > before else "loaded"
@@ -379,6 +362,21 @@ def _engine_and_objects(args: argparse.Namespace):
     return graph, objects, engine
 
 
+def _server(args: argparse.Namespace, engine, categories=None):
+    """A ``KNNServer`` over ``engine`` with the ``serving_knobs`` flags."""
+    from repro.server import KNNServer
+
+    return KNNServer(
+        engine,
+        workers=args.workers,
+        max_queue=args.max_queue,
+        max_batch=args.max_batch,
+        cache_capacity=args.cache_capacity,
+        categories=categories,
+        default_deadline_s=args.deadline,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the concurrent server, answering queries read from stdin.
 
@@ -391,21 +389,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--store`` at a prebuilt store and warmup is a millisecond disk
     load.
     """
-    from repro.server import KNNServer
-
-    error = _validate_methods([args.method])
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     graph, objects, engine = _engine_and_objects(args)
-    server = KNNServer(
-        engine,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        cache_capacity=args.cache_capacity,
-        default_deadline_s=args.deadline,
-    )
+    server = _server(args, engine)
     server.start(warmup_methods=[args.method])
     builds_before = sum(BUILD_COUNTERS.as_dict().values())
     print(
@@ -516,27 +501,14 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     ``BENCH_server.json``) for trajectory tracking.
     """
     from repro.server import (
-        KNNServer,
         run_closed_loop,
         run_open_loop,
         sequential_baseline,
     )
 
-    error = _validate_methods([args.method])
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     graph, objects, engine = _engine_and_objects(args)
     items, categories = _build_workload(args, graph)
-    server = KNNServer(
-        engine,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        cache_capacity=args.cache_capacity,
-        categories=categories,
-        default_deadline_s=args.deadline,
-    )
+    server = _server(args, engine, categories)
     print(f"{graph}, |O|={len(objects)}, workload={args.workload}, "
           f"{args.requests} requests, k={args.k}")
     baseline_qps = None
@@ -618,10 +590,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """
     from repro.obs import TRACER, tracing
 
-    error = _validate_methods([args.method])
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     graph, objects, engine = _engine_and_objects(args)
     query = args.query if args.query is not None else graph.num_vertices // 2
     print(f"{graph}, |O|={len(objects)}, query={query}, k={args.k}")
@@ -659,24 +627,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     slowest queries and recent span trees.
     """
     from repro.obs import REGISTRY, TRACER, run_metadata, tracing
-    from repro.server import KNNServer, run_closed_loop
+    from repro.server import run_closed_loop
 
-    error = _validate_methods([args.method])
-    if error:
-        print(error, file=sys.stderr)
-        return 2
     run_started = time.time()
     graph, objects, engine = _engine_and_objects(args)
     items, categories = _build_workload(args, graph)
-    server = KNNServer(
-        engine,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        cache_capacity=args.cache_capacity,
-        categories=categories,
-        default_deadline_s=args.deadline,
-    )
+    server = _server(args, engine, categories)
     print(f"{graph}, |O|={len(objects)}, workload={args.workload}, "
           f"{args.requests} requests, k={args.k}")
     before = REGISTRY.snapshot()
@@ -1004,6 +960,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Every command naming methods takes either --methods or --method.
+    error = _validate_methods(
+        getattr(args, "methods", None) or [getattr(args, "method", "auto")]
+    )
+    if error:
+        print(error, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except StoreError as exc:

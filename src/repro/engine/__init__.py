@@ -6,8 +6,8 @@ experiment harness:
 
 * :mod:`repro.engine.registry` — a pluggable **method registry**.  Each
   of the paper's methods (and every IER oracle variant) is declared with
-  ``@register_method(name, ...)``: its constructor, the indexes it
-  needs, and an applicability check (SILC's vertex cap).  Third-party
+  ``@register_method(name, ...)``: its constructor and the indexes it
+  needs, which also decide where it can run.  Third-party
   methods plug in the same way — see the module docstring for the
   three-line recipe for adding a sixth method.
 * :mod:`repro.engine.workbench` — :class:`IndexCache`, the lazily built,
@@ -48,7 +48,7 @@ from repro.engine.registry import (
     register_method,
     unregister_method,
 )
-from repro.engine.workbench import SILC_MAX_VERTICES, IndexCache, as_index_cache
+from repro.engine.workbench import IndexCache, as_index_cache
 from repro.engine.planner import AUTO_DENSITY_THRESHOLD, plan_method
 from repro.engine.engine import QueryEngine
 
@@ -61,7 +61,6 @@ __all__ = [
     "normalise_query",
     "IndexCache",
     "as_index_cache",
-    "SILC_MAX_VERTICES",
     "MethodSpec",
     "MethodUnavailable",
     "UnknownMethod",

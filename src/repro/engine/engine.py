@@ -315,13 +315,20 @@ class QueryEngine:
         Non-degradable errors (bad arguments, repair failures, worker
         control-flow) propagate unchanged.
 
-        Raises :class:`~repro.engine.registry.UnknownMethod` for names
+        Raises ``ValueError`` — before planning, building or degrading —
+        unless ``0 <= vertex < |V|`` and ``k >= 0``;
+        :class:`~repro.engine.registry.UnknownMethod` for names
         the registry has never seen and
         :class:`~repro.engine.registry.MethodUnavailable` when the named
         method cannot run on this network (e.g. SILC over its vertex
         cap) and every fallback is exhausted.
         """
         q = normalise_query(query, k, method, with_paths)
+        if not 0 <= q.vertex < self.graph.num_vertices or q.k < 0:
+            raise ValueError(
+                f"a query needs 0 <= vertex < {self.graph.num_vertices} "
+                f"and k >= 0, got vertex {q.vertex}, k {q.k}"
+            )
         c = counters if counters is not None else Counters()
         with _span("query", vertex=q.vertex, k=q.k) as qspan:
             with _span("plan"):

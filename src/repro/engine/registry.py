@@ -1,9 +1,10 @@
 """Pluggable kNN method registry.
 
 Every query method the engine can run is declared here as a
-:class:`MethodSpec`: a constructor, the workbench indexes it needs, and an
-optional applicability check (e.g. SILC's vertex cap).  Adding a sixth
-method is one decorated function, no core edits:
+:class:`MethodSpec`: a constructor and the index kinds it needs.  A method
+can run wherever every kind it ``requires`` is available (SILC's vertex
+cap lives in :data:`repro.store.INDEX_KINDS`).  Adding a sixth method is
+one decorated function, no core edits:
 
     from repro.engine import register_method
 
@@ -63,11 +64,6 @@ class UnknownMethod(ValueError):
         self.known = tuple(known)
 
 
-#: Applicability check: returns ``None`` when the method can run on the
-#: given workbench, or a reason string when it cannot.
-AvailabilityCheck = Callable[[object], Optional[str]]
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     """Declaration of one query method."""
@@ -76,14 +72,18 @@ class MethodSpec:
     builder: Callable[..., KNNAlgorithm]
     summary: str = ""
     requires: Tuple[str, ...] = ()
-    check: Optional[AvailabilityCheck] = None
     #: Position in the paper's main-comparison lineup (None = auxiliary
     #: variant that is constructible but not part of the default set).
     main_rank: Optional[int] = None
 
     def availability(self, bench) -> Optional[str]:
-        """``None`` if runnable on ``bench``, else the reason it is not."""
-        return None if self.check is None else self.check(bench)
+        """``None`` if runnable on ``bench`` — every required index kind
+        is available there — else the first reason one is not."""
+        for kind in self.requires:
+            reason = bench.unavailable_reason(kind)
+            if reason is not None:
+                return reason
+        return None
 
     def create(self, bench, objects: Sequence[int], **kwargs) -> KNNAlgorithm:
         reason = self.availability(bench)
@@ -100,7 +100,6 @@ def register_method(
     *,
     summary: str = "",
     requires: Sequence[str] = (),
-    check: Optional[AvailabilityCheck] = None,
     main_rank: Optional[int] = None,
     replace: bool = False,
 ) -> Callable[[Callable[..., KNNAlgorithm]], Callable[..., KNNAlgorithm]]:
@@ -114,7 +113,6 @@ def register_method(
             builder=builder,
             summary=summary,
             requires=tuple(requires),
-            check=check,
             main_rank=main_rank,
         )
         return builder
@@ -166,10 +164,6 @@ def available_methods(bench, include_disbrw: bool = True) -> List[str]:
 # ----------------------------------------------------------------------
 # Built-in methods (the paper's five, plus IER oracle variants)
 # ----------------------------------------------------------------------
-def _silc_check(bench) -> Optional[str]:
-    return bench.silc_unavailable_reason()
-
-
 @register_method(
     "ine",
     summary="Incremental Network Expansion (Dijkstra-style, no road index)",
@@ -203,7 +197,6 @@ def _build_road(bench, objects, **kwargs):
     "disbrw",
     summary="Distance Browsing over SILC (DB-ENN candidates)",
     requires=("silc",),
-    check=_silc_check,
     main_rank=5,
 )
 def _build_disbrw(bench, objects, **kwargs):
@@ -214,7 +207,6 @@ def _build_disbrw(bench, objects, **kwargs):
     "disbrw-oh",
     summary="Distance Browsing over SILC (Object Hierarchy candidates)",
     requires=("silc",),
-    check=_silc_check,
 )
 def _build_disbrw_oh(bench, objects, **kwargs):
     return DistanceBrowsing(
@@ -267,7 +259,7 @@ def _build_ier_ch(bench, objects, **kwargs):
 @register_method(
     "ier-tnr",
     summary="IER with Transit Node Routing",
-    requires=("ch", "tnr"),
+    requires=("tnr",),
 )
 def _build_ier_tnr(bench, objects, **kwargs):
     return IER(bench.graph, objects, bench.tnr, **kwargs)

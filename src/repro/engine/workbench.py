@@ -21,8 +21,6 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.engine import registry
 from repro.obs.tracing import span as _span
@@ -35,11 +33,16 @@ from repro.knn.base import KNNAlgorithm
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.pathfinding.hub_labels import HubLabels
 from repro.pathfinding.tnr import TransitNodeRouting
-
-#: SILC requires all-pairs work; like the paper (which could build DisBrw
-#: only on the five smallest datasets) we cap the network size it is
-#: built for.
-SILC_MAX_VERTICES = 9000
+from repro.store import (
+    INDEX_KINDS,
+    ArtifactMissing,
+    StoreCorruption,
+    StoreError,
+    artifact_key,
+    expand_kinds,
+    load_index,
+    save_index,
+)
 
 
 def as_index_cache(bench_or_engine):
@@ -62,8 +65,11 @@ class IndexCache:
         hierarchy depth).
     store:
         Optional :class:`repro.store.IndexStore`.  When set, every index
-        property first tries to load a matching artifact from disk and
-        saves freshly built indexes back — see :meth:`_obtain`.
+        first tries to load a matching artifact from disk and saves
+        freshly built indexes back — see :meth:`_obtain`.
+
+    Which kinds exist and how each is built, loaded and capped is the
+    :data:`repro.store.INDEX_KINDS` table; this class only memoises it.
     """
 
     def __init__(
@@ -77,60 +83,61 @@ class IndexCache:
         self.graph = graph
         self.seed = seed
         self.store = store
-        self._tau = tau
-        self._road_levels = road_levels
-        self._gtree: Optional[GTree] = None
-        self._road: Optional[RoadIndex] = None
-        self._silc: Optional[SILCIndex] = None
-        self._ch: Optional[ContractionHierarchy] = None
-        self._hub_labels: Optional[HubLabels] = None
-        self._tnr: Optional[TransitNodeRouting] = None
-        # Per-kind build locks (created on demand under the guard): two
-        # server workers racing to the same cold index serialise on its
-        # kind's lock and the loser reuses the winner's build, while
-        # different kinds still build in parallel.
-        self._build_locks: Dict[str, threading.Lock] = {}
-        self._build_locks_guard = threading.Lock()
+        self.tau = tau
+        self.road_levels = road_levels
+        self._indexes: Dict[str, object] = {}
+        # One build lock per kind: two server workers racing to the same
+        # cold index serialise on its kind's lock and the loser reuses
+        # the winner's build, while different kinds still build in
+        # parallel.
+        self._build_locks = {kind: threading.Lock() for kind in INDEX_KINDS}
 
     # ------------------------------------------------------------------
-    def _build_lock(self, kind: str) -> threading.Lock:
-        with self._build_locks_guard:
-            lock = self._build_locks.get(kind)
-            if lock is None:
-                lock = self._build_locks[kind] = threading.Lock()
-            return lock
+    def index(self, kind: str):
+        """The ``kind`` index, obtained on first use.
 
-    def _ensure(self, kind: str, obtain: Callable[[], object]):
-        """Double-checked, per-kind-locked memoisation of one index slot.
-
-        The unlocked fast path costs one attribute read once the index
-        exists; a cold slot takes the kind's lock, re-checks (another
-        thread may have built while we waited) and only then builds —
-        so an index is never constructed twice, which the concurrency
-        regression test asserts via ``BUILD_COUNTERS``.
+        Double-checked, per-kind-locked memoisation: the unlocked fast
+        path costs one dict read once the index exists; a cold kind takes
+        its lock, re-checks (another thread may have built while we
+        waited) and only then obtains — so an index is never constructed
+        twice, which the concurrency regression test asserts via
+        ``BUILD_COUNTERS``.  Obtaining a dependency (TNR's and hub
+        labels' CH) takes that kind's lock while holding this one — safe
+        because dependency edges only point one way, so the lock order
+        is acyclic.  A kind over its vertex cap raises ``MemoryError``
+        with :meth:`unavailable_reason`.
         """
-        slot = "_" + kind
-        current = getattr(self, slot)
-        if current is not None:
-            return current
-        with self._build_lock(kind):
-            current = getattr(self, slot)
-            if current is None:
-                current = obtain()
-                setattr(self, slot, current)
-            return current
+        index = self._indexes.get(kind)
+        if index is not None:
+            return index
+        reason = self.unavailable_reason(kind)
+        if reason is not None:
+            raise MemoryError(reason)
+        with self._build_locks[kind]:
+            index = self._indexes.get(kind)
+            if index is None:
+                index = self._indexes[kind] = self._obtain(kind)
+            return index
 
-    def _obtain(
-        self,
-        kind: str,
-        params: Dict[str, object],
-        build: Callable[[], object],
-        deps: Optional[Dict[str, object]] = None,
-    ):
+    def unavailable_reason(self, kind: str) -> Optional[str]:
+        """Why ``kind`` (or a kind it rides on) cannot be built on this
+        network, or ``None`` when it can."""
+        n = self.graph.num_vertices
+        for name in expand_kinds([kind]):
+            cap = INDEX_KINDS[name].max_vertices
+            if cap is not None and n > cap:
+                return (
+                    f"{name.upper()} capped at {cap} vertices (network has "
+                    f"{n}); the paper hits the same wall on its five "
+                    "largest datasets"
+                )
+        return None
+
+    def _obtain(self, kind: str):
         """Load ``kind`` from the store if possible, else build and save.
 
         A clean store miss (:class:`~repro.store.ArtifactMissing`) falls
-        through to ``build()``.  Store damage
+        through to the build.  Store damage
         (:class:`~repro.store.StoreCorruption`) is **quarantined**: the
         bad artifact is moved into ``<store>/quarantine/`` (preserved
         for post-mortem), counted, and the index rebuilt — a corrupt
@@ -139,17 +146,17 @@ class IndexCache:
         index still serves) — persistence is an optimisation, not a
         correctness requirement.
         """
+        spec = INDEX_KINDS[kind]
+        params = spec.params(self)
+        deps = {name: self.index(name) for name in spec.depends}
+
+        def build():
+            if spec.build is not None:
+                return spec.build(self)
+            return spec.cls(self.graph, **params, **deps)
+
         if self.store is None:
             return self._timed_build(kind, build)
-        from repro.store import (
-            ArtifactMissing,
-            StoreCorruption,
-            StoreError,
-            artifact_key,
-            load_index,
-            save_index,
-        )
-
         try:
             with _span("index_load", kind=kind):
                 index = load_index(
@@ -213,7 +220,8 @@ class IndexCache:
         if reg.enabled:
             reg.counter(
                 "index_obtained_total",
-                "indexes obtained, by kind and source (built/loaded)",
+                "indexes obtained, by kind and source "
+                "(built/loaded/loaded_mmap)",
                 kind=kind,
                 source=source,
             ).inc()
@@ -221,96 +229,27 @@ class IndexCache:
     # ------------------------------------------------------------------
     @property
     def gtree(self) -> GTree:
-        return self._ensure("gtree", lambda: self._obtain(
-            "gtree",
-            {"tau": self._tau, "seed": self.seed},
-            lambda: GTree(self.graph, tau=self._tau, seed=self.seed),
-        ))
+        return self.index("gtree")
 
     @property
     def road(self) -> RoadIndex:
-        return self._ensure("road", lambda: self._obtain(
-            "road",
-            {"levels": self._road_levels, "seed": self.seed},
-            lambda: RoadIndex(
-                self.graph, levels=self._road_levels, seed=self.seed
-            ),
-        ))
-
-    @property
-    def silc_limit(self) -> int:
-        return SILC_MAX_VERTICES
-
-    def silc_unavailable_reason(self) -> Optional[str]:
-        """Why SILC cannot be built here, or ``None`` when it can.
-
-        The single source for the cap message: the registry's DisBrw
-        availability check and the :attr:`silc` property both quote it.
-        """
-        if self.graph.num_vertices <= self.silc_limit:
-            return None
-        return (
-            f"SILC capped at {self.silc_limit} vertices (network has "
-            f"{self.graph.num_vertices}); the paper hits the same wall "
-            "on its five largest datasets"
-        )
+        return self.index("road")
 
     @property
     def silc(self) -> SILCIndex:
-        if self._silc is None:
-            reason = self.silc_unavailable_reason()
-            if reason is not None:
-                raise MemoryError(reason)
-        # The build parameters are pinned here and passed explicitly
-        # so the artifact key and the constructed index can never
-        # disagree (and a manually saved non-default SILC is never
-        # served to this cache).
-        return self._ensure("silc", lambda: self._obtain(
-            "silc",
-            {"grid_bits": 11},
-            lambda: SILCIndex(self.graph, grid_bits=11),
-        ))
-
-    @property
-    def silc_available(self) -> bool:
-        return self.silc_unavailable_reason() is None
+        return self.index("silc")
 
     @property
     def ch(self) -> ContractionHierarchy:
-        return self._ensure("ch", lambda: self._obtain(
-            "ch",
-            {"witness_settle_limit": 40},
-            lambda: ContractionHierarchy(self.graph, witness_settle_limit=40),
-        ))
+        return self.index("ch")
 
     @property
     def hub_labels(self) -> HubLabels:
-        def build() -> HubLabels:
-            order = list(np.argsort(-self.ch.rank))
-            return HubLabels(self.graph, order=order)
-
-        return self._ensure("hub_labels", lambda: self._obtain(
-            "hub_labels", {"order": "ch-rank"}, build
-        ))
+        return self.index("hub_labels")
 
     @property
     def tnr(self) -> TransitNodeRouting:
-        # Resolving ``self.ch`` inside the tnr lock takes the ch lock
-        # while holding tnr's — safe because dependency edges only point
-        # one way (ch never locks a dependant), so the lock order is
-        # acyclic.  The same holds for hub_labels -> ch.
-        return self._ensure("tnr", lambda: self._obtain(
-            "tnr",
-            {"num_transit": None, "grid_size": 32, "locality_cells": 4},
-            lambda: TransitNodeRouting(
-                self.graph,
-                ch=self.ch,
-                num_transit=None,
-                grid_size=32,
-                locality_cells=4,
-            ),
-            deps={"ch": self.ch} if self.store is not None else None,
-        ))
+        return self.index("tnr")
 
     # ------------------------------------------------------------------
     # Live weight updates
@@ -340,7 +279,6 @@ class IndexCache:
         ``(u, v, old, new)`` list, per-index repair counters, and the
         names of dropped index kinds (failed repairs first).
         """
-        from repro.store import INDEX_KINDS
         from repro.updates import RepairUnavailable, coalesce_weight_deltas
 
         changed = self.graph.apply_weight_deltas(
@@ -353,13 +291,12 @@ class IndexCache:
             return changed, repaired, []
         reg = obs.REGISTRY
         for kind in INDEX_KINDS:
-            slot = "_" + kind
-            with self._build_lock(kind):
-                index = getattr(self, slot)
+            with self._build_locks[kind]:
+                index = self._indexes.get(kind)
                 if index is None:
                     continue
                 if not hasattr(index, "apply_weight_deltas"):
-                    setattr(self, slot, None)
+                    del self._indexes[kind]
                     unrepairable.append(kind)
                     continue
                 try:
@@ -379,7 +316,7 @@ class IndexCache:
                     # real RepairUnavailable: drop the slot, rebuild
                     # lazily.  The graph already mutated, so serving the
                     # unrepaired index would be wrong; dropping is safe.
-                    setattr(self, slot, None)
+                    del self._indexes[kind]
                     failed.append(kind)
         dropped = failed + unrepairable
         if reg.enabled:
@@ -400,18 +337,16 @@ class IndexCache:
         ``hub_labels``, ``tnr``); each is expanded with its artifact
         dependencies (e.g. ``tnr``/``hub_labels`` pull in ``ch``) so no
         kind's construction silently folds another's build into it.
-        Returns the kinds actually obtained, in order — with a
-        ``store=`` backing each is now persisted on disk.
+        Kinds with an :meth:`unavailable_reason` are skipped.  Returns
+        the kinds actually obtained, in order — with a ``store=`` backing
+        each is now persisted on disk.
         """
-        from repro.store import expand_kinds
-
         obtained: List[str] = []
         with _span("prebuild", kinds=",".join(kinds)):
             for kind in expand_kinds(kinds):
-                if kind == "silc" and not self.silc_available:
-                    continue
-                getattr(self, kind)
-                obtained.append(kind)
+                if self.unavailable_reason(kind) is None:
+                    self.index(kind)
+                    obtained.append(kind)
         return obtained
 
     # ------------------------------------------------------------------

@@ -207,7 +207,7 @@ def fig08_preprocessing(
         build.add("ROAD", n, wb.road.build_time())
         size.add("PHL", n, wb.hub_labels.size_bytes() / 1024)
         build.add("PHL", n, wb.hub_labels.build_time())
-        if include_silc and wb.silc_available:
+        if include_silc and wb.unavailable_reason("silc") is None:
             size.add("DisBrw", n, wb.silc.size_bytes() / 1024)
             build.add("DisBrw", n, wb.silc.build_time())
     return size, build

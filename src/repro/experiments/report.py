@@ -17,6 +17,7 @@ from typing import Dict, List
 from repro.experiments import cache_study, figures, tables
 from repro.engine.workbench import IndexCache
 from repro.experiments.runner import ExperimentResult
+from repro.store import INDEX_KINDS
 from repro.graph.generators import (
     chain_heavy_network,
     road_network,
@@ -348,8 +349,9 @@ Scaling conventions:
 * named POI sets use the paper's relative densities scaled the same way;
 * ks sweep 1..25 instead of 1..50 (k=50 exceeds sensible object-set
   sizes at this scale);
-* DisBrw/SILC is built only for networks <= 9000 vertices, mirroring the
-  paper's inability to build it beyond its five smallest datasets.
+* DisBrw/SILC is built only for networks <=
+  {INDEX_KINDS['silc'].max_vertices} vertices, mirroring the paper's
+  inability to build it beyond its five smallest datasets.
 
 Known fidelity deviations (all documented inline below):
 

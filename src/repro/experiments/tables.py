@@ -136,7 +136,7 @@ def table5_ranking(
     space["ier-phl"] = float(workbench.hub_labels.size_bytes())
     build["ier-gt"] = build["gtree"]
     space["ier-gt"] = space["gtree"]
-    if workbench.silc_available:
+    if workbench.unavailable_reason("silc") is None:
         build["disbrw"] = workbench.silc.build_time()
         space["disbrw"] = float(workbench.silc.size_bytes())
     criteria["network_build_time"] = _rank(build)

@@ -11,8 +11,9 @@ exactly one probe request try the method again: success re-closes it,
 failure re-opens it for another cooldown.
 
 Callers must pair every ``allow() == True`` with exactly one
-``record_success()`` or ``record_failure()`` — a half-open probe ticket
-is held until its verdict arrives.
+``record_success()``, ``record_failure()`` or — when the attempt failed
+for a reason that says nothing about the method — ``release()``: a
+half-open probe ticket is held until one of them arrives.
 """
 
 from __future__ import annotations
@@ -88,6 +89,12 @@ class CircuitBreaker:
                 self._failures += 1
                 if self._failures >= self.failure_threshold:
                     self._trip()
+
+    def release(self) -> None:
+        """Hand back an ``allow()`` ticket without a verdict."""
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._probe_inflight = False
 
     def _trip(self) -> None:
         """Transition to OPEN (caller holds the lock)."""

@@ -710,9 +710,15 @@ class KNNServer:
                     frozenset() if allowed else frozenset((resolved,))
                 ),
             )
-        except Exception:
+        except Exception as exc:
             if allowed:
-                breaker.record_failure()
+                # Only a fault a fallback could route around counts
+                # against the method; a client error (a bad vertex, a
+                # negative k) says nothing about its health.
+                if classify(exc).degradable:
+                    breaker.record_failure()
+                else:
+                    breaker.release()
             raise
         if allowed:
             if result.fallback_from == resolved:

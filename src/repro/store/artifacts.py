@@ -1,11 +1,13 @@
-"""Artifact kinds: how each index maps to store arrays and back.
+"""Index kinds: every per-index fact in one table.
 
-Every road-network index in the engine's :class:`IndexCache` has an
-``IndexKind`` record here pairing its ``to_arrays`` dump with the
-``from_arrays`` loader (and the loader's dependencies — TNR rides on a
-CH that is its own artifact).  The engine's warm-start path and the CLI
-``build`` command both go through :func:`load_index` / :func:`save_index`
-so the set of persistable kinds lives in exactly one place.
+Each road-network index the engine's :class:`IndexCache` can hold has an
+``IndexKind`` record here: its class, its build parameters (which double
+as the store artifact key), the kinds it rides on and, for SILC, the
+largest network it is built for.  ``IndexCache`` is a generic memo over
+this table, the registry derives method availability from it, and the
+CLI ``build`` command and the warm-start path go through
+:func:`load_index` / :func:`save_index` — so the set of index kinds and
+everything about each lives in exactly one place.
 
 Graphs and object sets get the same treatment (``save_graph`` /
 ``load_graph``, ``save_objects`` / ``load_objects``): a store directory
@@ -34,50 +36,75 @@ from repro.store.store import IndexStore, artifact_key
 
 @dataclass(frozen=True)
 class IndexKind:
-    """Serialization contract for one persistable index kind."""
+    """Everything the engine knows about one index kind."""
 
     name: str
-    #: ``loader(graph, arrays, deps) -> index``; ``deps`` maps dependency
-    #: kind name -> already-loaded index instance.
-    loader: Callable[..., object]
-    #: Other kinds the loader needs (e.g. TNR needs a CH).
+    #: Built as ``cls(graph, **params, **deps)``, loaded as
+    #: ``cls.from_arrays(graph, arrays, **deps)``.
+    cls: type
+    #: ``params(cache) -> dict``: the constructor keyword arguments, which
+    #: are also the artifact-key parameters, so the two cannot disagree.
+    params: Callable[[object], Dict[str, object]]
+    #: Kinds passed by name to both the constructor and ``from_arrays``
+    #: (TNR rides on a CH that is its own artifact).
     depends: Tuple[str, ...] = ()
     #: Kinds only the *builder* draws on (hub labels order from the CH
     #: rank); a warm load does not need them, but prebuild tooling
     #: obtains them first so per-kind build timings stay honest.
     build_depends: Tuple[str, ...] = ()
+    #: ``build(cache) -> index`` when construction is more than the
+    #: constructor call above.
+    build: Optional[Callable[[object], object]] = None
+    #: Largest network the kind is built for (``None``: no cap).
+    max_vertices: Optional[int] = None
 
 
-def _load_tnr(graph: Graph, arrays: Dict[str, np.ndarray], deps: Dict[str, object]):
-    return TransitNodeRouting.from_arrays(graph, arrays, ch=deps["ch"])
+def _hub_labels_in_ch_order(cache) -> HubLabels:
+    return HubLabels(cache.graph, order=list(np.argsort(-cache.ch.rank)))
 
 
 INDEX_KINDS: Dict[str, IndexKind] = {
     "gtree": IndexKind(
-        "gtree", lambda g, a, deps: GTree.from_arrays(g, a)
+        "gtree", GTree, lambda c: {"tau": c.tau, "seed": c.seed}
     ),
     "road": IndexKind(
-        "road", lambda g, a, deps: RoadIndex.from_arrays(g, a)
+        "road", RoadIndex, lambda c: {"levels": c.road_levels, "seed": c.seed}
     ),
+    # SILC requires all-pairs work; like the paper (which could build
+    # DisBrw only on the five smallest datasets) we cap the network size
+    # it is built for.
     "silc": IndexKind(
-        "silc", lambda g, a, deps: SILCIndex.from_arrays(g, a)
+        "silc", SILCIndex, lambda c: {"grid_bits": 11}, max_vertices=9000
     ),
     "ch": IndexKind(
-        "ch", lambda g, a, deps: ContractionHierarchy.from_arrays(g, a)
+        "ch", ContractionHierarchy, lambda c: {"witness_settle_limit": 40}
     ),
     "hub_labels": IndexKind(
-        "hub_labels",
-        lambda g, a, deps: HubLabels.from_arrays(g, a),
-        build_depends=("ch",),
+        "hub_labels", HubLabels, lambda c: {"order": "ch-rank"},
+        build_depends=("ch",), build=_hub_labels_in_ch_order,
     ),
-    "tnr": IndexKind("tnr", _load_tnr, depends=("ch",)),
+    "tnr": IndexKind(
+        "tnr", TransitNodeRouting,
+        lambda c: {"num_transit": None, "grid_size": 32, "locality_cells": 4},
+        depends=("ch",),
+    ),
 }
+
+
+def _spec(kind: str) -> IndexKind:
+    try:
+        return INDEX_KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown index kind {kind!r}; persistable kinds: "
+            f"{', '.join(INDEX_KINDS)}"
+        ) from None
 
 
 def expand_kinds(kinds: Sequence[str]) -> list:
     """Dependency-closed, dependency-first ordering of index kinds.
 
-    Both loader deps (TNR rides on a CH artifact) and build-only deps
+    Both ``depends`` (TNR rides on a CH artifact) and ``build_depends``
     (hub labels draw their order from the CH rank) come before their
     dependents, so prebuild tooling obtains each kind exactly once and
     per-kind build timings reflect only that kind's own work.
@@ -85,12 +112,7 @@ def expand_kinds(kinds: Sequence[str]) -> list:
     out: list = []
 
     def add(kind: str) -> None:
-        if kind not in INDEX_KINDS:
-            raise ValueError(
-                f"unknown index kind {kind!r}; persistable kinds: "
-                f"{', '.join(INDEX_KINDS)}"
-            )
-        spec = INDEX_KINDS[kind]
+        spec = _spec(kind)
         for dep in (*spec.depends, *spec.build_depends):
             add(dep)
         if kind not in out:
@@ -109,11 +131,7 @@ def save_index(
     params: Optional[Dict[str, object]] = None,
 ):
     """Persist ``index`` (which must expose ``to_arrays``/``build_time``)."""
-    if kind not in INDEX_KINDS:
-        raise ValueError(
-            f"unknown index kind {kind!r}; persistable kinds: "
-            f"{', '.join(INDEX_KINDS)}"
-        )
+    _spec(kind)
     key = artifact_key(graph, params)
     start = time.perf_counter()
     record = store.put(
@@ -144,15 +162,18 @@ def load_index(
     and :class:`~repro.store.store.StoreCorruption` when the store is
     damaged.
     """
-    spec = INDEX_KINDS[kind]
-    missing = [d for d in spec.depends if d not in (deps or {})]
+    spec = _spec(kind)
+    deps = deps or {}
+    missing = [d for d in spec.depends if d not in deps]
     if missing:
         raise ValueError(
             f"loading {kind!r} requires deps: {', '.join(missing)}"
         )
     start = time.perf_counter()
     arrays = store.get(kind, artifact_key(graph, params))
-    index = spec.loader(graph, arrays, deps or {})
+    index = spec.cls.from_arrays(
+        graph, arrays, **{d: deps[d] for d in spec.depends}
+    )
     reg = obs.REGISTRY
     if reg.enabled:
         reg.histogram(

@@ -23,6 +23,8 @@ generators and the ``repro.server.workloads`` generators:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -30,6 +32,7 @@ from scipy.sparse import csr_matrix
 from repro.graph.generators import road_network, grid_network, travel_time_weights
 from repro.graph.graph import Graph, from_edge_list
 from repro.objects import uniform_objects
+from repro.store import INDEX_KINDS
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +68,19 @@ def objects400(road400):
 def queries400(road400):
     rng = np.random.default_rng(3)
     return [int(q) for q in rng.integers(0, road400.num_vertices, size=20)]
+
+
+@pytest.fixture
+def cap_silc(monkeypatch):
+    """``cap_silc(limit)`` lowers SILC's vertex cap for one test by
+    patching its one definition, the ``INDEX_KINDS["silc"]`` record."""
+
+    def cap(limit: int) -> None:
+        monkeypatch.setitem(
+            INDEX_KINDS, "silc", replace(INDEX_KINDS["silc"], max_vertices=limit)
+        )
+
+    return cap
 
 
 # ----------------------------------------------------------------------

@@ -60,10 +60,8 @@ class TestCommands:
         assert rc == 2
         assert "known methods" in capsys.readouterr().err
 
-    def test_query_all_methods_unavailable(self, capsys, monkeypatch):
-        from repro.engine import workbench as workbench_mod
-
-        monkeypatch.setattr(workbench_mod, "SILC_MAX_VERTICES", 50)
+    def test_query_all_methods_unavailable(self, capsys, cap_silc):
+        cap_silc(50)
         rc = main(["query", "--vertices", "200", "--methods", "disbrw"])
         assert rc == 1
         err = capsys.readouterr().err

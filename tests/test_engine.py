@@ -21,7 +21,6 @@ from repro.engine import (
     register_method,
     unregister_method,
 )
-from repro.engine import workbench as workbench_mod
 from repro.graph.generators import road_network
 from repro.knn.base import verify_knn_result
 from repro.knn.ine import INE
@@ -76,10 +75,10 @@ class TestRegistry:
         for spec in method_specs():
             assert spec.summary, spec.name
 
-    def test_disbrw_unavailable_reports_reason(self, road400, monkeypatch):
-        monkeypatch.setattr(workbench_mod, "SILC_MAX_VERTICES", 50)
+    def test_disbrw_unavailable_reports_reason(self, road400, cap_silc):
+        cap_silc(50)
         bench = IndexCache(road400)
-        assert not bench.silc_available
+        assert bench.unavailable_reason("silc") is not None
         with pytest.raises(MethodUnavailable) as excinfo:
             bench.make("disbrw", [0, 1, 2])
         assert excinfo.value.method == "disbrw"
@@ -153,6 +152,28 @@ class TestBatch:
         first = engine.algorithm("ine")
         engine.batch([3, 4], k=2, method="ine")
         assert engine.algorithm("ine") is first
+
+
+class TestQueryValidation:
+    """A malformed request is refused with ``ValueError`` before any
+    planning, index build or fallback — by every method."""
+
+    @pytest.mark.parametrize(
+        "vertex, k", [(-3, 5), (-1, 1), (300, 5), (10**6, 1), (5, -2)]
+    )
+    def test_every_method_refuses_without_building(self, vertex, k):
+        from repro.utils.counters import BUILD_COUNTERS
+
+        graph = road_network(300, seed=0)
+        engine = QueryEngine(graph, uniform_objects(graph, 0.02, seed=1))
+        before = BUILD_COUNTERS.as_dict()
+        for method in ["auto", *known_methods()]:
+            with pytest.raises(ValueError, match="0 <= vertex < 300"):
+                engine.query(vertex, k, method=method)
+        with pytest.raises(ValueError):
+            engine.batch([vertex], k=k, method="gtree")
+        assert BUILD_COUNTERS.as_dict() == before
+        assert engine.query(299, 0, method="gtree").neighbors == ()
 
 
 class TestAutoPlanner:

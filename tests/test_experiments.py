@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import IndexCache
-from repro.engine import workbench as workbench_mod
 from repro.experiments.cache_study import format_table3, table3_cache_profile
 from repro.experiments.runner import (
     ExperimentResult,
@@ -40,10 +39,10 @@ class TestWorkbench:
         assert wb.gtree is wb.gtree
         assert wb.ch is wb.ch
 
-    def test_silc_cap(self, monkeypatch):
+    def test_silc_cap(self, cap_silc):
         capped = IndexCache(road_network(300, seed=1))
-        monkeypatch.setattr(workbench_mod, "SILC_MAX_VERTICES", 100)
-        assert not capped.silc_available
+        cap_silc(100)
+        assert capped.unavailable_reason("silc") is not None
         with pytest.raises(MemoryError):
             capped.silc
 

@@ -288,6 +288,20 @@ class TestCircuitBreaker:
         clock["now"] = 11.1
         assert breaker.allow() is True
 
+    def test_released_probe_hands_the_ticket_back(self):
+        breaker, clock = self.make(threshold=1, cooldown=5.0)
+        breaker.record_failure()
+        clock["now"] = 6.0
+        assert breaker.allow() is True
+        breaker.release()  # no verdict: still half-open, ticket free
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow() is True
+        assert breaker.allow() is False
+        breaker.release()
+        breaker.record_failure()
+        breaker.release()  # closed or open: a no-op
+        assert breaker.state == OPEN
+
     def test_snapshot_open_reports_age(self):
         breaker, clock = self.make(threshold=1)
         clock["now"] = 2.0

@@ -829,6 +829,27 @@ class TestServerResilience:
             assert breaker["closed_after_open"] == 1
             assert server.health()["status"] == "ok"
 
+    def test_client_errors_do_not_trip_breakers(self):
+        graph = road_network(300, seed=0)
+        engine = QueryEngine(graph, uniform_objects(graph, 0.01, seed=1))
+        n = graph.num_vertices
+        malformed = [(-3, 5), (-1, 5), (n, 5), (n + 7, 5), (-300, 5),
+                     (3, -2), (7, -1), (-2, -2)]
+        with make_server(engine, workers=1, breaker_threshold=2) as server:
+            for vertex, k in malformed:
+                response = server.query(vertex, k, "gtree")
+                assert response.status == "error"
+                assert "ValueError" in response.error
+            breakers = server.health()["breakers"]
+            assert breakers and all(
+                b["state"] == "closed" and b["consecutive_failures"] == 0
+                for b in breakers.values()
+            )
+            response = server.query(5, 3, "gtree")
+            assert response.status == OK
+            assert response.degraded is False
+            assert response.result.method == "gtree"
+
     def test_error_taxonomy_counter_in_metrics(self, engine):
         from repro.obs import REGISTRY
 

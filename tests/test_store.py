@@ -10,15 +10,18 @@ instructions — never a bare ``KeyError``.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.engine import MethodUnavailable, method_specs
 from repro.engine.workbench import IndexCache
 from repro.graph.generators import road_network, travel_time_weights
 from repro.objects import uniform_objects
 from repro.store import (
     FORMAT_VERSION,
+    INDEX_KINDS,
     ArtifactMissing,
     IndexStore,
     StoreCorruption,
@@ -27,6 +30,7 @@ from repro.store import (
     load_index,
     load_objects,
     save_graph,
+    save_index,
     save_objects,
 )
 from repro.utils.counters import BUILD_COUNTERS
@@ -283,6 +287,88 @@ def test_warm_hub_labels_skip_the_ch_build(graph250, built_store):
     after = BUILD_COUNTERS.as_dict()
     assert after.get("build:ch", 0) == before.get("build:ch", 0)
     assert after.get("build:hub_labels", 0) == before.get("build:hub_labels", 0)
+
+
+class TestIndexKindTable:
+    """``INDEX_KINDS`` is the one place each index kind is described;
+    the cache, the registry and the store all read it."""
+
+    def test_artifact_key_params_are_pinned(self, graph250):
+        # Changing one of these orphans every stored artifact of the kind.
+        cache = IndexCache(graph250)
+        assert {kind: spec.params(cache) for kind, spec in INDEX_KINDS.items()} == {
+            "gtree": {"tau": None, "seed": 0},
+            "road": {"levels": None, "seed": 0},
+            "silc": {"grid_bits": 11},
+            "ch": {"witness_settle_limit": 40},
+            "hub_labels": {"order": "ch-rank"},
+            "tnr": {"num_transit": None, "grid_size": 32, "locality_cells": 4},
+        }
+
+    def test_every_kind_is_required_and_round_trips(
+        self, tmp_path, graph250, objects250
+    ):
+        required = {kind for spec in method_specs() for kind in spec.requires}
+        assert required == set(INDEX_KINDS)
+        store = IndexStore(tmp_path)
+        cold = IndexCache(graph250)
+        for kind, spec in INDEX_KINDS.items():
+            save_index(
+                store, kind, graph250, cold.index(kind), params=spec.params(cold)
+            )
+        before = BUILD_COUNTERS.as_dict()
+        warm = IndexCache(graph250, store=store)  # every kind via load_index
+        rng = np.random.default_rng(4)
+        queries = [int(q) for q in rng.integers(0, graph250.num_vertices, size=6)]
+        for spec in method_specs():
+            if not spec.requires:
+                continue
+            a = cold.make(spec.name, objects250)
+            b = warm.make(spec.name, objects250)
+            for q in queries:
+                assert a.knn(q, 4) == b.knn(q, 4), spec.name
+        assert BUILD_COUNTERS.as_dict() == before
+
+    def test_vertex_cap_through_the_generic_path(
+        self, graph250, objects250, cap_silc
+    ):
+        cap_silc(100)
+        cache = IndexCache(graph250)
+        assert cache.unavailable_reason("silc").startswith(
+            "SILC capped at 100 vertices (network has 250)"
+        )
+        assert cache.unavailable_reason("gtree") is None
+        before = BUILD_COUNTERS.as_dict().get("build:silc", 0)
+        assert cache.prebuild(["silc", "road"]) == ["road"]
+        with pytest.raises(MethodUnavailable, match="SILC capped at"):
+            cache.make("disbrw", objects250)
+        with pytest.raises(MemoryError, match="SILC capped at"):
+            cache.silc
+        assert BUILD_COUNTERS.as_dict().get("build:silc", 0) == before
+
+    def test_a_dependency_cap_makes_its_dependants_unavailable(
+        self, graph250, monkeypatch
+    ):
+        monkeypatch.setitem(
+            INDEX_KINDS, "ch", replace(INDEX_KINDS["ch"], max_vertices=10)
+        )
+        cache = IndexCache(graph250)
+        for kind in ("ch", "hub_labels", "tnr"):
+            assert cache.unavailable_reason(kind).startswith("CH capped at 10")
+        assert cache.method_availability("ier-tnr").startswith("CH capped")
+        assert cache.method_availability("ier-gt") is None
+        assert cache.prebuild(["tnr", "gtree"]) == ["gtree"]
+
+    def test_unknown_kind_is_one_message_everywhere(self, graph250):
+        cache = IndexCache(graph250)
+        for call in (
+            lambda: cache.index("bogus"),
+            lambda: cache.prebuild(["bogus"]),
+            lambda: save_index(None, "bogus", graph250, None),
+            lambda: load_index(None, "bogus", graph250),
+        ):
+            with pytest.raises(ValueError, match="unknown index kind 'bogus'"):
+                call()
 
 
 def test_loaded_index_reports_original_build_time(graph250, built_store):
