@@ -51,11 +51,11 @@ if str(REPO_SRC) not in sys.path:  # direct script runs without install
 import numpy as np  # noqa: E402
 
 from repro.graph.graph import Graph  # noqa: E402
+from repro.obs.runinfo import run_metadata  # noqa: E402
 from repro.store import IndexStore  # noqa: E402
 from repro.store.artifacts import save_graph  # noqa: E402
 
 from _bench_utils import DEFAULT_STORE_DIR  # noqa: E402
-from report import write_report  # noqa: E402
 
 INF = float("inf")
 
@@ -473,10 +473,10 @@ def main(argv=None) -> int:
         "failures": failures,
     }
     if args.json:
-        write_report(args.json, report, run_started)
-    print(json.dumps(
-        {k: v for k, v in report.items() if k != "meta"}, indent=2
-    ))
+        with open(args.json, "w") as fh:
+            json.dump({**report, "meta": run_metadata(run_started)}, fh,
+                      indent=2, sort_keys=True)
+    print(json.dumps(report, indent=2))
     if failures:
         for line in failures:
             print(f"FAIL: {line}", file=sys.stderr)

@@ -15,8 +15,8 @@ One import surface for every instrumented layer:
 
 Counters are **default-on** (the flush is a few dict operations per
 query); tracing is **default-off**.  :func:`disabled` switches the
-whole layer off for a block — the baseline ``benchmarks/bench_obs.py``
-measures the ≤3% overhead budget against.
+whole layer off for a block — the baseline the repo benchmark's
+``obs.overhead_share`` is measured against.
 """
 
 from __future__ import annotations

@@ -24,10 +24,9 @@ Cost model: hot loops never touch the registry.  They keep recording
 into the per-query :class:`~repro.utils.counters.Counters` bag exactly
 as before, and the engine flushes that bag into labeled registry
 counters *once per query* — a handful of dict lookups and lock-guarded
-adds, benchmarked under the ≤3% hot-path budget by
-``benchmarks/bench_obs.py``.  Setting :attr:`MetricsRegistry.enabled`
-to ``False`` skips even that (the kill switch the benchmark's baseline
-uses).
+adds, measured as the repo benchmark's ``obs.overhead_share``.
+Setting :attr:`MetricsRegistry.enabled` to ``False`` skips even that
+(the kill switch that measurement's baseline uses).
 """
 
 from __future__ import annotations

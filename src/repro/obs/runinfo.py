@@ -1,11 +1,10 @@
 """Shared run-metadata schema for machine-readable reports.
 
-Every ``BENCH_*.json`` emitter (via ``benchmarks/report.py``) and the
-``repro profile`` CLI stamp their reports with the same envelope —
-schema version, the run's start timestamp (passed in by the caller, so
-one multi-section report carries one consistent time), host facts and
-the git revision — so trajectory tooling can line reports up across
-machines and commits without per-benchmark parsing.
+``benchmarks/bench_scale.py`` and the ``repro profile`` CLI stamp their
+reports with the same envelope — schema version, the run's start
+timestamp (passed in by the caller, so one multi-section report carries
+one consistent time), host facts and the git revision — so reports line
+up across machines and commits.
 """
 
 from __future__ import annotations

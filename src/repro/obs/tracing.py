@@ -11,8 +11,8 @@ query produces a tree like::
       knn                         1.63ms  method=ine expand_settled=57
       paths                       0.12ms
 
-Tracing is **off by default** — the hot-path budget in
-``benchmarks/bench_obs.py`` is measured with tracing disabled — and a
+Tracing is **off by default** — the repo benchmark's
+``obs.overhead_share`` is measured with tracing disabled — and a
 disabled :func:`span` returns a shared no-op object, so dormant call
 sites cost one attribute check.  Enable it for a block with
 :func:`tracing`, or process-wide via ``TRACER.enabled = True``.

@@ -24,8 +24,8 @@ machinery, each piece usable on its own:
 * :mod:`repro.resilience.quarantine` — store-corruption **quarantine**:
   move the bad artifact aside, count it, rebuild.
 
-End-to-end behaviour is gated by ``benchmarks/bench_chaos.py``: under a
-seeded plan injecting store + kernel faults and a worker kill, the
+End-to-end behaviour is gated by ``tests/test_resilience.py::TestChaos``:
+under a seeded plan injecting store + kernel faults and a worker kill, the
 server must sustain >= 99% non-error completion with zero wrong answers
 (degraded responses flagged via ``KNNResult.degraded`` provenance).  See
 ``docs/resilience.md``.

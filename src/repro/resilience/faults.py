@@ -4,8 +4,7 @@ A fault point is a string name at a place where the real world fails:
 a store read (``store.load``), a kernel call (``kernel.sssp``), a worker
 thread (``worker.die``).  Production code calls :func:`fault_check` at
 each point; with no :class:`FaultPlan` installed (the default) that is a
-single module-global read — cheap enough to live on the query hot path
-under the ``bench_obs.py`` <= 3% overhead budget.
+single module-global read — cheap enough to live on the query hot path.
 
 A chaos run installs a plan::
 
@@ -125,8 +124,8 @@ class FaultPlan:
 
     Install with :func:`install_plan` (or the :func:`plan_installed`
     context manager); production fault checks are no-ops until then.
-    ``snapshot()`` reports per-point call and fire counts — the chaos
-    bench embeds it in ``BENCH_chaos.json``.
+    ``snapshot()`` reports per-point call and fire counts — the server's
+    ``health()`` embeds it under ``fault_plan``.
     """
 
     def __init__(self, seed: int = 0, specs: Sequence[FaultSpec] = ()) -> None:

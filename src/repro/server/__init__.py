@@ -36,7 +36,6 @@ from repro.server.loadgen import (
     LoadReport,
     percentile,
     run_closed_loop,
-    run_mixed_closed_loop,
     run_open_loop,
     sequential_baseline,
 )
@@ -52,12 +51,10 @@ from repro.server.request import (
 )
 from repro.server.server import KNNServer, ServerClosed, UnknownCategory
 from repro.server.workloads import (
-    UpdateItem,
     WorkItem,
     category_switching_workload,
     diurnal_workload,
     hotspot_workload,
-    mixed_update_workload,
     uniform_workload,
     zipf_weights,
 )
@@ -78,17 +75,14 @@ __all__ = [
     "objects_fingerprint",
     "result_key",
     "WorkItem",
-    "UpdateItem",
     "uniform_workload",
     "hotspot_workload",
     "diurnal_workload",
     "category_switching_workload",
-    "mixed_update_workload",
     "zipf_weights",
     "LoadReport",
     "percentile",
     "run_closed_loop",
     "run_open_loop",
-    "run_mixed_closed_loop",
     "sequential_baseline",
 ]

@@ -23,6 +23,7 @@ speedup claim.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from repro.engine.engine import QueryEngine
 from repro.engine.query import KNNResult
 from repro.server.request import ERROR, OK, PendingRequest
 from repro.server.server import KNNServer
-from repro.server.workloads import UpdateItem, WorkItem
+from repro.server.workloads import WorkItem
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -40,7 +41,7 @@ def percentile(values: Sequence[float], p: float) -> float:
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(round(p / 100.0 * len(ordered))) - 1))
+    rank = max(0, min(len(ordered) - 1, math.ceil(p * len(ordered) / 100.0) - 1))
     return ordered[rank]
 
 
@@ -300,111 +301,6 @@ def run_open_loop(
         "open-loop", server, submitted, duration,
         client_retries=retrier.total,
     )
-
-
-def run_mixed_closed_loop(
-    server: KNNServer,
-    items: Sequence[WorkItem],
-    updates: Sequence[UpdateItem],
-    *,
-    concurrency: int = 8,
-    timeout_s: float = 30.0,
-    retries: int = 0,
-    retry_backoff_s: float = 0.01,
-) -> tuple:
-    """Closed-loop readers racing one paced writer thread.
-
-    ``concurrency`` clients drive the read workload exactly like
-    :func:`run_closed_loop`; a single writer applies each
-    :class:`UpdateItem` via :meth:`KNNServer.apply_updates` once the
-    shared completed-read counter reaches its ``after_reads`` mark
-    (leftover batches fire when the readers finish, so every update is
-    always applied).  This is the query-latency-degradation-vs-update-
-    rate experiment: compare the returned read report's percentiles
-    against an update-free :func:`run_closed_loop` run of the same
-    items.
-
-    Returns ``(read_report, update_stats)`` where ``update_stats`` holds
-    the update count, per-kind counts, apply-latency percentiles and the
-    summed :class:`~repro.updates.UpdateReport` counters.
-    """
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
-    done: List[PendingRequest] = [None] * len(items)  # type: ignore[list-item]
-    cursor = {"next": 0, "reads_done": 0}
-    cursor_lock = threading.Lock()
-    readers_finished = threading.Event()
-    retrier = _RetryingClient(retries, retry_backoff_s)
-
-    def client() -> None:
-        while True:
-            with cursor_lock:
-                i = cursor["next"]
-                if i >= len(items):
-                    return
-                cursor["next"] = i + 1
-            done[i] = retrier.drive(server, items[i], timeout_s)
-            with cursor_lock:
-                cursor["reads_done"] += 1
-
-    applied: List[tuple] = []  # (UpdateItem, UpdateReport, latency_s)
-
-    def writer() -> None:
-        for update in updates:
-            while not readers_finished.is_set():
-                with cursor_lock:
-                    if cursor["reads_done"] >= update.after_reads:
-                        break
-                time.sleep(0.0005)
-            t0 = time.perf_counter()
-            report = server.apply_updates(
-                update.deltas, category=update.category
-            )
-            applied.append((update, report, time.perf_counter() - t0))
-
-    start = time.perf_counter()
-    clients = [
-        threading.Thread(target=client, name=f"load-client-{c}", daemon=True)
-        for c in range(min(concurrency, max(1, len(items))))
-    ]
-    writer_thread = threading.Thread(target=writer, name="load-writer", daemon=True)
-    for t in clients:
-        t.start()
-    writer_thread.start()
-    for t in clients:
-        t.join()
-    readers_finished.set()
-    writer_thread.join()
-    duration = time.perf_counter() - start
-    report = _report(
-        "mixed-closed-loop", server, [p for p in done if p], duration,
-        client_retries=retrier.total,
-    )
-
-    latencies_ms = [lat * 1e3 for _, _, lat in applied]
-    kind_counts: Dict[str, int] = {}
-    totals = {"objects_added": 0, "objects_removed": 0, "weights_changed": 0}
-    for update, upd_report, _ in applied:
-        kind_counts[update.kind] = kind_counts.get(update.kind, 0) + 1
-        totals["objects_added"] += upd_report.objects_added
-        totals["objects_removed"] += upd_report.objects_removed
-        totals["weights_changed"] += upd_report.weights_changed
-    update_stats = {
-        "updates_applied": len(applied),
-        "update_rate_per_s": (
-            round(len(applied) / duration, 3) if duration > 0 else 0.0
-        ),
-        "kind_counts": kind_counts,
-        "apply_latency_ms": {
-            "p50": round(percentile(latencies_ms, 50), 4),
-            "p95": round(percentile(latencies_ms, 95), 4),
-            "mean": round(
-                sum(latencies_ms) / len(latencies_ms), 4
-            ) if latencies_ms else 0.0,
-        },
-        "totals": totals,
-    }
-    return report, update_stats
 
 
 def sequential_baseline(

@@ -15,10 +15,6 @@ model the request streams a POI service actually sees:
 * :func:`category_switching_workload` — clients hop between POI
   categories (restaurants → fuel → parking), exercising per-category
   engines and batch grouping by object set.
-* :func:`mixed_update_workload` — a read stream plus a paced sequence of
-  :class:`UpdateItem` live-update batches (POI churn and travel-weight
-  drift) for the read/write driver
-  (:func:`repro.server.loadgen.run_mixed_closed_loop`).
 
 All generators are deterministic in ``seed``: the same seed always
 yields the same item sequence (see ``tests/conftest.py`` for the
@@ -29,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.updates import ObjectDelta, WeightDelta, set_weight
 
 
 @dataclass(frozen=True)
@@ -128,101 +123,6 @@ def diurnal_workload(
         t += float(rng.exponential(1.0 / rate))
         out.append(WorkItem(item.vertex, item.k, method=item.method, at_s=t))
     return out
-
-
-@dataclass(frozen=True)
-class UpdateItem:
-    """One live-update batch the writer thread applies atomically.
-
-    ``kind`` labels the batch for reporting (``"objects"``,
-    ``"weights"`` or ``"mixed"``); ``after_reads`` is the closed-loop
-    pacing mark — the writer fires this batch once the shared
-    completed-read counter reaches it, so the offered update rate scales
-    with read throughput instead of wall-clock guesswork.
-    """
-
-    kind: str
-    deltas: Tuple[object, ...]
-    category: Optional[str] = None
-    after_reads: int = 0
-
-
-def mixed_update_workload(
-    graph: Graph,
-    n_reads: int,
-    k: int,
-    objects: Sequence[int],
-    *,
-    updates: int = 8,
-    deltas_per_update: int = 4,
-    weight_fraction: float = 0.5,
-    weight_scale: Tuple[float, float] = (0.5, 2.0),
-    method: str = "auto",
-    seed: int = 0,
-) -> Tuple[List[WorkItem], List[UpdateItem]]:
-    """A read stream plus ``updates`` evenly paced live-update batches.
-
-    Each batch holds ``deltas_per_update`` deltas, each independently a
-    weight delta (probability ``weight_fraction``) or an object delta.
-    Weight deltas pick a random vertex and one of its incident edges and
-    set an absolute weight of ``original * U(weight_scale)`` — bounded
-    drift no matter how many batches apply.  Object deltas track the
-    evolving object set, so removals always target a present object and
-    additions a free vertex; the stream is therefore valid to apply in
-    order against ``objects``.
-
-    Update batch ``i`` (0-based) is paced ``after_reads = (i + 1) *
-    n_reads // (updates + 1)`` — spread through the read stream with a
-    quiet head and tail for clean before/after latency comparison.
-    """
-    if not 0.0 <= weight_fraction <= 1.0:
-        raise ValueError("weight_fraction must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    reads = [
-        WorkItem(int(v), int(k), method=method)
-        for v in rng.integers(0, graph.num_vertices, size=n_reads)
-    ]
-    present = set(int(o) for o in objects)
-    free = sorted(set(range(graph.num_vertices)) - present)
-    out: List[UpdateItem] = []
-    for i in range(updates):
-        deltas: List[object] = []
-        kinds = set()
-        for _ in range(deltas_per_update):
-            if rng.random() < weight_fraction:
-                u = int(rng.integers(0, graph.num_vertices))
-                start, end = (
-                    int(graph.vertex_start[u]),
-                    int(graph.vertex_start[u + 1]),
-                )
-                if start == end:  # isolated vertex; skip this slot
-                    continue
-                e = int(rng.integers(start, end))
-                v = int(graph.edge_target[e])
-                base = float(graph.edge_weight[e])
-                deltas.append(set_weight(
-                    u, v, base * float(rng.uniform(*weight_scale))
-                ))
-                kinds.add("weights")
-            elif present and (not free or rng.random() < 0.5):
-                victim = int(rng.choice(sorted(present)))
-                present.discard(victim)
-                free.append(victim)
-                deltas.append(ObjectDelta("remove", victim))
-                kinds.add("objects")
-            elif free:
-                newcomer = free.pop(int(rng.integers(0, len(free))))
-                present.add(newcomer)
-                deltas.append(ObjectDelta("add", newcomer))
-                kinds.add("objects")
-        if not deltas:
-            continue
-        out.append(UpdateItem(
-            kind=kinds.pop() if len(kinds) == 1 else "mixed",
-            deltas=tuple(deltas),
-            after_reads=(i + 1) * n_reads // (updates + 1),
-        ))
-    return reads, out
 
 
 def category_switching_workload(

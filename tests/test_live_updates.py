@@ -859,72 +859,3 @@ class TestServerUpdates:
         for floor, _, got in observed:
             assert got in truths[floor:], (floor, got)
         assert {floor for floor, _, _ in observed} >= {0, len(batches)}
-
-
-# ----------------------------------------------------------------------
-# Mixed read/write workload and driver
-# ----------------------------------------------------------------------
-class TestMixedWorkload:
-    def test_generator_deterministic_and_valid(self, road400, objects400):
-        from repro.server import mixed_update_workload
-
-        g, objects = road400, list(objects400)
-        a = mixed_update_workload(g, 100, 4, objects, updates=5, seed=13)
-        b = mixed_update_workload(g, 100, 4, objects, updates=5, seed=13)
-        assert a == b
-        reads, updates = a
-        assert len(reads) == 100
-        assert all(0 <= item.vertex < g.num_vertices for item in reads)
-        marks = [u.after_reads for u in updates]
-        assert marks == sorted(marks) and marks[0] > 0
-        assert all(u.kind in ("objects", "weights", "mixed") for u in updates)
-        # The object-delta stream is valid when applied in order.
-        present = set(int(o) for o in objects)
-        for u in updates:
-            for delta in u.deltas:
-                if isinstance(delta, ObjectDelta):
-                    if delta.kind == "add":
-                        assert delta.vertex not in present
-                        present.add(delta.vertex)
-                    else:
-                        assert delta.vertex in present
-                        present.discard(delta.vertex)
-
-    def test_update_item_is_frozen(self):
-        import dataclasses
-
-        from repro.server import UpdateItem
-
-        item = UpdateItem(kind="objects", deltas=(add_object(1),))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            item.kind = "weights"
-
-    def test_mixed_driver_applies_all_updates(self):
-        from repro.server import (
-            KNNServer,
-            mixed_update_workload,
-            run_mixed_closed_loop,
-        )
-
-        g = fresh_graph(seed=73)
-        objects = sorted(uniform_objects(g, density=0.03, seed=5))
-        engine = QueryEngine(g, objects)
-        reads, updates = mixed_update_workload(
-            g, 120, 4, objects, updates=4, seed=21
-        )
-        assert updates
-        with KNNServer(engine, workers=2) as server:
-            report, stats = run_mixed_closed_loop(
-                server, reads, updates, concurrency=3, timeout_s=10.0
-            )
-            assert report.completed == len(reads)
-            assert stats["updates_applied"] == len(updates)
-            assert stats["apply_latency_ms"]["mean"] > 0.0
-            # Post-quiesce: the server answers for the final state.
-            final = server.engine_for(None).objects
-            truth = ine_knn(g, final, 5, 4)
-            got = [
-                (n.distance, n.vertex)
-                for n in server.query(5, 4, "ine").result.neighbors
-            ]
-            assert got == [(float(d), int(v)) for d, v in truth]

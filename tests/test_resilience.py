@@ -11,6 +11,7 @@ from repro.engine import QueryEngine
 from repro.engine.registry import MethodUnavailable, UnknownMethod
 from repro.engine.workbench import IndexCache
 from repro.graph.generators import road_network
+from repro.knn.base import verify_knn_result
 from repro.objects import uniform_objects
 from repro.resilience import (
     CLOSED,
@@ -36,7 +37,13 @@ from repro.resilience import (
     quarantine_counts,
     reset_quarantine_counts,
 )
-from repro.server import UnknownCategory
+from repro.server import (
+    KNNServer,
+    UnknownCategory,
+    hotspot_workload,
+    run_closed_loop,
+    sequential_baseline,
+)
 from repro.store import (
     ArtifactMissing,
     IndexStore,
@@ -496,3 +503,79 @@ class TestEngineFallback:
         b = dense_engine.query(11, 5)
         assert not a.degraded and a.fallback_from is None
         assert a.neighbors == b.neighbors
+
+
+# ----------------------------------------------------------------------
+# Chaos: the serving stack end to end under a seeded fault plan
+# ----------------------------------------------------------------------
+class TestChaos:
+    def test_serving_survives_seeded_fault_plan(self, tmp_path):
+        """Store corruption, random store IO faults, a 5% kernel fault
+        rate, a breaker-tripping kernel outage burst and one worker kill
+        against a retrying closed loop: >= 99% available, zero wrong
+        answers, then a clean recovery once the plan is cleared."""
+        seed, k = 8, 5
+        graph = road_network(400, seed=seed)
+        # Density >= the planner threshold: "auto" resolves to INE, so
+        # kernel.sssp faults hit the primary method.
+        objects = uniform_objects(graph, density=0.02, seed=seed + 1)
+        items = hotspot_workload(graph, 100, k, hot_vertices=32, seed=seed + 2)
+        _, truths = sequential_baseline(QueryEngine(graph, objects), items)
+
+        store = IndexStore(tmp_path / "store")
+        # The fallback index is stored fault-free; the chaos engine
+        # then loads it through the store.load fault point.
+        IndexCache(graph, store=store).prebuild(["gtree"])
+        server = KNNServer(
+            QueryEngine(IndexCache(graph, store=store), objects),
+            workers=4, max_batch=8, cache_capacity=0,
+            breaker_threshold=4, breaker_cooldown_s=0.4,
+            heartbeat_interval_s=0.1, wedge_timeout_s=2.0,
+        )
+        server.start(warmup_methods=["auto"])
+        try:
+            with plan_installed(FaultPlan(seed=seed, specs=(
+                FaultSpec("store.load", nth_calls=(1,), probability=0.10),
+                FaultSpec("store.save", probability=0.25),
+                FaultSpec("kernel.sssp", probability=0.05),
+                FaultSpec("kernel.sssp", between=(40, 90), probability=1.0),
+                FaultSpec("worker.die", nth_calls=(12,)),
+            ))):
+                report = run_closed_loop(
+                    server, items, concurrency=8, timeout_s=30.0,
+                    retries=3, retry_backoff_s=0.01,
+                )
+                time.sleep(0.3)  # let the supervisor replace the dead worker
+
+            ok = [r for r in report.responses if r is not None and r.ok]
+            assert len(ok) / len(items) >= 0.99, report.status_counts
+            degraded = 0
+            for response, truth in zip(report.responses, truths):
+                if response is None or not response.ok:
+                    continue
+                if response.degraded:
+                    # A fallback method: exact up to float associativity.
+                    degraded += 1
+                    assert verify_knn_result(
+                        response.result.neighbors, truth.neighbors
+                    )
+                else:
+                    assert response.result.neighbors == truth.neighbors
+            assert degraded >= 1, "the fallback chain never ran"
+
+            # Plan cleared: the breaker cools down and a probe re-closes it.
+            deadline = time.monotonic() + 30.0
+            while server.health()["breakers"]["ine"]["state"] != "closed":
+                assert time.monotonic() < deadline, server.health()
+                server.query(items[0].vertex, k)
+                time.sleep(0.1)
+            for item, truth in zip(items[:20], truths):
+                response = server.query(item.vertex, item.k)
+                assert response.ok and not response.degraded
+                assert response.result.neighbors == truth.neighbors
+            health = server.health()
+        finally:
+            server.stop()
+        assert health["breakers"]["ine"]["opened_total"] >= 1
+        assert health["workers"]["restarts_total"] >= 1
+        assert sum(quarantine_counts(store.root).values()) >= 1

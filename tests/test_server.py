@@ -582,6 +582,10 @@ class TestLoadgen:
         assert percentile(values, 50) == 2.0
         assert percentile(values, 100) == 4.0
         assert percentile([], 99) == 0.0
+        # Rank ceil(p/100 * n): no round-half-to-even, no float overshoot.
+        assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 50) == 3.0
+        assert percentile(list(range(1, 11)), 25) == 3
+        assert percentile(list(range(1, 101)), 7) == 7
 
     def test_closed_loop_report(self, engine, road400):
         items = uniform_workload(road400, 40, 4, seed=9)
