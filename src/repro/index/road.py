@@ -101,11 +101,14 @@ class RoadIndex(PartitionHierarchy):
         for node in self.nodes:
             node.border_pos = {int(b): i for i, b in enumerate(node.borders)}
             node.interior_size = len(self.node_vertices(node)) - len(node.borders)
-        # The build is the repair routine with every Rnet triggered.
+        self._query_lists()
+        # The build is the repair routine with every Rnet triggered (so
+        # every matrix and shortcut row counts as changed).
         self._repair(*self.every_node())
 
-    def _build_query_structures(self) -> None:
-        """Derived structures shared by ``_build`` and ``from_arrays``."""
+    def _query_lists(self) -> None:
+        """Query-time lists, built once by ``_build`` and ``from_arrays``;
+        repair patches ``_ew`` and ``_shortcut_lists`` rows in place."""
         graph = self.graph
         n = graph.num_vertices
 
@@ -129,18 +132,24 @@ class RoadIndex(PartitionHierarchy):
         self._vs = graph.vertex_start.tolist()
         self._et = graph.edge_target.tolist()
         self._ew = graph.edge_weight.tolist()
-        self._shortcut_lists: List[List[List[Tuple[int, float]]]] = []
-        for node in self.rnets:
-            rows: List[List[Tuple[int, float]]] = []
-            if node.shortcut_matrix is not None and len(node.borders):
-                borders = [int(b) for b in node.borders]
-                for i in range(len(borders)):
-                    row = []
-                    for j, w in enumerate(node.shortcut_matrix[i]):
-                        if j != i and np.isfinite(w):
-                            row.append((borders[j], float(w)))
-                    rows.append(row)
-            self._shortcut_lists.append(rows)
+        self._shortcut_lists: List[List[List[Tuple[int, float]]]] = [
+            self._shortcut_rows(node) for node in self.rnets
+        ]
+
+    @staticmethod
+    def _shortcut_rows(node: RnetNode) -> List[List[Tuple[int, float]]]:
+        """Per border, its finite shortcuts as ``(border, w)`` pairs.  All
+        rows share one int object per border; per-row copies show in RSS."""
+        matrix = node.shortcut_matrix
+        if matrix is None:
+            return []
+        borders = node.borders.tolist()
+        finite = np.isfinite(matrix)
+        np.fill_diagonal(finite, False)
+        cols = np.nonzero(finite)[1].tolist()
+        pairs = list(zip([borders[j] for j in cols], matrix[finite].tolist()))
+        ends = np.cumsum(finite.sum(axis=1)).tolist()
+        return [pairs[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def _shortcuts(self, node: RnetNode) -> np.ndarray:
         """Within-Rnet border-to-border distances for one Rnet: one
@@ -159,14 +168,19 @@ class RoadIndex(PartitionHierarchy):
     # ------------------------------------------------------------------
     # Build and incremental repair: one bottom-up routine
     # ------------------------------------------------------------------
-    def _repair(self, triggers: Set[int], affected: Set[int]) -> Dict[str, int]:
+    def _repair(self, triggers: Set[int], affected: Set[int], edges=()) -> Dict[str, int]:
         solves, changed = self.recompute_bottom_up(
             triggers, affected, "shortcut_matrix", self._shortcuts
         )
-        if affected:
-            # The flat query-time lists snapshot edge weights and
-            # shortcut rows, so any weight change refreshes them.
-            self._build_query_structures()
+        # Patch the query-time lists in place, with readers excluded as
+        # KNNServer's write lock does (G-tree repairs in place too): the
+        # rows of Rnets whose matrix changed, and the ``_ew`` slices of the
+        # changed edges' endpoints (both directions, every parallel copy).
+        for i in changed:
+            self._shortcut_lists[i] = self._shortcut_rows(self.rnets[i])
+        vs, weight = self._vs, self.graph.edge_weight
+        for a in {a for u, v, _old, _new in edges for a in (u, v)}:
+            self._ew[vs[a]:vs[a + 1]] = weight[vs[a]:vs[a + 1]].tolist()
         return {
             "rnets_affected": len(affected),
             "shortcuts_recomputed": solves,
@@ -182,13 +196,15 @@ class RoadIndex(PartitionHierarchy):
         repair is the build restricted to the Rnets
         :meth:`~PartitionHierarchy.repair_plan` names — bottom-up along
         the endpoint-leaf ancestor chains, stopping early when a
-        recomputed matrix is bitwise unchanged — followed by a refresh
-        of the derived query structures (which snapshot edge weights).
-        Because :meth:`_shortcuts` is the build's own per-node
-        computation, the repaired index is byte-identical to a rebuild
-        on the same partition hierarchy.  Returns repair counters.
+        recomputed matrix is bitwise unchanged — then an in-place patch of
+        the changed shortcut rows and edge-weight slots, so callers keep
+        queries out meanwhile (``KNNServer`` holds its write lock).
+        Because :meth:`_shortcuts` and :meth:`_shortcut_rows` are the
+        build's own per-node computations, the repaired index is
+        byte-identical to a rebuild on the same partition hierarchy.
+        Returns repair counters.
         """
-        return self._repair(*self.repair_plan(changed))
+        return self._repair(*self.repair_plan(changed), changed)
 
     # ------------------------------------------------------------------
     # Search support
@@ -266,7 +282,7 @@ class RoadIndex(PartitionHierarchy):
             node.interior_size = int(arrays["interior_size"][i])
             node.border_pos = {int(b): j for j, b in enumerate(node.borders)}
             node.shortcut_matrix = unpack_matrix(arrays, "shortcut", i)
-        self._build_query_structures()
+        self._query_lists()
         return self
 
 

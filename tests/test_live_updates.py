@@ -30,7 +30,7 @@ from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ier import IER, euclidean_knn_brute_force
 from repro.knn.ine import INE, ine_knn
 from repro.knn.road_knn import RoadKNN
-from repro.knn.base import KNNAlgorithm
+from repro.knn.base import KNNAlgorithm, verify_knn_result
 from repro.objects import uniform_objects
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.pathfinding.dijkstra import dijkstra_distance
@@ -258,16 +258,109 @@ class TestIndexRepair:
         for s, t in [(0, 100), (5, 250), (77, 130)]:
             assert gt.distance(s, t) == rebuilt.distance(s, t)
 
+    @staticmethod
+    def _assert_same_road(a, b):
+        """Shortcut matrices and the query-time lists kNN reads."""
+        for x, y in zip(a.rnets, b.rnets, strict=True):
+            assert np.array_equal(x.shortcut_matrix, y.shortcut_matrix)
+        assert a._shortcut_lists == b._shortcut_lists
+        assert a._ew == b._ew
+
     def test_road_repair_bitwise_equals_rebuild(self):
+        """After each of several batches, a built and a store-rehydrated
+        ROAD both equal a rebuild on the same partition — matrices, every
+        shortcut row and every weight slot."""
         g = fresh_graph(seed=29)
         rd = RoadIndex(g, levels=3, seed=0)
+        loaded = RoadIndex.from_arrays(g, rd.to_arrays())
         rng = np.random.default_rng(6)
-        changed = g.apply_weight_deltas(random_weight_deltas(g, rng, 10))
-        counters = rd.apply_weight_deltas(changed)
-        assert counters["rnets_affected"] > 0
-        rebuilt = RoadIndex(g, levels=3, seed=0, partition=rd.partition)
-        for a, b in zip(rd.rnets, rebuilt.rnets):
-            assert np.array_equal(a.shortcut_matrix, b.shortcut_matrix)
+        for _ in range(4):
+            changed = g.apply_weight_deltas(random_weight_deltas(g, rng, 10))
+            counters = rd.apply_weight_deltas(changed)
+            assert counters["rnets_affected"] > 0
+            assert counters["shortcuts_changed"] > 0
+            loaded.apply_weight_deltas(changed)
+            rebuilt = RoadIndex(g, levels=3, seed=0, partition=rd.partition)
+            assert rebuilt._ew == g.edge_weight.tolist()
+            self._assert_same_road(rd, rebuilt)
+            self._assert_same_road(loaded, rebuilt)
+
+    def test_road_repair_patches_query_lists_in_place(self):
+        """Repair re-derives only the changed Rnets' shortcut rows: every
+        other row list, and the topology lists, stay the same objects."""
+        g = fresh_graph(seed=53)
+        rd = RoadIndex(g, levels=3, seed=0)
+
+        def lists():
+            return (
+                rd.route_overlay, rd._vs, rd._et, rd._leaf_index_list,
+                rd._ew, rd._shortcut_lists,
+            )
+
+        before = lists()
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            matrices = [node.shortcut_matrix for node in rd.rnets]
+            rows = list(rd._shortcut_lists)
+            rd.apply_weight_deltas(
+                g.apply_weight_deltas(random_weight_deltas(g, rng, 3))
+            )
+            changed = {
+                node.id for node in rd.rnets
+                if node.shortcut_matrix is not matrices[node.id]
+            }
+            assert 0 < len(changed) < len(rd.rnets)
+            for i, row_list in enumerate(rows):
+                assert (rd._shortcut_lists[i] is row_list) == (i not in changed), i
+            assert all(x is y for x, y in zip(lists(), before, strict=True))
+
+    @pytest.mark.parametrize("name", ("disconnected", "unit-grid", "parallel"))
+    def test_road_repair_on_adversarial_inputs(self, adversarial_graphs, name):
+        """Repair on a private copy of each adversarial network: RoadKNN
+        agrees with INE after every batch, parallel copies of a changed
+        edge are all patched, unreachable shortcuts stay out of the rows,
+        and weights set back restore the lists they had."""
+        shared = adversarial_graphs[name]  # session-scoped: never mutate
+        g = shared.with_weights(shared.edge_weight.copy(), shared.weight_kind)
+        rd = RoadIndex(g, levels=3, seed=0)
+        assert any(np.isinf(node.shortcut_matrix).any() for node in rd.rnets)
+        objects = list(range(0, g.num_vertices, 13))
+        queries = list(range(0, g.num_vertices, 7))
+        rng = np.random.default_rng(17)
+
+        def repair_and_check(deltas):
+            changed = g.apply_weight_deltas(coalesce_weight_deltas(deltas))
+            assert changed
+            rd.apply_weight_deltas(changed)
+            copies = 0
+            for u, v, _old, new in changed:
+                for a, b in ((u, v), (v, u)):
+                    slots = [
+                        j for j in range(rd._vs[a], rd._vs[a + 1]) if rd._et[j] == b
+                    ]
+                    assert slots and all(rd._ew[j] == new for j in slots)
+                    copies = max(copies, len(slots))
+            assert (copies > 1) == (name == "parallel")
+            for rows in rd._shortcut_lists:
+                assert all(np.isfinite(w) for row in rows for _, w in row)
+            self._assert_same_road(
+                rd, RoadIndex(g, levels=3, seed=0, partition=rd.partition)
+            )
+            road, ine = RoadKNN(rd, objects), INE(g, objects)
+            for q in queries:
+                assert verify_knn_result(road.knn(q, 4), ine.knn(q, 4)), q
+            return changed
+
+        first = repair_and_check(random_weight_deltas(g, rng, 12))
+        rows, ew = list(rd._shortcut_lists), list(rd._ew)
+        # The same edges moved again, then set back to their weights.
+        repair_and_check([
+            set_weight(u, v, new * float(rng.uniform(0.5, 2.0)))
+            for u, v, _old, new in first
+        ])
+        repair_and_check([set_weight(u, v, new) for u, v, _old, new in first])
+        assert rd._ew == ew
+        assert rd._shortcut_lists == rows
 
     @staticmethod
     def _one_delta_per_leaf(g, index):
@@ -291,12 +384,14 @@ class TestIndexRepair:
             ))
         return deltas
 
-    @staticmethod
-    def _assert_same_arrays(a, b):
+    @classmethod
+    def _assert_same_arrays(cls, a, b):
         left, right = a.to_arrays(), b.to_arrays()
         assert left.keys() == right.keys()
         for name in left.keys() - {"build_time"}:
             assert np.array_equal(left[name], right[name]), name
+        if isinstance(a, RoadIndex):
+            cls._assert_same_road(a, b)
 
     @pytest.mark.parametrize("make", (
         lambda g, **kw: GTree(g, tau=32, seed=0, **kw),
@@ -312,12 +407,16 @@ class TestIndexRepair:
         every = set(range(len(index.nodes)))
         assert index.every_node() == (every, every)
         before = {k: np.array(v) for k, v in index.to_arrays().items()}
+        lists = [list(getattr(index, a, ())) for a in ("_shortcut_lists", "_ew")]
         counters = index._repair(*index.every_node())
         assert len(every) in counters.values()  # every node was re-solved
         assert counters.get("shortcuts_changed", 0) == 0
         assert counters.get("corrected_recomputed", 0) == 0
         for name, ref in before.items():
             assert np.array_equal(index.to_arrays()[name], ref), name
+        assert lists == [
+            list(getattr(index, a, ())) for a in ("_shortcut_lists", "_ew")
+        ]
 
         changed = g.apply_weight_deltas(coalesce_weight_deltas(
             self._one_delta_per_leaf(g, index)
