@@ -47,7 +47,9 @@ class _TracingMatrix:
         return self._inner.get(i, j)
 
     def minplus(self, prev, rows, cols):
-        self._trace.append((self._id, np.asarray(rows), np.asarray(cols)))
+        # Slices are recorded as the index arrays they select.
+        nrows, ncols = self.m.shape
+        self._trace.append((self._id, np.arange(nrows)[rows], np.arange(ncols)[cols]))
         return self._inner.minplus(prev, rows, cols)
 
     def size_bytes(self) -> int:

@@ -82,12 +82,15 @@ class ArrayMatrix:
     def get(self, i: int, j: int) -> float:
         return float(self.m[i, j])
 
-    def minplus(
-        self, prev: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """``out[j] = min_i prev[i] + M[rows[i], cols[j]]`` (vectorised)."""
-        sub = self.m[np.ix_(rows, cols)]
-        return (prev[:, None] + sub).min(axis=0)
+    def minplus(self, prev: np.ndarray, rows, cols) -> np.ndarray:
+        """``out[j] = min_i prev[i] + M[rows[i], cols[j]]`` (vectorised).
+
+        Assembly passes a child's block as a slice, so the block is a
+        view or one gather.  Two index arrays would index pointwise, so
+        that case is broadcast to the outer product."""
+        if not isinstance(rows, slice) and not isinstance(cols, slice):
+            rows = np.asarray(rows)[:, None]
+        return (prev[:, None] + self.m[rows, cols]).min(axis=0)
 
     def size_bytes(self) -> int:
         return int(self.m.nbytes)
@@ -114,10 +117,9 @@ class HashMatrixTuple:
     def get(self, i: int, j: int) -> float:
         return self.d[(i, j)]
 
-    def minplus(
-        self, prev: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
+    def minplus(self, prev: np.ndarray, rows, cols) -> np.ndarray:
         d = self.d
+        rows, cols = np.arange(self.shape[0])[rows], np.arange(self.shape[1])[cols]
         out = np.full(len(cols), INF)
         for a, i in enumerate(rows):
             base = prev[a]
@@ -155,11 +157,10 @@ class HashMatrixPacked:
     def get(self, i: int, j: int) -> float:
         return self.d[i * self.ncols + j]
 
-    def minplus(
-        self, prev: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
+    def minplus(self, prev: np.ndarray, rows, cols) -> np.ndarray:
         d = self.d
         ncols = self.ncols
+        rows, cols = np.arange(self.shape[0])[rows], np.arange(ncols)[cols]
         out = np.full(len(cols), INF)
         for a, i in enumerate(rows):
             base = prev[a]
@@ -205,7 +206,9 @@ class GTreeNode(HierarchyNode):
         # Pass-1 (within-subgraph) matrix: what parents' minigraphs and
         # incremental repair read.  Not serialized.
         self.raw: Optional[np.ndarray] = None
-        self.pos_in_parent: np.ndarray = np.empty(0, dtype=np.int64)
+        # Rows/columns of this node's borders in the parent's matrix: one
+        # contiguous run, because child borders are grouped by child.
+        self.pos_in_parent = slice(0, 0)
         self.own_border_pos: np.ndarray = np.empty(0, dtype=np.int64)
         self.vertex_pos: Optional[Dict[int, int]] = None  # leaf only
         # Lazy leaf-search caches (leaf only): the leaf subgraph plus its
@@ -282,9 +285,7 @@ class GTree(PartitionHierarchy):
             offset = 0
             for cid in node.children:
                 child = self.nodes[cid]
-                child.pos_in_parent = np.arange(
-                    offset, offset + len(child.borders), dtype=np.int64
-                )
+                child.pos_in_parent = slice(offset, offset + len(child.borders))
                 offset += len(child.borders)
             node.child_borders = np.concatenate(
                 [self.nodes[cid].borders for cid in node.children]
@@ -303,7 +304,8 @@ class GTree(PartitionHierarchy):
         """Border-to-border block of a child's pass-1 matrix."""
         if child.is_leaf:
             return child.raw[:, np.searchsorted(child.vertices, child.borders)]
-        return child.raw[np.ix_(child.own_border_pos, child.own_border_pos)]
+        own = child.own_border_pos
+        return child.raw[own[:, None], own]
 
     def _raw_matrix(self, node: GTreeNode) -> np.ndarray:
         """Pass-1 matrix: within-subgraph distances on the node's minigraph.
@@ -415,10 +417,10 @@ class GTree(PartitionHierarchy):
             parent = self.nodes[node.parent]
             if node.id not in raw_changed and parent.id not in corrected_changed:
                 continue
-            block = np.ix_(node.pos_in_parent, node.pos_in_parent)
-            clique = parent.matrix.m[block]
+            block = node.pos_in_parent
+            clique = parent.matrix.m[block, block]
             if node.id not in raw_changed and np.array_equal(
-                clique, old[parent.id].m[block]
+                clique, old[parent.id].m[block, block]
             ):
                 continue
             corrected = (
@@ -529,7 +531,7 @@ class GTree(PartitionHierarchy):
                     source, parent.id, cache, counters
                 )
                 rows = parent.own_border_pos
-            counters.add("matrix_ops", len(d_prev) * len(node.pos_in_parent))
+            counters.add("matrix_ops", len(d_prev) * len(node.borders))
             result = parent.matrix.minplus(d_prev, rows, node.pos_in_parent)
         cache[node_id] = result
         return result
@@ -568,8 +570,9 @@ class GTree(PartitionHierarchy):
             )
         return leaf.leaf_lists
 
-    def _same_leaf_sssp(self, source: int) -> Dict[int, float]:
-        """Exact distances from ``source`` to every vertex of its leaf.
+    def _same_leaf_sssp(self, source: int) -> np.ndarray:
+        """Exact distances from ``source`` to every vertex of its leaf,
+        indexed like ``leaf.vertices`` (look up through ``vertex_pos``).
 
         Dijkstra over the leaf subgraph augmented with the exact border
         clique, so out-and-back paths are covered — one C call on the
@@ -577,28 +580,19 @@ class GTree(PartitionHierarchy):
         """
         leaf = self.nodes[int(self.leaf_of[source])]
         local = self.leaf_local_csr(leaf)
-        dist = _csgraph_dijkstra(
+        return _csgraph_dijkstra(
             local, directed=True, indices=leaf.vertex_pos[int(source)]
         )
-        return {int(v): float(dist[i]) for i, v in enumerate(leaf.vertices)}
 
     def _leaf_border_clique(self, leaf: GTreeNode) -> Optional[np.ndarray]:
         if leaf.id == self.root:
             return None
         parent = self.nodes[leaf.parent]
-        pm = parent.matrix.m if hasattr(parent.matrix, "m") else None
-        if pm is None:
-            nb = len(leaf.pos_in_parent)
-            return np.asarray(
-                [
-                    [
-                        parent.matrix.get(int(leaf.pos_in_parent[a]), int(leaf.pos_in_parent[b]))
-                        for b in range(nb)
-                    ]
-                    for a in range(nb)
-                ]
-            )
-        return pm[np.ix_(leaf.pos_in_parent, leaf.pos_in_parent)]
+        block = leaf.pos_in_parent
+        if hasattr(parent.matrix, "m"):
+            return parent.matrix.m[block, block]
+        pos = range(block.start, block.stop)
+        return np.asarray([[parent.matrix.get(a, b) for b in pos] for a in pos])
 
     def distance(
         self,
@@ -614,18 +608,18 @@ class GTree(PartitionHierarchy):
             cache = {}
         source_leaf = int(self.leaf_of[source])
         target_leaf = int(self.leaf_of[target])
+        leaf = self.nodes[target_leaf]
+        col = leaf.vertex_pos[int(target)]
         if source_leaf == target_leaf:
             key = ("sssp", source)
             sssp = cache.get(key)  # type: ignore[arg-type]
             if sssp is None:
                 sssp = self._same_leaf_sssp(source)
                 cache[key] = sssp  # type: ignore[index]
-            return float(sssp[int(target)])
+            return float(sssp[col])
         d_borders = self.distances_to_node_borders(
             source, target_leaf, cache, counters
         )
-        leaf = self.nodes[target_leaf]
-        col = leaf.vertex_pos[int(target)]
         counters.add("matrix_ops", len(d_borders))
         if hasattr(leaf.matrix, "m"):
             return float((d_borders + leaf.matrix.m[:, col]).min())
@@ -681,7 +675,10 @@ class GTree(PartitionHierarchy):
                 n.child_borders if n.child_borders is not None else empty
                 for n in nodes
             ],
-            "pos_in_parent": [n.pos_in_parent for n in nodes],
+            "pos_in_parent": [
+                np.arange(n.pos_in_parent.start, n.pos_in_parent.stop)
+                for n in nodes
+            ],
             "own_border_pos": [n.own_border_pos for n in nodes],
         }
         for name, rows in ragged.items():
@@ -702,7 +699,9 @@ class GTree(PartitionHierarchy):
         when served from the store.  Leaf caches are rebuilt lazily on
         first same-leaf search.  Pass-1 matrices are not serialized, so
         a loaded tree cannot repair in place (``apply_weight_deltas``
-        raises RepairUnavailable and callers rebuild).
+        raises RepairUnavailable and callers rebuild).  A ``pos_in_parent``
+        row that is not a contiguous ascending run raises ``ValueError``
+        naming the node.
         """
         self = cls._from_topology(graph, arrays)
         self.fanout = int(arrays["fanout"])
@@ -715,7 +714,14 @@ class GTree(PartitionHierarchy):
             return ragged_row(arrays[name], arrays[f"{name}_off"], i)
 
         for i, node in enumerate(self.nodes):
-            node.pos_in_parent = rag("pos_in_parent", i)
+            pos = rag("pos_in_parent", i)
+            lo = int(pos[0]) if len(pos) else 0
+            if not np.array_equal(pos, np.arange(lo, lo + len(pos))):
+                raise ValueError(
+                    f"gtree artifact: pos_in_parent of node {i} is not a "
+                    "contiguous ascending run"
+                )
+            node.pos_in_parent = slice(lo, lo + len(pos))
             node.own_border_pos = rag("own_border_pos", i)
             node.matrix = backend(unpack_matrix(arrays, "matrix", i))
             if node.is_leaf:

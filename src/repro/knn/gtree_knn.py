@@ -131,14 +131,14 @@ class GTreeKNN(KNNAlgorithm):
     ) -> None:
         """Pre-improvement leaf search: exact distance to every leaf object."""
         gtree = self.gtree
-        leaf_id = int(gtree.leaf_of[query])
-        leaf_objects = self.ol.objects_in_leaf(leaf_id)
+        leaf = gtree.nodes[int(gtree.leaf_of[query])]
+        leaf_objects = self.ol.objects_in_leaf(leaf.id)
         if not leaf_objects:
             return
         sssp = gtree._same_leaf_sssp(query)
         counters.add("leaf_settled", len(sssp))
         for o in leaf_objects:
-            queue.push(float(sssp[int(o)]), ("v", int(o)))
+            queue.push(float(sssp[leaf.vertex_pos[int(o)]]), ("v", int(o)))
 
     # ------------------------------------------------------------------
     # Main search (Algorithm 3)

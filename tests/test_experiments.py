@@ -3,7 +3,11 @@
 import pytest
 
 from repro.engine import IndexCache
-from repro.experiments.cache_study import format_table3, table3_cache_profile
+from repro.experiments.cache_study import (
+    format_table3,
+    record_matrix_trace,
+    table3_cache_profile,
+)
 from repro.experiments.runner import (
     ExperimentResult,
     measure_query_time,
@@ -149,3 +153,12 @@ class TestCacheStudy:
         for level in ("L1", "L2", "L3"):
             assert array[level] < probing[level] <= chained[level] * 1.05
         assert "Table 3" in format_table3(profile)
+
+    def test_trace_records_the_pinned_cells(self, wb):
+        """Slices passed to ``minplus`` are recorded as their index
+        arrays, so a seeded trace touches exactly the cells it did when
+        assembly passed arrays."""
+        trace, _ = record_matrix_trace(wb.graph, num_queries=15)
+        assert all(r.dtype.kind == c.dtype.kind == "i" for _, r, c in trace)
+        assert len(trace) == 185
+        assert sum(len(r) * len(c) for _, r, c in trace) == 21145

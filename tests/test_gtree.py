@@ -20,7 +20,10 @@ from repro.index.gtree import (
     MATRIX_BACKENDS,
     OccurrenceList,
 )
+from repro.knn.gtree_knn import GTreeKNN
+from repro.knn.ier import IER
 from repro.pathfinding.dijkstra import dijkstra_distance, dijkstra_sssp
+from repro.store import IndexStore, load_index, save_index
 from repro.utils.counters import Counters
 
 
@@ -58,6 +61,10 @@ class TestStructure:
             parent = gtree400.nodes[node.parent]
             cb = set(int(v) for v in parent.child_borders)
             assert set(int(b) for b in node.borders) <= cb
+            # ... as one contiguous run: the node's block of the parent matrix.
+            assert np.array_equal(
+                parent.child_borders[node.pos_in_parent], node.borders
+            )
 
     def test_bookkeeping(self, gtree400):
         assert gtree400.build_time() > 0
@@ -162,6 +169,27 @@ class TestMatrixBackends:
             got = backend(m).minplus(prev, rows, cols)
             assert np.allclose(got, expected)
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (slice(2, 5), np.asarray([0, 2, 8])),
+            (np.asarray([1, 4, 6]), slice(3, 9)),
+            (slice(2, 5), slice(3, 9)),
+        ],
+        ids=["slice-array", "array-slice", "slice-slice"],
+    )
+    def test_minplus_slice_blocks_agree_bitwise(self, rows, cols):
+        """Assembly passes child blocks as slices; every mix with an
+        array must keep outer-product semantics on every backend."""
+        rng = np.random.default_rng(1)
+        m = rng.random((8, 9))
+        r = np.arange(8)[rows]
+        c = np.arange(9)[cols]
+        prev = rng.random(len(r))
+        outer = (prev[:, None] + m[np.ix_(r, c)]).min(axis=0)
+        for backend in MATRIX_BACKENDS.values():
+            assert np.array_equal(backend(m).minplus(prev, rows, cols), outer)
+
     def test_get_agreement(self):
         m = np.arange(12, dtype=float).reshape(3, 4)
         for backend in MATRIX_BACKENDS.values():
@@ -182,6 +210,69 @@ class TestMatrixBackends:
             < HashMatrixPacked(m).size_bytes()
             < HashMatrixTuple(m).size_bytes()
         )
+
+
+def _pinned_query_run(gtree, graph, objects, queries):
+    """``ier-gt`` and both G-tree kNN leaf searches over ``queries``."""
+    counters = Counters()
+    algs = (
+        IER(graph, objects, GTreeOracle(gtree, counters)),
+        GTreeKNN(gtree, objects),
+        GTreeKNN(gtree, objects, improved_leaf_search=False),
+    )
+    answers = [alg.knn(q, 5, counters=counters) for alg in algs for q in queries]
+    return counters, answers
+
+
+class TestAssemblyArtifacts:
+    def test_counters_and_answers_pinned_on_built_and_loaded_tree(
+        self, road400, gtree400, objects400, queries400, tmp_path
+    ):
+        """Slicing the child blocks changes no arithmetic: the counter
+        totals are the values pinned before the change, and a
+        store-loaded tree answers and serializes exactly like the built
+        one."""
+        store = IndexStore(str(tmp_path))
+        save_index(store, "gtree", road400, gtree400, {"tau": 48})
+        loaded = load_index(store, "gtree", road400, {"tau": 48})
+        built_counters, built_answers = _pinned_query_run(
+            gtree400, road400, objects400, queries400
+        )
+        loaded_counters, loaded_answers = _pinned_query_run(
+            loaded, road400, objects400, queries400
+        )
+        pinned = {
+            "matrix_ops": 75980,
+            "verify_network_computations": 194,
+            "leaf_settled": 281,
+        }
+        for counters in (built_counters, loaded_counters):
+            assert {name: counters[name] for name in pinned} == pinned
+        assert loaded_answers == built_answers
+        built_arrays, loaded_arrays = gtree400.to_arrays(), loaded.to_arrays()
+        assert set(loaded_arrays) == set(built_arrays)
+        for name, array in built_arrays.items():
+            assert np.array_equal(loaded_arrays[name], array), name
+
+    @pytest.mark.parametrize("tamper", ["swap", "gap"])
+    def test_from_arrays_rejects_non_contiguous_pos_in_parent(
+        self, road400, gtree400, tamper
+    ):
+        arrays = gtree400.to_arrays()
+        off = arrays["pos_in_parent_off"]
+        node = next(
+            n.id for n in gtree400.nodes
+            if n.parent >= 0 and len(n.borders) >= 2
+        )
+        lo = int(off[node])
+        pos = arrays["pos_in_parent"].copy()
+        if tamper == "swap":
+            pos[lo], pos[lo + 1] = pos[lo + 1], pos[lo]
+        else:
+            pos[lo + 1] += 1
+        arrays["pos_in_parent"] = pos
+        with pytest.raises(ValueError, match=rf"node {node} is not a contiguous"):
+            GTree.from_arrays(road400, arrays)
 
 
 class TestOccurrenceList:
