@@ -1,11 +1,11 @@
-"""Helpers shared by the benchmark modules.
+"""The index store shared by the benchmark scripts.
 
 ``shared_store`` gives every benchmark session a persistent
-:class:`repro.store.IndexStore`: the first run of the suite pays the
-index builds (and the fig-08 / fig-26 preprocessing benchmarks record
-their wall-times into the artifacts), every later run warm-starts from
-disk.  Point ``REPRO_BENCH_STORE`` somewhere else — or at an empty
-directory — to control where artifacts live or to force a cold run.
+:class:`repro.store.IndexStore`: the first run builds the indexes (and
+records their build wall-times in the artifacts), every later run
+warm-starts from disk.  Point ``REPRO_BENCH_STORE`` somewhere else — or
+at an empty directory — to control where artifacts live or to force a
+cold run.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ DEFAULT_STORE_DIR = Path(__file__).resolve().parent / ".store"
 
 
 def shared_store() -> IndexStore:
-    """The session-shared index store backing all benchmark workbenches.
+    """The session-shared index store backing the paper-claims networks.
 
     An unset *or empty* ``REPRO_BENCH_STORE`` falls back to the default
     directory, so ``REPRO_BENCH_STORE= pytest benchmarks`` cannot
@@ -28,22 +28,3 @@ def shared_store() -> IndexStore:
     """
     root = os.environ.get("REPRO_BENCH_STORE") or str(DEFAULT_STORE_DIR)
     return IndexStore(root)
-
-
-def run_once(benchmark, fn):
-    """Benchmark ``fn`` once and return its result.
-
-    Shape-reproduction benchmarks compute a whole figure; a single round
-    keeps the suite fast while still registering a timing row.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def run_queries(benchmark, algorithm, queries, k, rounds=3):
-    """Benchmark a kNN workload; reports time per workload execution."""
-
-    def workload():
-        for q in queries:
-            algorithm.knn(int(q), k)
-
-    benchmark.pedantic(workload, rounds=rounds, iterations=1)

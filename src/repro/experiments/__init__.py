@@ -2,9 +2,10 @@
 
 Each ``figXX_*`` / ``tableX_*`` function reproduces one evaluation
 artefact at laptop scale and returns an :class:`ExperimentResult` whose
-series can be printed (``format_text``) or asserted on (the benchmark
-suite checks the *shape* of each result against the paper: who wins, by
-roughly what factor, where crossovers fall).
+series can be printed (``format_text``) or checked: :mod:`.claims` holds
+one record per artefact with the *shape* the paper reports — who wins,
+by roughly what factor, where crossovers fall — and computes a held /
+not held / unresolved verdict for each.
 """
 
 from repro.experiments.runner import (

@@ -2,8 +2,9 @@
 
 Every function returns one or more :class:`ExperimentResult` objects whose
 series mirror the corresponding plot.  Absolute numbers differ from the
-paper (pure Python on scaled networks vs C++ on DIMACS data); the
-benchmark suite asserts the *shapes* — orderings, trends and crossovers.
+paper (pure Python on scaled networks vs C++ on DIMACS data);
+:mod:`repro.experiments.claims` checks the *shapes* — orderings, trends
+and crossovers.
 
 Figures on travel-time graphs (17, 23-27) reuse the same functions on a
 ``IndexCache`` built over travel-time weights.
@@ -38,7 +39,9 @@ from repro.reference import ReferenceINE
 from repro.utils.counters import Counters
 
 DEFAULT_K = 10
-DEFAULT_DENSITY = 0.01  # scaled-up analogue of the paper's 0.001 (see DESIGN.md)
+#: The paper's 0.001 scaled up 10x: on networks ~100x smaller it keeps the
+#: expected number of objects per search region comparable.
+DEFAULT_DENSITY = 0.01
 
 IER_ORACLES = ("ier-dijk", "ier-gt", "ier-phl", "ier-tnr", "ier-ch")
 IER_LABELS = {

@@ -14,10 +14,10 @@ Implementation notes mirroring the paper:
   a flat numpy array indexed by grouped child borders; two hash-table
   backends reproduce the Figure 6 ablation.
 * **Matrix exactness**: bottom-up construction yields within-subgraph
-  distances; a top-down correction pass (documented in DESIGN.md) injects
-  each node's parent-level border-to-border distances so all matrices
-  hold *global* shortest distances.  Property tests assert assembly ==
-  Dijkstra.
+  distances; a top-down correction pass (docs/architecture.md, "The
+  index layer") injects each node's parent-level border-to-border
+  distances so all matrices hold *global* shortest distances.  Property
+  tests assert assembly == Dijkstra.
 * **Improved leaf search** (Appendix A.2.1) runs a within-leaf Dijkstra
   augmented with exact border-to-border "clique" edges, emitting objects
   in exact global-distance order; the pre-improvement behaviour is kept

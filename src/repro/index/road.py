@@ -13,7 +13,7 @@ restricted to their subgraph, higher levels run over a minigraph of child
 borders (child shortcut cliques + cross edges).  Within-Rnet distances are
 the correct semantics here: any shortest path crossing an Rnet decomposes
 at its borders, and segments outside the Rnet are explored by the normal
-expansion (see DESIGN.md).
+expansion.
 """
 
 from __future__ import annotations

@@ -134,7 +134,8 @@ def poi_object_sets(
     each set can answer the default k on scaled-down networks, and
     ``density_scale`` scales every category up so the relative size
     spread survives on networks 100x smaller than the paper's (matching
-    the scaled default density, see DESIGN.md).
+    the scaled default density; the scaling conventions are in
+    :mod:`repro.experiments.claims`).
     """
     if categories is None:
         categories = POI_CATEGORIES

@@ -11,8 +11,8 @@ the store format version, per-array shapes and the original build
 wall-time.
 
 A ``flat`` artifact is one *directory* of per-array ``.npy`` files
-written via ``np.lib.format``.  Loads return **read-only memory maps**
-(``np.load(..., mmap_mode="r")``): pages are faulted in on demand and
+written via ``np.lib.format``.  Loads return **read-only views of memory
+maps** (``np.load(..., mmap_mode="r")``): pages are faulted in on demand and
 shared across processes through the OS page cache, which is what makes
 continental-scale graphs (millions of vertices) servable without copying
 the arrays per worker.
@@ -396,8 +396,8 @@ class IndexStore:
         """Load one artifact's arrays, verifying version, file and shapes.
 
         Dispatches on the format recorded in the manifest entry: ``flat``
-        artifacts return **read-only memory maps** — zero-copy views the
-        OS pages in on demand — and legacy ``npz`` artifacts decompress
+        artifacts return **read-only views of memory maps** — zero-copy,
+        paged in by the OS on demand — and legacy ``npz`` artifacts decompress
         into ordinary arrays.  Callers that need to mutate must copy.
 
         Raises :class:`ArtifactMissing` on a clean miss (caller builds)
@@ -436,6 +436,13 @@ class IndexStore:
     def _load_flat(self, info: ArtifactInfo, path: Path) -> Dict[str, np.ndarray]:
         """Memory-map every member of a flat artifact directory.
 
+        Each member is handed out as a plain read-only ``np.ndarray``
+        view whose ``.base`` is the ``np.memmap`` — zero-copy, but not a
+        ``memmap`` itself: Python-level element reads on a ``memmap``
+        go through ``memmap.__getitem__`` (~3x slower per scalar), so a
+        store-loaded index would answer in a different in-memory form
+        than a freshly built one (docs/performance.md).
+
         The manifest's ``shapes`` keys name the members, so a member
         missing on disk is detected here (as :class:`StoreCorruption`),
         not as a ``KeyError`` in the caller.  Scalar (0-d) members fall
@@ -448,8 +455,8 @@ class IndexStore:
             member = path / f"{name}.npy"
             try:
                 try:
-                    arrays[name] = np.load(
-                        member, mmap_mode="r", allow_pickle=False
+                    arrays[name] = np.asarray(
+                        np.load(member, mmap_mode="r", allow_pickle=False)
                     )
                 except ValueError:
                     arr = np.load(member, allow_pickle=False)

@@ -273,6 +273,28 @@ def test_loaded_indexes_answer_identical_knn(graph250, objects250, built_store):
             assert a.knn(q, 4) == b.knn(q, 4), method
 
 
+def test_warm_index_has_the_built_in_memory_form(graph250, built_store):
+    """A store-loaded index holds plain read-only ndarray views of the
+    mapping, never ``np.memmap`` objects: scalar reads on a memmap go
+    through ``memmap.__getitem__`` and made warm IER-PHL ~3x slower than
+    a build of the same labels."""
+    cold = IndexCache(graph250)
+    warm = IndexCache(graph250, store=built_store)
+    for row in warm.hub_labels.label(7):
+        assert type(row) is np.ndarray
+        mapping = row.base
+        while type(mapping) is np.ndarray:
+            mapping = mapping.base
+        assert isinstance(mapping, np.memmap)  # a zero-copy view of the mapping
+        assert np.shares_memory(row, mapping)
+        assert not row.flags.writeable
+    rng = np.random.default_rng(4)
+    for s, t in rng.integers(0, graph250.num_vertices, size=(50, 2)):
+        assert warm.hub_labels.distance(int(s), int(t)) == cold.hub_labels.distance(
+            int(s), int(t)
+        )
+
+
 def test_warm_start_performs_zero_builds(graph250, built_store):
     before = BUILD_COUNTERS.as_dict()
     warm = IndexCache(graph250, store=built_store)
