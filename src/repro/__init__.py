@@ -5,7 +5,7 @@ Abeywickrama, Cheema & Taniar, *k-Nearest Neighbors on Road Networks: A
 Journey in Experimentation and In-Memory Implementation* (PVLDB 9(6)):
 
 * the five kNN methods — INE, IER, Distance Browsing, ROAD and G-tree;
-* the shortest-path oracles IER is revived with — Dijkstra, A*,
+* the shortest-path oracles IER is revived with — Dijkstra,
   Contraction Hierarchies, pruned hub labelling (the PHL stand-in) and
   Transit Node Routing;
 * their substrates — CSR graphs, multilevel partitioning, R-trees,
@@ -88,7 +88,6 @@ from repro.objects import (
     uniform_objects,
 )
 from repro.pathfinding import (
-    AStarOracle,
     ContractionHierarchy,
     DijkstraOracle,
     HubLabels,
@@ -142,7 +141,6 @@ __all__ = [
     "min_distance_object_sets",
     "poi_object_sets",
     "DijkstraOracle",
-    "AStarOracle",
     "ContractionHierarchy",
     "HubLabels",
     "TransitNodeRouting",

@@ -29,9 +29,6 @@ Examples::
     # serve queries concurrently from stdin over warm indexes
     python -m repro serve --vertices 2000 --store ./store --workers 4
 
-    # drive the server with a synthetic workload, report QPS + latency
-    python -m repro loadtest --vertices 2000 --workload hotspot --requests 500
-
     # list every registered kNN method
     python -m repro methods
 
@@ -45,7 +42,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +77,7 @@ def _build_graph(args: argparse.Namespace):
         store = _open_store(args)
         if store is None:
             raise StoreError("--graph-key requires --store PATH")
-        # Zero-copy for flat artifacts: the serve/loadtest workers then
+        # Zero-copy for flat artifacts: the serve workers then
         # share one mapped graph through the page cache.
         graph = Graph.from_store_mmap(store, args.graph_key)
     elif getattr(args, "gr", None):
@@ -330,7 +327,7 @@ def cmd_store_gc(args: argparse.Namespace) -> int:
 
 
 def _engine_and_objects(args: argparse.Namespace):
-    """Graph + object set + engine shared by query/serve/loadtest.
+    """Graph + object set + engine shared by query/serve/trace.
 
     With a ``--store``, the object set `repro build --density` persisted
     for this (graph, density, seed) is preferred (regenerated on a clean
@@ -362,21 +359,6 @@ def _engine_and_objects(args: argparse.Namespace):
     return graph, objects, engine
 
 
-def _server(args: argparse.Namespace, engine, categories=None):
-    """A ``KNNServer`` over ``engine`` with the ``serving_knobs`` flags."""
-    from repro.server import KNNServer
-
-    return KNNServer(
-        engine,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        max_batch=args.max_batch,
-        cache_capacity=args.cache_capacity,
-        categories=categories,
-        default_deadline_s=args.deadline,
-    )
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the concurrent server, answering queries read from stdin.
 
@@ -389,8 +371,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--store`` at a prebuilt store and warmup is a millisecond disk
     load.
     """
+    from repro.server import KNNServer
+
     graph, objects, engine = _engine_and_objects(args)
-    server = _server(args, engine)
+    server = KNNServer(
+        engine,
+        workers=args.workers,
+        max_queue=args.max_queue,
+        max_batch=args.max_batch,
+        cache_capacity=args.cache_capacity,
+        default_deadline_s=args.deadline,
+    )
     server.start(warmup_methods=[args.method])
     builds_before = sum(BUILD_COUNTERS.as_dict().values())
     print(
@@ -450,137 +441,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_workload(args: argparse.Namespace, graph):
-    """The (requests, categories) pair for ``--workload`` — shared by
-    ``loadtest`` and ``profile`` so both drive identical traffic."""
-    from repro.server import (
-        category_switching_workload,
-        diurnal_workload,
-        hotspot_workload,
-        uniform_workload,
-    )
-
-    categories: Optional[Dict[str, Sequence[int]]] = None
-    if args.workload == "categories":
-        categories = {
-            name: uniform_objects(
-                graph, args.density, seed=args.seed + offset, minimum=args.k
-            )
-            for offset, name in enumerate(
-                ("restaurants", "fuel", "parking"), start=1
-            )
-        }
-        items = category_switching_workload(
-            graph, args.requests, args.k, list(categories),
-            switch_every=args.switch_every, method=args.method, seed=args.seed,
-        )
-    elif args.workload == "uniform":
-        items = uniform_workload(
-            graph, args.requests, args.k, method=args.method, seed=args.seed
-        )
-    elif args.workload == "hotspot":
-        items = hotspot_workload(
-            graph, args.requests, args.k, hot_vertices=args.hot_vertices,
-            skew=args.skew, method=args.method, seed=args.seed,
-        )
-    else:  # diurnal
-        items = diurnal_workload(
-            graph, args.requests, args.k, hot_vertices=args.hot_vertices,
-            skew=args.skew, method=args.method, seed=args.seed,
-        )
-    return items, categories
-
-
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Drive the server with a synthetic workload and report the numbers.
-
-    Prints throughput and p50/p95/p99 latency, compares against the
-    single-threaded sequential baseline (``engine.query`` on the same
-    workload), verifies server answers against the baseline's, and
-    writes the machine-readable report to ``--json`` (default
-    ``BENCH_server.json``) for trajectory tracking.
-    """
-    from repro.server import (
-        run_closed_loop,
-        run_open_loop,
-        sequential_baseline,
-    )
-
-    graph, objects, engine = _engine_and_objects(args)
-    items, categories = _build_workload(args, graph)
-    server = _server(args, engine, categories)
-    print(f"{graph}, |O|={len(objects)}, workload={args.workload}, "
-          f"{args.requests} requests, k={args.k}")
-    baseline_qps = None
-    baseline_results = None
-    if args.baseline:
-        # The baseline runs first on the same engines, so it also warms
-        # every index/algorithm — serve time then performs zero builds.
-        engines = {None: engine}
-        for name in categories or {}:
-            engines[name] = server.engine_for(name)
-        baseline_qps, baseline_results = sequential_baseline(engines, items)
-        print(f"  sequential baseline   {baseline_qps:8.0f} qps")
-    server.start(warmup_methods=[args.method])
-    builds_before = sum(BUILD_COUNTERS.as_dict().values())
-    if args.open_loop or args.workload == "diurnal":
-        report = run_open_loop(
-            server, items, time_scale=args.time_scale,
-            timeout_s=args.client_timeout, retries=args.client_retries,
-        )
-    else:
-        report = run_closed_loop(
-            server, items, concurrency=args.concurrency,
-            timeout_s=args.client_timeout, retries=args.client_retries,
-        )
-    server.stop()
-    serve_builds = sum(BUILD_COUNTERS.as_dict().values()) - builds_before
-    report.baseline_qps = baseline_qps
-    mismatches = 0
-    if baseline_results is not None:
-        # Server answers must be byte-identical to direct engine.query.
-        # (A None slot is a driver-side timeout, reported separately.)
-        for truth, response in zip(baseline_results, report.responses):
-            if (
-                response is not None
-                and response.ok
-                and response.result.neighbors != truth.neighbors
-            ):
-                mismatches += 1
-    payload = report.to_dict()
-    payload["serve_time_index_builds"] = serve_builds
-    print(
-        f"  server ({args.workers} workers) {report.throughput_qps:8.0f} qps   "
-        f"p50 {report.latency_p50_ms:.2f}ms  p95 {report.latency_p95_ms:.2f}ms  "
-        f"p99 {report.latency_p99_ms:.2f}ms"
-    )
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(report.status_counts.items()))
-    print(f"  statuses: {counts}")
-    if report.client_retries:
-        print(f"  client retries: {report.client_retries}")
-    cache = payload["server"]["cache"]
-    print(
-        f"  cache: {cache['hits']} hits / {cache['misses']} misses "
-        f"({cache['hit_rate']:.0%}), coalesced "
-        f"{payload['server']['batch']['coalesced_hits']}"
-    )
-    print(f"  index builds while serving: {serve_builds}")
-    if report.speedup is not None:
-        print(f"  speedup over sequential: {report.speedup:.1f}x")
-    # Write the report before the verification verdict: a failing run is
-    # exactly the one whose numbers must not be lost.
-    payload["baseline_mismatches"] = mismatches
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"  report written to {args.json}")
-    if mismatches:
-        print(f"  !! {mismatches} responses disagree with baseline",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Trace one query and pretty-print its span tree.
 
@@ -608,107 +468,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tree_has(span, name: str) -> bool:
-    """True when ``span`` or any descendant carries ``name``."""
-    if span.name == name:
-        return True
-    return any(_tree_has(child, name) for child in span.children)
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile a served workload: metrics report + top-k slow queries.
-
-    Drives the concurrent server with the same synthetic workloads as
-    ``loadtest`` — but with tracing on and a zero slow-query threshold,
-    so every query lands in the slow log with its counters and span
-    tree.  Writes a machine-readable report (default ``PROFILE.json``)
-    holding the windowed metrics snapshot (per-method latency
-    histograms with p50/p95/p99), server/cache statistics, the k
-    slowest queries and recent span trees.
-    """
-    from repro.obs import REGISTRY, TRACER, run_metadata, tracing
-    from repro.server import run_closed_loop
-
-    run_started = time.time()
-    graph, objects, engine = _engine_and_objects(args)
-    items, categories = _build_workload(args, graph)
-    server = _server(args, engine, categories)
-    print(f"{graph}, |O|={len(objects)}, workload={args.workload}, "
-          f"{args.requests} requests, k={args.k}")
-    before = REGISTRY.snapshot()
-    with tracing(slow_threshold_s=args.slow_threshold, clear=True):
-        server.start(warmup_methods=[args.method])
-        report = run_closed_loop(server, items, concurrency=args.concurrency)
-        stats = server.stats()
-        server.stop()
-        top_slow = TRACER.top_slow(args.top)
-        # A served request leaves up to three roots: `cache` and
-        # `admit` on its caller's thread and the worker's `batch` tree,
-        # which reaches the knn kernel.  A cache hit is a childless
-        # `cache` span with hit=True and nothing else: show the newest
-        # one, then kernel-reaching trees, then whatever is left.
-        ring = TRACER.recent()[::-1]
-        hits = [s for s in ring if s.name == "cache" and s.attrs.get("hit")]
-        complete = [s for s in ring if _tree_has(s, "knn")]
-        rest = [s for s in ring if s not in hits and s not in complete]
-        picked = (hits[:1] + complete + rest)[: args.traces]
-        traces = [s.to_dict() for s in picked]
-    metrics = REGISTRY.delta(before)
-    per_method: Dict[str, Dict[str, object]] = {}
-    for label, series in metrics.get("knn_query_seconds", {}).get(
-        "series", {}
-    ).items():
-        method = label.split("=", 1)[1] if "=" in label else label
-        per_method[method] = {
-            "count": series["count"],
-            "mean_ms": series["mean"] * 1e3,
-            "p50_ms": series["p50"] * 1e3,
-            "p95_ms": series["p95"] * 1e3,
-            "p99_ms": series["p99"] * 1e3,
-            "max_ms": series["max"] * 1e3,
-        }
-    payload = {
-        "meta": run_metadata(run_started),
-        "workload": {
-            "kind": args.workload,
-            "requests": args.requests,
-            "k": args.k,
-            "method": args.method,
-            "workers": args.workers,
-            "concurrency": args.concurrency,
-        },
-        "throughput_qps": report.throughput_qps,
-        "per_method": per_method,
-        "server": stats,
-        "metrics": metrics,
-        "top_slow": top_slow,
-        "traces": traces,
-    }
-    print(f"  throughput {report.throughput_qps:8.0f} qps")
-    print(f"  {'method':10} {'count':>7} {'p50':>9} {'p95':>9} {'p99':>9}")
-    for method, row in sorted(per_method.items()):
-        print(
-            f"  {method:10} {row['count']:>7.0f} {row['p50_ms']:>7.2f}ms "
-            f"{row['p95_ms']:>7.2f}ms {row['p99_ms']:>7.2f}ms"
-        )
-    cache = stats["cache"]
-    print(
-        f"  cache: {cache['hits']} hits / {cache['misses']} misses "
-        f"({cache['hit_rate']:.0%})"
-    )
-    if top_slow:
-        worst = top_slow[0]
-        print(
-            f"  slowest query: {worst['time_ms']:.2f}ms "
-            f"method={worst['method']} vertex={worst['vertex']} k={worst['k']}"
-        )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"  profile written to {args.json}")
-    return 0
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     """Stream a DIMACS file into a store graph artifact.
 
@@ -716,7 +475,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     arc set through ``load_dimacs``), ingest runs the chunked
     sort/spill/merge pipeline under ``--memory-budget-mb`` and writes
     straight to the store — the path for continental-scale inputs.  The
-    printed key feeds ``--graph-key`` on query/serve/loadtest.
+    printed key feeds ``--graph-key`` on query/serve/trace.
     """
     from repro.graph.ingest import ingest_dimacs
 
@@ -847,62 +606,26 @@ def build_parser() -> argparse.ArgumentParser:
                      help="clear the entire store")
     sgc.set_defaults(func=cmd_store_gc)
 
-    def serving_knobs(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=4,
-                       help="worker thread count (default 4)")
-        p.add_argument("--max-queue", type=int, default=1024,
-                       help="bounded request queue (admission control)")
-        p.add_argument("--max-batch", type=int, default=32,
-                       help="max requests one worker drains per dispatch")
-        p.add_argument("--cache-capacity", type=int, default=4096,
-                       help="result-cache entries (0 disables)")
-        p.add_argument("--deadline", type=float,
-                       help="default per-request deadline in seconds")
-        p.add_argument("--density", type=float, default=0.01)
-        p.add_argument("--k", type=int, default=5)
-        p.add_argument("--method", default="auto",
-                       help="method for served queries ('auto' plans per set)")
-        p.add_argument("--store", help="index store directory to warm-start from")
-
     sv = sub.add_parser(
         "serve", help="serve kNN queries concurrently from stdin"
     )
     common(sv)
-    serving_knobs(sv)
+    sv.add_argument("--workers", type=int, default=4,
+                    help="worker thread count (default 4)")
+    sv.add_argument("--max-queue", type=int, default=1024,
+                    help="bounded request queue (admission control)")
+    sv.add_argument("--max-batch", type=int, default=32,
+                    help="max requests one worker drains per dispatch")
+    sv.add_argument("--cache-capacity", type=int, default=4096,
+                    help="result-cache entries (0 disables)")
+    sv.add_argument("--deadline", type=float,
+                    help="default per-request deadline in seconds")
+    sv.add_argument("--density", type=float, default=0.01)
+    sv.add_argument("--k", type=int, default=5)
+    sv.add_argument("--method", default="auto",
+                    help="method for served queries ('auto' plans per set)")
+    sv.add_argument("--store", help="index store directory to warm-start from")
     sv.set_defaults(func=cmd_serve)
-
-    lt = sub.add_parser(
-        "loadtest", help="drive the server with a synthetic workload"
-    )
-    common(lt)
-    serving_knobs(lt)
-    lt.add_argument("--workload", default="hotspot",
-                    choices=("uniform", "hotspot", "diurnal", "categories"))
-    lt.add_argument("--requests", type=int, default=500)
-    lt.add_argument("--concurrency", type=int, default=16,
-                    help="closed-loop client count")
-    lt.add_argument("--open-loop", action="store_true",
-                    help="inject at workload arrival times instead of "
-                         "closed-loop (diurnal always runs open-loop)")
-    lt.add_argument("--time-scale", type=float, default=0.05,
-                    help="open-loop schedule compression (0.05 replays a "
-                         "60s diurnal trace in 3s)")
-    lt.add_argument("--hot-vertices", type=int, default=64,
-                    help="hotspot/diurnal: size of the Zipf hot set")
-    lt.add_argument("--skew", type=float, default=1.1,
-                    help="hotspot/diurnal: Zipf skew exponent")
-    lt.add_argument("--switch-every", type=int, default=10,
-                    help="categories: requests between category hops")
-    lt.add_argument("--no-baseline", dest="baseline", action="store_false",
-                    help="skip the sequential baseline (and verification)")
-    lt.add_argument("--client-retries", type=int, default=0,
-                    help="client-side resubmissions of error/timed-out "
-                         "requests (with doubling backoff)")
-    lt.add_argument("--client-timeout", type=float, default=30.0,
-                    help="client-side wait per attempt, seconds")
-    lt.add_argument("--json", default="BENCH_server.json",
-                    help="machine-readable report path ('' disables)")
-    lt.set_defaults(func=cmd_loadtest)
 
     tr = sub.add_parser(
         "trace", help="trace one query and pretty-print its span tree"
@@ -918,34 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--json", default="",
                     help="also write the span trees as JSON ('' disables)")
     tr.set_defaults(func=cmd_trace)
-
-    pf = sub.add_parser(
-        "profile",
-        help="profile a served workload: metrics report + slow queries",
-    )
-    common(pf)
-    serving_knobs(pf)
-    pf.add_argument("--workload", default="hotspot",
-                    choices=("uniform", "hotspot", "diurnal", "categories"))
-    pf.add_argument("--requests", type=int, default=300)
-    pf.add_argument("--concurrency", type=int, default=16,
-                    help="closed-loop client count")
-    pf.add_argument("--hot-vertices", type=int, default=64,
-                    help="hotspot/diurnal: size of the Zipf hot set")
-    pf.add_argument("--skew", type=float, default=1.1,
-                    help="hotspot/diurnal: Zipf skew exponent")
-    pf.add_argument("--switch-every", type=int, default=10,
-                    help="categories: requests between category hops")
-    pf.add_argument("--slow-threshold", type=float, default=0.0,
-                    help="slow-query log threshold in seconds (default 0: "
-                         "log every query)")
-    pf.add_argument("--top", type=int, default=10,
-                    help="slow queries to keep in the report")
-    pf.add_argument("--traces", type=int, default=3,
-                    help="recent span trees to keep in the report")
-    pf.add_argument("--json", default="PROFILE.json",
-                    help="machine-readable report path ('' disables)")
-    pf.set_defaults(func=cmd_profile)
 
     m = sub.add_parser("methods", help="list registered kNN methods")
     common(m, default_vertices=0)

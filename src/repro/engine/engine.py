@@ -122,8 +122,8 @@ class QueryEngine:
         """Object density |O| / |V| — the planner's main signal."""
         return len(self.objects) / max(1, self.graph.num_vertices)
 
-    def available_methods(self, include_disbrw: bool = True) -> List[str]:
-        return self.workbench.available_methods(include_disbrw=include_disbrw)
+    def available_methods(self) -> List[str]:
+        return self.workbench.available_methods()
 
     def plan(self, k: int = 1) -> str:
         """The method ``method="auto"`` would run for this workload."""

@@ -34,7 +34,6 @@ from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ier import IER
 from repro.knn.ine import INE
 from repro.knn.road_knn import RoadKNN
-from repro.pathfinding.astar import AStarOracle
 from repro.pathfinding.dijkstra import DijkstraOracle
 from repro.reference import ReferenceINE
 
@@ -146,19 +145,13 @@ def create_method(bench, name: str, objects: Sequence[int], **kwargs) -> KNNAlgo
     return get_method(name).create(bench, objects, **kwargs)
 
 
-def available_methods(bench, include_disbrw: bool = True) -> List[str]:
+def available_methods(bench) -> List[str]:
     """The paper's main-comparison methods runnable on this workbench."""
     main = sorted(
         (s for s in _REGISTRY.values() if s.main_rank is not None),
         key=lambda s: s.main_rank,
     )
-    out: List[str] = []
-    for spec in main:
-        if not include_disbrw and "disbrw" in spec.name:
-            continue
-        if spec.availability(bench) is None:
-            out.append(spec.name)
-    return out
+    return [spec.name for spec in main if spec.availability(bench) is None]
 
 
 # ----------------------------------------------------------------------
@@ -220,11 +213,6 @@ def _build_disbrw_oh(bench, objects, **kwargs):
 )
 def _build_ier_dijk(bench, objects, **kwargs):
     return IER(bench.graph, objects, DijkstraOracle(bench.graph), **kwargs)
-
-
-@register_method("ier-astar", summary="IER with an A* oracle")
-def _build_ier_astar(bench, objects, **kwargs):
-    return IER(bench.graph, objects, AStarOracle(bench.graph), **kwargs)
 
 
 @register_method(

@@ -360,9 +360,9 @@ class IndexCache:
         """
         return registry.create_method(self, method, objects, **kwargs)
 
-    def available_methods(self, include_disbrw: bool = True) -> List[str]:
+    def available_methods(self) -> List[str]:
         """The paper's main-comparison methods buildable on this network."""
-        return registry.available_methods(self, include_disbrw=include_disbrw)
+        return registry.available_methods(self)
 
     def method_availability(self, method: str) -> Optional[str]:
         """``None`` if ``method`` can run here, else the reason it cannot."""

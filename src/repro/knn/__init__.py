@@ -2,7 +2,7 @@
 
 * :class:`INE` — Incremental Network Expansion (Dijkstra-style).
 * :class:`IER` — Incremental Euclidean Restriction, parameterised by a
-  distance oracle (Dijkstra / A* / CH / hub labels / TNR / MGtree).
+  distance oracle (Dijkstra / CH / hub labels / TNR / MGtree).
 * :class:`DistanceBrowsing` — SILC-based interval refinement, in both the
   DB-ENN (R-tree candidates) and Object-Hierarchy variants.
 * :class:`GTreeKNN` — G-tree hierarchy traversal with occurrence lists.

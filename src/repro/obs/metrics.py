@@ -462,8 +462,7 @@ def _prom_histogram(name: str, items: LabelItems, metric: Histogram) -> List[str
 
 
 #: Process-wide default registry; the engine, server and store flush
-#: into it, and ``repro profile`` / the server's ``metrics`` command
-#: read it back out.
+#: into it, and the server's ``metrics`` command reads it back out.
 REGISTRY = MetricsRegistry()
 
 

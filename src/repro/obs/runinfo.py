@@ -1,7 +1,7 @@
 """Shared run-metadata schema for machine-readable reports.
 
-``benchmarks/bench_scale.py`` and the ``repro profile`` CLI stamp their
-reports with the same envelope — schema version, the run's start
+``benchmarks/bench_scale.py`` and ``benchmarks/trajectory/run.py`` stamp
+their reports with the same envelope — schema version, the run's start
 timestamp (passed in by the caller, so one multi-section report carries
 one consistent time), host facts and the git revision — so reports line
 up across machines and commits.

@@ -20,8 +20,8 @@ sites cost one attribute check.  Enable it for a block with
 Completed *root* spans land in a bounded ring buffer
 (:meth:`Tracer.recent`), and queries slower than
 :attr:`Tracer.slow_threshold_s` are recorded — with their counters and,
-when tracing is on, their span tree — in the slow-query log the
-``repro profile`` CLI reports.
+when tracing is on, their span tree — in the slow-query log
+(:meth:`Tracer.top_slow`).
 """
 
 from __future__ import annotations

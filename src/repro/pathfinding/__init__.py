@@ -1,6 +1,6 @@
 """Shortest-path substrates.
 
-Everything IER can be combined with (Section 5): plain Dijkstra, A*,
+Everything IER can be combined with (Section 5): plain Dijkstra,
 Contraction Hierarchies, pruned hub labelling (the PHL stand-in), Transit
 Node Routing, plus scipy-backed bulk routines used only at index
 construction time.
@@ -13,7 +13,6 @@ from repro.pathfinding.dijkstra import (
     dijkstra_sssp,
     dijkstra_to_targets,
 )
-from repro.pathfinding.astar import astar_distance, AStarOracle
 from repro.pathfinding.bulk import bulk_sssp, bulk_distance_matrix, first_hops
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.pathfinding.hub_labels import HubLabels
@@ -25,8 +24,6 @@ __all__ = [
     "dijkstra_path",
     "dijkstra_sssp",
     "dijkstra_to_targets",
-    "astar_distance",
-    "AStarOracle",
     "bulk_sssp",
     "bulk_distance_matrix",
     "first_hops",

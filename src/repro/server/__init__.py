@@ -4,9 +4,7 @@ The subsystem that turns :class:`~repro.engine.engine.QueryEngine` into a
 query *service*: a :class:`KNNServer` (a shared LRU result cache,
 :mod:`repro.server.cache`, answered from on the caller's thread; behind
 it submit-time coalescing, a bounded queue, a batching worker pool and
-deadlines), workload generators
-(:mod:`repro.server.workloads`) and closed-/open-loop load drivers
-(:mod:`repro.server.loadgen`).
+deadlines).
 
 Index construction stays offline (``repro build`` + the PR-2 store);
 at serve time the worker pool dispatches over one warm
@@ -24,20 +22,13 @@ Quickstart::
         response = server.query(42, k=5)
         assert response.result.neighbors == engine.query(42, k=5).neighbors
 
-CLI equivalents: ``repro serve`` and ``repro loadtest``.
+CLI equivalent: ``repro serve``.
 """
 
 from repro.server.cache import (
     ResultCache,
     objects_fingerprint,
     result_key,
-)
-from repro.server.loadgen import (
-    LoadReport,
-    percentile,
-    run_closed_loop,
-    run_open_loop,
-    sequential_baseline,
 )
 from repro.server.request import (
     DEADLINE_EXCEEDED,
@@ -50,14 +41,6 @@ from repro.server.request import (
     ServerResponse,
 )
 from repro.server.server import KNNServer, ServerClosed, UnknownCategory
-from repro.server.workloads import (
-    WorkItem,
-    category_switching_workload,
-    diurnal_workload,
-    hotspot_workload,
-    uniform_workload,
-    zipf_weights,
-)
 
 __all__ = [
     "KNNServer",
@@ -74,15 +57,4 @@ __all__ = [
     "ResultCache",
     "objects_fingerprint",
     "result_key",
-    "WorkItem",
-    "uniform_workload",
-    "hotspot_workload",
-    "diurnal_workload",
-    "category_switching_workload",
-    "zipf_weights",
-    "LoadReport",
-    "percentile",
-    "run_closed_loop",
-    "run_open_loop",
-    "sequential_baseline",
 ]

@@ -16,7 +16,7 @@ entry recorded under the outgoing object fingerprint, keeping the cache
 from carrying dead weight.
 
 All operations are O(1) and thread-safe; hit/miss/eviction/invalidation
-statistics are kept for the loadtest report.
+statistics feed ``KNNServer.stats()``.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ class ResultCache:
     """Bounded thread-safe LRU mapping :data:`CacheKey` -> ``KNNResult``.
 
     ``capacity=0`` disables caching entirely (every ``get`` is a miss,
-    ``put`` is a no-op) — the knob the loadtest uses to measure the
-    uncached path.
+    ``put`` is a no-op) — the knob that measures the uncached path.
     """
 
     def __init__(self, capacity: int = 4096) -> None:

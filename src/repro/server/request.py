@@ -21,7 +21,7 @@ from typing import List, Optional
 from repro.engine.query import KNNResult
 
 #: Response statuses.  Plain strings (not an Enum) so they serialise into
-#: the loadtest JSON report without adapters.
+#: ``stats()`` JSON without adapters.
 OK = "ok"
 REJECTED = "rejected"  # admission control: bounded queue was full
 DEADLINE_EXCEEDED = "deadline_exceeded"  # expired while queued

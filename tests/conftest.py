@@ -1,20 +1,22 @@
-"""Shared fixtures: small deterministic networks and object sets.
+"""Shared fixtures: small deterministic networks, object sets and the
+closed loop the serving gates replay their requests through.
 
 Seeding convention
 ------------------
 Every source of randomness in this repo is an explicit integer seed fed
 to ``numpy.random.default_rng`` — never the global numpy state, never
 time-based.  The rules, applied across test fixtures, graph/object
-generators and the ``repro.server.workloads`` generators:
+generators and the request streams below:
 
 * anything random takes a ``seed=`` parameter and must be fully
-  deterministic in it — same seed, same graph / object set / workload
-  (``tests/test_live_updates.py`` asserts this for the workload
-  generators);
+  deterministic in it — same seed, same graph / object set / request
+  stream (``tests/test_generators.py`` and ``tests/test_objects.py``
+  assert this for the generators);
 * a function with several independent random decisions derives distinct
-  streams as ``seed + small_offset`` (``diurnal_workload`` draws
-  arrival times from ``seed`` and the underlying hotspot picks from
-  ``seed + 1``), so adding a decision never perturbs existing streams;
+  streams as ``seed + small_offset`` (``poi_object_sets`` seeds its
+  categories ``seed + 101 * index``; the chaos gate draws its graph,
+  objects and requests from ``seed``, ``seed + 1`` and ``seed + 2``), so
+  adding a decision never perturbs existing streams;
 * the session-scoped fixtures below are *shared state*: tests must not
   mutate them.  In particular, weight-delta tests build their own
   function-scoped graphs — ``Graph.apply_weight_deltas`` on ``road400``
@@ -23,6 +25,8 @@ generators and the ``repro.server.workloads`` generators:
 
 from __future__ import annotations
 
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +36,7 @@ from scipy.sparse import csr_matrix
 from repro.graph.generators import road_network, grid_network, travel_time_weights
 from repro.graph.graph import Graph, from_edge_list
 from repro.objects import uniform_objects
+from repro.server import ERROR
 from repro.store import INDEX_KINDS
 
 
@@ -68,6 +73,77 @@ def objects400(road400):
 def queries400(road400):
     rng = np.random.default_rng(3)
     return [int(q) for q in rng.integers(0, road400.num_vertices, size=20)]
+
+
+def _hotspot_vertices(num_vertices, n, *, hot_vertices, skew=1.1, seed):
+    """``n`` picks with Zipf(``skew``) popularity over ``hot_vertices``
+    random vertices: a few hot spots take most of the traffic."""
+    rng = np.random.default_rng(seed)
+    pool = min(hot_vertices, num_vertices)
+    hot = rng.choice(num_vertices, size=pool, replace=False)
+    weights = np.arange(1, pool + 1, dtype=float) ** -float(skew)
+    picks = rng.choice(hot, size=n, p=weights / weights.sum())
+    return [int(v) for v in picks]
+
+
+def _closed_loop(server, vertices, k, method="auto", *, concurrency,
+                 retries=0, backoff_s=0.01, timeout_s=30.0):
+    """Replay ``vertices`` from ``concurrency`` threads, each looping
+    ``submit`` -> ``result(timeout_s)``.
+
+    An ``error`` response or a wait timeout is resubmitted up to
+    ``retries`` times, the backoff doubling up to a 100 ms cap.
+    ``rejected`` and ``deadline_exceeded`` are never retried: they are
+    the server's admission and timeliness answers.  Returns
+    ``(responses, resubmissions, seconds)``; ``responses`` is in input
+    order, ``None`` where the last wait timed out.
+    """
+    responses = [None] * len(vertices)
+    cursor = iter(range(len(vertices)))
+    lock = threading.Lock()
+    resubmissions = 0
+
+    def client():
+        nonlocal resubmissions
+        while True:
+            with lock:
+                i = next(cursor, None)
+            if i is None:
+                return
+            for attempt in range(retries + 1):
+                if attempt:
+                    with lock:
+                        resubmissions += 1
+                    time.sleep(min(backoff_s * 2 ** (attempt - 1), 0.1))
+                try:
+                    response = server.submit(vertices[i], k, method).result(
+                        timeout_s
+                    )
+                except TimeoutError:
+                    response = None
+                responses[i] = response
+                if response is not None and response.status != ERROR:
+                    break
+
+    threads = [
+        threading.Thread(target=client, daemon=True) for _ in range(concurrency)
+    ]
+    start = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return responses, resubmissions, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def hotspot_vertices():
+    return _hotspot_vertices
+
+
+@pytest.fixture(scope="session")
+def closed_loop():
+    return _closed_loop
 
 
 @pytest.fixture

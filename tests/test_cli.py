@@ -102,58 +102,22 @@ class TestCommands:
 
 
 class TestServingCommands:
-    def test_loadtest_writes_json_report(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_server.json"
-        rc = main([
-            "loadtest", "--vertices", "300", "--requests", "60",
-            "--workers", "2", "--concurrency", "4", "--json", str(out),
-        ])
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "qps" in text and "speedup over sequential" in text
-        assert "index builds while serving: 0" in text
-        import json
+    @pytest.mark.parametrize("command", ["serve", "trace"])
+    def test_rejects_unknown_method(self, command, capsys, monkeypatch):
+        from repro.server import KNNServer
 
-        payload = json.loads(out.read_text())
-        assert payload["bench"] == "server_loadtest"
-        assert payload["completed"] == 60
-        assert payload["serve_time_index_builds"] == 0
-        assert {"p50", "p95", "p99"} <= set(payload["latency_ms"])
-
-    def test_loadtest_no_json(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = main([
-            "loadtest", "--vertices", "300", "--requests", "40",
-            "--workers", "2", "--no-baseline", "--json", "",
-        ])
-        assert rc == 0
-        assert not (tmp_path / "BENCH_server.json").exists()
-        assert "speedup" not in capsys.readouterr().out
-
-    def test_loadtest_categories_workload(self, tmp_path, capsys):
-        rc = main([
-            "loadtest", "--vertices", "300", "--requests", "45",
-            "--workers", "2", "--workload", "categories",
-            "--switch-every", "5", "--json", str(tmp_path / "b.json"),
-        ])
-        assert rc == 0
-        assert "speedup over sequential" in capsys.readouterr().out
-
-    def test_loadtest_diurnal_open_loop(self, tmp_path, capsys):
-        rc = main([
-            "loadtest", "--vertices", "300", "--requests", "40",
-            "--workers", "2", "--workload", "diurnal",
-            "--time-scale", "0.01", "--json", str(tmp_path / "b.json"),
-        ])
-        assert rc == 0
-        import json
-
-        assert json.loads((tmp_path / "b.json").read_text())["mode"] == "open-loop"
-
-    def test_loadtest_rejects_unknown_method(self, capsys):
-        rc = main(["loadtest", "--vertices", "200", "--method", "quantum"])
+        started = []
+        monkeypatch.setattr(
+            KNNServer, "start", lambda self, **kw: started.append(command)
+        )
+        monkeypatch.setattr(
+            "repro.cli._engine_and_objects",
+            lambda args: started.append(command),
+        )
+        rc = main([command, "--vertices", "200", "--method", "quantum"])
         assert rc == 2
         assert "unknown method" in capsys.readouterr().err
+        assert started == []
 
     def test_serve_answers_stdin_queries(self, capsys, monkeypatch):
         import io

@@ -12,7 +12,6 @@ from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ier import IER, euclidean_knn_brute_force
 from repro.knn.ine import INE, ine_knn
 from repro.knn.road_knn import RoadKNN
-from repro.pathfinding.astar import AStarOracle
 from repro.pathfinding.dijkstra import DijkstraOracle, dijkstra_sssp
 from repro.reference import VARIANTS, ReferenceINE
 from repro.utils.counters import Counters
@@ -88,13 +87,12 @@ class TestINE:
 
 
 class TestIER:
-    @pytest.mark.parametrize("oracle_name", ["dijkstra", "astar", "mgtree"])
+    @pytest.mark.parametrize("oracle_name", ["dijkstra", "mgtree"])
     def test_oracles_match_truth(
         self, road400, objects400, queries400, truth, gtree400, oracle_name
     ):
         oracle = {
             "dijkstra": lambda: DijkstraOracle(road400),
-            "astar": lambda: AStarOracle(road400),
             "mgtree": lambda: GTreeOracle(gtree400),
         }[oracle_name]()
         alg = IER(road400, objects400, oracle)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 
@@ -345,7 +344,7 @@ class TestWiring:
 
 
 # ----------------------------------------------------------------------
-# CLI: trace and profile
+# CLI: trace
 # ----------------------------------------------------------------------
 class TestCLI:
     def test_trace_command(self, capsys):
@@ -355,29 +354,3 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "-- cold --" in out and "-- warm --" in out
         assert "query" in out and "knn" in out
-
-    def test_profile_command_writes_report(self, tmp_path, capsys):
-        from repro.cli import main
-
-        path = tmp_path / "PROFILE.json"
-        code = main([
-            "profile", "--vertices", "300", "--workload", "hotspot",
-            "--requests", "60", "--workers", "2", "--json", str(path),
-        ])
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["meta"]["schema_version"] == 1
-        per_method = payload["per_method"]
-        assert per_method, "expected at least one profiled method"
-        for row in per_method.values():
-            assert row["p50_ms"] <= row["p95_ms"] <= row["p99_ms"]
-        assert "hit_rate" in payload["server"]["cache"]
-        assert payload["traces"], "expected at least one span tree"
-
-        def has_knn(node):
-            return node["name"] == "knn" or any(
-                has_knn(c) for c in node.get("children", [])
-            )
-
-        assert any(has_knn(t) for t in payload["traces"])
-        assert payload["top_slow"] and "counters" in payload["top_slow"][0]

@@ -1,9 +1,8 @@
-"""Dijkstra / A* / bulk-helper tests."""
+"""Dijkstra / bulk-helper tests."""
 
 import numpy as np
 import pytest
 
-from repro.pathfinding.astar import AStarOracle, astar_distance
 from repro.pathfinding.bulk import (
     bulk_distance_matrix,
     bulk_sssp,
@@ -82,31 +81,6 @@ class TestDijkstra:
         oracle = DijkstraOracle(road400)
         assert oracle.size_bytes() == 0
         assert oracle.distance(0, 0) == 0.0
-
-
-class TestAStar:
-    def test_matches_dijkstra(self, road400):
-        for s, t in [(0, 100), (5, 399 % road400.num_vertices), (200, 3)]:
-            assert astar_distance(road400, s, t) == pytest.approx(
-                dijkstra_distance(road400, s, t)
-            )
-
-    def test_matches_on_travel_time(self, road400_time):
-        for s, t in [(0, 100), (33, 200)]:
-            assert astar_distance(road400_time, s, t) == pytest.approx(
-                dijkstra_distance(road400_time, s, t)
-            )
-
-    def test_settles_fewer_than_dijkstra(self, road400):
-        from repro.utils.counters import Counters
-
-        ca, cd = Counters(), Counters()
-        astar_distance(road400, 0, 399 % road400.num_vertices, counters=ca)
-        dijkstra_distance(road400, 0, 399 % road400.num_vertices, counters=cd)
-        assert ca["sssp_settled"] <= cd["sssp_settled"]
-
-    def test_oracle(self, road400):
-        assert AStarOracle(road400).distance(3, 3) == 0.0
 
 
 class TestBulk:

@@ -4,6 +4,7 @@ quarantine, and the engine's graceful-degradation fallback chain."""
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
@@ -37,13 +38,7 @@ from repro.resilience import (
     quarantine_counts,
     reset_quarantine_counts,
 )
-from repro.server import (
-    KNNServer,
-    UnknownCategory,
-    hotspot_workload,
-    run_closed_loop,
-    sequential_baseline,
-)
+from repro.server import KNNServer, UnknownCategory
 from repro.store import (
     ArtifactMissing,
     IndexStore,
@@ -509,7 +504,9 @@ class TestEngineFallback:
 # Chaos: the serving stack end to end under a seeded fault plan
 # ----------------------------------------------------------------------
 class TestChaos:
-    def test_serving_survives_seeded_fault_plan(self, tmp_path):
+    def test_serving_survives_seeded_fault_plan(
+        self, tmp_path, closed_loop, hotspot_vertices
+    ):
         """Store corruption, random store IO faults, a 5% kernel fault
         rate, a breaker-tripping kernel outage burst and one worker kill
         against a retrying closed loop: >= 99% available, zero wrong
@@ -519,8 +516,11 @@ class TestChaos:
         # Density >= the planner threshold: "auto" resolves to INE, so
         # kernel.sssp faults hit the primary method.
         objects = uniform_objects(graph, density=0.02, seed=seed + 1)
-        items = hotspot_workload(graph, 100, k, hot_vertices=32, seed=seed + 2)
-        _, truths = sequential_baseline(QueryEngine(graph, objects), items)
+        vertices = hotspot_vertices(
+            graph.num_vertices, 100, hot_vertices=32, seed=seed + 2
+        )
+        truth_engine = QueryEngine(graph, objects)
+        truths = [truth_engine.query(v, k) for v in vertices]
 
         store = IndexStore(tmp_path / "store")
         # The fallback index is stored fault-free; the chaos engine
@@ -541,16 +541,18 @@ class TestChaos:
                 FaultSpec("kernel.sssp", between=(40, 90), probability=1.0),
                 FaultSpec("worker.die", nth_calls=(12,)),
             ))):
-                report = run_closed_loop(
-                    server, items, concurrency=8, timeout_s=30.0,
-                    retries=3, retry_backoff_s=0.01,
+                responses, _, _ = closed_loop(
+                    server, vertices, k, concurrency=8, timeout_s=30.0,
+                    retries=3, backoff_s=0.01,
                 )
                 time.sleep(0.3)  # let the supervisor replace the dead worker
 
-            ok = [r for r in report.responses if r is not None and r.ok]
-            assert len(ok) / len(items) >= 0.99, report.status_counts
+            ok = [r for r in responses if r is not None and r.ok]
+            assert len(ok) / len(vertices) >= 0.99, Counter(
+                r and r.status for r in responses
+            )
             degraded = 0
-            for response, truth in zip(report.responses, truths):
+            for response, truth in zip(responses, truths):
                 if response is None or not response.ok:
                     continue
                 if response.degraded:
@@ -567,10 +569,10 @@ class TestChaos:
             deadline = time.monotonic() + 30.0
             while server.health()["breakers"]["ine"]["state"] != "closed":
                 assert time.monotonic() < deadline, server.health()
-                server.query(items[0].vertex, k)
+                server.query(vertices[0], k)
                 time.sleep(0.1)
-            for item, truth in zip(items[:20], truths):
-                response = server.query(item.vertex, item.k)
+            for vertex, truth in zip(vertices[:20], truths):
+                response = server.query(vertex, k)
                 assert response.ok and not response.degraded
                 assert response.result.neighbors == truth.neighbors
             health = server.health()

@@ -1,5 +1,5 @@
-"""Concurrent kNN server: cache, batching, workloads, load driver, and
-the serving acceptance criteria (speedup, zero builds, identical answers)."""
+"""Concurrent kNN server: cache, batching, resilience, and the serving
+acceptance criteria (speedup, zero builds, identical answers)."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import gc
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.engine import IndexCache, QueryEngine
@@ -23,17 +24,8 @@ from repro.server import (
     ServerRequest,
     ServerResponse,
     UnknownCategory,
-    category_switching_workload,
-    diurnal_workload,
-    hotspot_workload,
     objects_fingerprint,
-    percentile,
     result_key,
-    run_closed_loop,
-    run_open_loop,
-    sequential_baseline,
-    uniform_workload,
-    zipf_weights,
 )
 from repro.server.request import PendingRequest
 from repro.utils.counters import BUILD_COUNTERS
@@ -130,52 +122,6 @@ class TestPendingRequest:
         pending = PendingRequest(self.REQUEST, response)
         assert pending._event is None
         assert pending.done() and pending.result(0) is response
-
-
-# ----------------------------------------------------------------------
-# Workload generators
-# ----------------------------------------------------------------------
-class TestWorkloads:
-    def test_uniform_shape_and_determinism(self, road400):
-        a = uniform_workload(road400, 50, 5, seed=3)
-        b = uniform_workload(road400, 50, 5, seed=3)
-        assert len(a) == 50 and a == b
-        assert all(0 <= w.vertex < road400.num_vertices for w in a)
-        assert all(w.k == 5 for w in a)
-
-    def test_zipf_weights_normalised_and_decreasing(self):
-        w = zipf_weights(100, 1.1)
-        assert w.sum() == pytest.approx(1.0)
-        assert all(w[i] >= w[i + 1] for i in range(99))
-
-    def test_hotspot_is_skewed(self, road400):
-        items = hotspot_workload(road400, 400, 5, hot_vertices=32, seed=1)
-        counts = {}
-        for item in items:
-            counts[item.vertex] = counts.get(item.vertex, 0) + 1
-        assert len(counts) <= 32
-        # The most popular vertex absorbs far more than a uniform share.
-        assert max(counts.values()) > 3 * (400 / 32)
-
-    def test_diurnal_arrival_times_increase(self, road400):
-        items = diurnal_workload(road400, 100, 5, seed=2)
-        times = [w.at_s for w in items]
-        assert times == sorted(times)
-        assert times[-1] > 0
-
-    def test_category_switching_cycles(self, road400):
-        items = category_switching_workload(
-            road400, 60, 5, ["a", "b", "c"], switch_every=10, seed=0
-        )
-        assert [w.category for w in items[:10]] == ["a"] * 10
-        assert [w.category for w in items[10:20]] == ["b"] * 10
-        assert items[30].category == "a"  # wraps around
-
-    def test_workload_validation(self, road400):
-        with pytest.raises(ValueError):
-            category_switching_workload(road400, 10, 5, [])
-        with pytest.raises(ValueError):
-            diurnal_workload(road400, 10, 5, peak_qps=0)
 
 
 # ----------------------------------------------------------------------
@@ -574,58 +520,6 @@ class TestIndexCacheConcurrency:
 
 
 # ----------------------------------------------------------------------
-# Load driver
-# ----------------------------------------------------------------------
-class TestLoadgen:
-    def test_percentile_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 50) == 2.0
-        assert percentile(values, 100) == 4.0
-        assert percentile([], 99) == 0.0
-        # Rank ceil(p/100 * n): no round-half-to-even, no float overshoot.
-        assert percentile([1.0, 2.0, 3.0, 4.0, 5.0], 50) == 3.0
-        assert percentile(list(range(1, 11)), 25) == 3
-        assert percentile(list(range(1, 101)), 7) == 7
-
-    def test_closed_loop_report(self, engine, road400):
-        items = uniform_workload(road400, 40, 4, seed=9)
-        with make_server(engine) as server:
-            report = run_closed_loop(server, items, concurrency=4)
-        assert report.requests == 40
-        assert report.completed == 40
-        assert report.throughput_qps > 0
-        assert report.latency_p99_ms >= report.latency_p50_ms >= 0
-        assert len(report.responses) == 40
-
-    def test_open_loop_replays_schedule(self, engine, road400):
-        items = diurnal_workload(road400, 30, 4, period_s=1.0,
-                                 peak_qps=5000, trough_qps=1000, seed=4)
-        with make_server(engine) as server:
-            report = run_open_loop(server, items, time_scale=0.1)
-        assert report.mode == "open-loop"
-        assert report.completed == 30
-
-    def test_report_json_roundtrip(self, engine, road400):
-        import json
-
-        items = uniform_workload(road400, 10, 4, seed=9)
-        with make_server(engine) as server:
-            report = run_closed_loop(server, items, concurrency=2)
-        payload = json.loads(json.dumps(report.to_dict()))
-        assert payload["bench"] == "server_loadtest"
-        assert payload["completed"] == 10
-        assert set(payload["latency_ms"]) == {"p50", "p95", "p99", "mean"}
-
-    def test_sequential_baseline_matches_engine(self, engine, road400):
-        items = uniform_workload(road400, 10, 4, seed=9)
-        qps, results = sequential_baseline(engine, items)
-        assert qps > 0
-        assert results[0].neighbors == engine.query(
-            items[0].vertex, items[0].k
-        ).neighbors
-
-
-# ----------------------------------------------------------------------
 # Serving acceptance criteria
 # ----------------------------------------------------------------------
 class TestServingAcceptance:
@@ -633,7 +527,7 @@ class TestServingAcceptance:
     zero serve-time builds, byte-identical answers."""
 
     @pytest.fixture(scope="class")
-    def setup(self):
+    def setup(self, hotspot_vertices):
         graph = road_network(2000, seed=7)
         objects = uniform_objects(graph, density=0.01, seed=1)
         engine = QueryEngine(graph, objects)
@@ -644,15 +538,16 @@ class TestServingAcceptance:
         # baseline would shrink that ratio without the server getting
         # any slower.  skew/hot-set chosen for a ~10x margin over the 5x
         # bar, so a noisy CI machine cannot flake the assertion.
-        items = hotspot_workload(
-            graph, 600, 5, hot_vertices=32, skew=1.3, seed=3,
-            method="ine-graph",
+        vertices = hotspot_vertices(
+            graph.num_vertices, 600, hot_vertices=32, skew=1.3, seed=3
         )
-        return graph, engine, items
+        return graph, engine, vertices
 
-    def test_server_sustains_5x_sequential_qps(self, setup):
-        _, engine, items = setup
-        baseline_qps, truth = sequential_baseline(engine, items)
+    def test_server_sustains_5x_sequential_qps(self, setup, closed_loop):
+        _, engine, vertices = setup
+        start = time.perf_counter()
+        truth = [engine.query(v, 5, method="ine-graph") for v in vertices]
+        baseline_qps = len(vertices) / (time.perf_counter() - start)
         server = KNNServer(engine, workers=4)
         server.start(warmup_methods=["ine-graph"])
         builds_before = sum(BUILD_COUNTERS.as_dict().values())
@@ -662,24 +557,27 @@ class TestServingAcceptance:
         # of everything that ran before.  Start from a collected heap.
         gc.collect()
         try:
-            report = run_closed_loop(server, items, concurrency=16)
+            responses, _, seconds = closed_loop(
+                server, vertices, 5, "ine-graph", concurrency=16
+            )
         finally:
             server.stop()
         serve_builds = sum(BUILD_COUNTERS.as_dict().values()) - builds_before
         # Zero index builds at serve time.
         assert serve_builds == 0
         # Every request served, answers byte-identical to engine.query.
-        assert report.completed == len(items)
-        for expected, response in zip(truth, report.responses):
+        assert all(r is not None and r.status == OK for r in responses)
+        for expected, response in zip(truth, responses):
             assert response.result.neighbors == expected.neighbors
             assert response.result.method == expected.method
         # Throughput: >= 5x the single-threaded sequential baseline.
-        assert report.throughput_qps >= 5 * baseline_qps, (
-            f"server {report.throughput_qps:.0f} qps < 5x "
+        served_qps = len(responses) / seconds
+        assert served_qps >= 5 * baseline_qps, (
+            f"server {served_qps:.0f} qps < 5x "
             f"sequential {baseline_qps:.0f} qps"
         )
 
-    def test_warm_store_serving_does_zero_builds(self, tmp_path):
+    def test_warm_store_serving_does_zero_builds(self, tmp_path, closed_loop):
         from repro.store import IndexStore
 
         graph = road_network(300, seed=5)
@@ -696,11 +594,15 @@ class TestServingAcceptance:
         try:
             # method="gtree": every served query goes through the
             # store-loaded index, not just INE's index-free path.
-            items = uniform_workload(graph, 50, 3, method="gtree", seed=6)
-            report = run_closed_loop(server, items, concurrency=4)
+            vertices = np.random.default_rng(6).integers(
+                0, graph.num_vertices, size=50
+            )
+            responses, _, _ = closed_loop(
+                server, [int(v) for v in vertices], 3, "gtree", concurrency=4
+            )
         finally:
             server.stop()
-        assert report.completed == 50
+        assert all(r is not None and r.status == OK for r in responses)
         builds = sum(BUILD_COUNTERS.as_dict().values()) - before
         assert builds == 0, "warm-started server rebuilt an index"
 
@@ -881,9 +783,9 @@ class TestServerResilience:
             assert response.status == DEADLINE_EXCEEDED
             assert "completed too late" in response.error
 
-    def test_client_retry_resubmits_errors_then_sticks(self, engine):
-        from repro.server.loadgen import _RetryingClient
-
+    def test_client_retry_resubmits_errors_then_sticks(
+        self, engine, closed_loop
+    ):
         class FlakyServer:
             """submit() answers ERROR twice, then delegates for real."""
 
@@ -906,19 +808,20 @@ class TestServerResilience:
                     vertex, k, method, category=category
                 )
 
-        items = uniform_workload(engine.graph, 1, 3, seed=2)
+        vertex = int(
+            np.random.default_rng(2).integers(0, engine.graph.num_vertices)
+        )
         with make_server(engine, workers=1) as real:
             flaky = FlakyServer(real)
-            retrier = _RetryingClient(retries=3, backoff_s=0.001)
-            pending = retrier.drive(flaky, items[0], timeout_s=10.0)
-            response = pending.result(timeout=0)
+            (response,), resubmissions, _ = closed_loop(
+                flaky, [vertex], 3, concurrency=1, retries=3,
+                backoff_s=0.001, timeout_s=10.0,
+            )
         assert response.status == OK
-        assert retrier.total == 2  # two resubmissions, third stuck
+        assert resubmissions == 2  # two resubmissions, third stuck
         assert flaky.calls == 3
 
-    def test_rejections_are_not_retried_client_side(self, engine):
-        from repro.server.loadgen import _RetryingClient
-
+    def test_rejections_are_not_retried_client_side(self, closed_loop):
         class RejectingServer:
             def __init__(self):
                 self.calls = 0
@@ -934,10 +837,12 @@ class TestServerResilience:
                 ))
                 return pending
 
-        items = uniform_workload(road_network(50, seed=1), 1, 3, seed=2)
+        vertex = int(np.random.default_rng(2).integers(0, 50))
         rejecting = RejectingServer()
-        retrier = _RetryingClient(retries=5, backoff_s=0.001)
-        pending = retrier.drive(rejecting, items[0], timeout_s=1.0)
-        assert pending.result(timeout=0).status == REJECTED
-        assert retrier.total == 0  # admission control is respected
+        (response,), resubmissions, _ = closed_loop(
+            rejecting, [vertex], 3, concurrency=1, retries=5,
+            backoff_s=0.001, timeout_s=1.0,
+        )
+        assert response.status == REJECTED
+        assert resubmissions == 0  # admission control is respected
         assert rejecting.calls == 1
