@@ -225,7 +225,7 @@ def road_network(
     builder = GraphBuilder()
     for x, y in arr:
         builder.add_vertex(float(x), float(y))
-    final_edges: List[Tuple[int, int, float]] = []
+    final_edges: List[Optional[Tuple[int, int, float]]] = []
     for u, v in edge_list:
         # Long non-tree edges are dropped more aggressively: countryside is
         # sparse, cities are dense.
@@ -242,10 +242,13 @@ def road_network(
     # (bounded by the edge length) and half-weights stay >= their
     # Euclidean lengths, so the Euclidean distance remains a *tight*
     # lower bound — the property IER relies on for distance weights.
-    rng_edges = list(final_edges)
+    # Edges are picked by position; a subdivided one is blanked in place
+    # (O(1), where list.remove was O(E)) and skipped below.
+    rng_edges = list(range(len(final_edges)))
     while builder.num_vertices < num_vertices and rng_edges:
         idx = int(rng.integers(len(rng_edges)))
-        u, v, w = rng_edges.pop(idx)
+        e = rng_edges.pop(idx)
+        u, v, w = final_edges[e]
         ux, uy = builder._xs[u], builder._ys[u]
         vx, vy = builder._xs[v], builder._ys[v]
         seg_len = math.hypot(vx - ux, vy - uy)
@@ -263,14 +266,13 @@ def road_network(
         total = len1 + len2 or 1.0
         half1 = max(w * len1 / total, len1)
         half2 = max(w * len2 / total, len2)
-        final_edges.remove((u, v, w))
-        final_edges.append((u, mid, half1))
-        final_edges.append((mid, v, half2))
-        rng_edges.append((u, mid, half1))
-        rng_edges.append((mid, v, half2))
+        final_edges[e] = None
+        rng_edges += [len(final_edges), len(final_edges) + 1]
+        final_edges += [(u, mid, half1), (mid, v, half2)]
 
-    for u, v, w in final_edges:
-        builder.add_edge(u, v, w)
+    for edge in final_edges:
+        if edge is not None:
+            builder.add_edge(*edge)
     graph = builder.build(
         name=name or f"road-{num_vertices}", require_connected=False
     )

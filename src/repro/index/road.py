@@ -101,55 +101,24 @@ class RoadIndex(PartitionHierarchy):
         for node in self.nodes:
             node.border_pos = {int(b): i for i, b in enumerate(node.borders)}
             node.interior_size = len(self.node_vertices(node)) - len(node.borders)
-        self._query_lists()
+        self._route_overlay()
         # The build is the repair routine with every Rnet triggered (so
-        # every matrix and shortcut row counts as changed).
+        # every matrix counts as changed).
         self._repair(*self.every_node())
 
-    def _query_lists(self) -> None:
-        """Query-time lists, built once by ``_build`` and ``from_arrays``;
-        repair patches ``_ew`` and ``_shortcut_lists`` rows in place."""
-        graph = self.graph
-        n = graph.num_vertices
-
-        # Route Overlay: for each vertex, the chain of Rnets it borders,
-        # ordered shallowest (highest level in paper terms) first.  The
-        # chain is contiguous down to the leaf Rnet by construction.
-        self.route_overlay: List[List[int]] = [[] for _ in range(n)]
-        by_depth = sorted(self.rnets, key=lambda nd: nd.level)
-        for node in by_depth:
+    def _route_overlay(self) -> None:
+        """Route Overlay: for each vertex, the chain of Rnets it borders,
+        ordered shallowest (highest level in paper terms) first.  The
+        chain is contiguous down to the leaf Rnet by construction; it
+        depends only on the partition, so build and load derive it once."""
+        self.route_overlay: List[List[int]] = [
+            [] for _ in range(self.graph.num_vertices)
+        ]
+        for node in sorted(self.rnets, key=lambda nd: nd.level):
             if node.id == self.root:
                 continue  # the root has no borders and cannot be bypassed
             for b in node.borders:
                 self.route_overlay[int(b)].append(node.id)
-
-        # Flat query-time structures.  The paper stores all shortcuts in
-        # one global array with per-tree offsets (Section 6.2); CPython's
-        # equivalent of that flat layout is plain lists, which avoid the
-        # per-element boxing cost of numpy scalar indexing on the search
-        # hot path.
-        self._leaf_index_list: List[int] = self.leaf_index_of.tolist()
-        self._vs = graph.vertex_start.tolist()
-        self._et = graph.edge_target.tolist()
-        self._ew = graph.edge_weight.tolist()
-        self._shortcut_lists: List[List[List[Tuple[int, float]]]] = [
-            self._shortcut_rows(node) for node in self.rnets
-        ]
-
-    @staticmethod
-    def _shortcut_rows(node: RnetNode) -> List[List[Tuple[int, float]]]:
-        """Per border, its finite shortcuts as ``(border, w)`` pairs.  All
-        rows share one int object per border; per-row copies show in RSS."""
-        matrix = node.shortcut_matrix
-        if matrix is None:
-            return []
-        borders = node.borders.tolist()
-        finite = np.isfinite(matrix)
-        np.fill_diagonal(finite, False)
-        cols = np.nonzero(finite)[1].tolist()
-        pairs = list(zip([borders[j] for j in cols], matrix[finite].tolist()))
-        ends = np.cumsum(finite.sum(axis=1)).tolist()
-        return [pairs[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
     def _shortcuts(self, node: RnetNode) -> np.ndarray:
         """Within-Rnet border-to-border distances for one Rnet: one
@@ -168,19 +137,10 @@ class RoadIndex(PartitionHierarchy):
     # ------------------------------------------------------------------
     # Build and incremental repair: one bottom-up routine
     # ------------------------------------------------------------------
-    def _repair(self, triggers: Set[int], affected: Set[int], edges=()) -> Dict[str, int]:
+    def _repair(self, triggers: Set[int], affected: Set[int]) -> Dict[str, int]:
         solves, changed = self.recompute_bottom_up(
             triggers, affected, "shortcut_matrix", self._shortcuts
         )
-        # Patch the query-time lists in place, with readers excluded as
-        # KNNServer's write lock does (G-tree repairs in place too): the
-        # rows of Rnets whose matrix changed, and the ``_ew`` slices of the
-        # changed edges' endpoints (both directions, every parallel copy).
-        for i in changed:
-            self._shortcut_lists[i] = self._shortcut_rows(self.rnets[i])
-        vs, weight = self._vs, self.graph.edge_weight
-        for a in {a for u, v, _old, _new in edges for a in (u, v)}:
-            self._ew[vs[a]:vs[a + 1]] = weight[vs[a]:vs[a + 1]].tolist()
         return {
             "rnets_affected": len(affected),
             "shortcuts_recomputed": solves,
@@ -196,15 +156,14 @@ class RoadIndex(PartitionHierarchy):
         repair is the build restricted to the Rnets
         :meth:`~PartitionHierarchy.repair_plan` names — bottom-up along
         the endpoint-leaf ancestor chains, stopping early when a
-        recomputed matrix is bitwise unchanged — then an in-place patch of
-        the changed shortcut rows and edge-weight slots, so callers keep
-        queries out meanwhile (``KNNServer`` holds its write lock).
-        Because :meth:`_shortcuts` and :meth:`_shortcut_rows` are the
-        build's own per-node computations, the repaired index is
-        byte-identical to a rebuild on the same partition hierarchy.
-        Returns repair counters.
+        recomputed matrix is bitwise unchanged.  A
+        :class:`~repro.knn.road_knn.RoadKNN` built before keeps searching
+        its own overlay (a copy of the shortcut values) until rebuilt.
+        Because :meth:`_shortcuts` is the build's own per-node
+        computation, the repaired index is byte-identical to a rebuild on
+        the same partition hierarchy.  Returns repair counters.
         """
-        return self._repair(*self.repair_plan(changed), changed)
+        return self._repair(*self.repair_plan(changed))
 
     # ------------------------------------------------------------------
     # Search support
@@ -216,11 +175,6 @@ class RoadIndex(PartitionHierarchy):
         node = self.rnets[rnet_id]
         row = node.border_pos[int(vertex)]
         return node.borders, node.shortcut_matrix[row]
-
-    def shortcut_list(self, rnet_id: int, vertex: int) -> List[Tuple[int, float]]:
-        """Finite shortcuts from ``vertex`` as a flat (border, w) list."""
-        node = self.rnets[rnet_id]
-        return self._shortcut_lists[rnet_id][node.border_pos[int(vertex)]]
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -254,9 +208,9 @@ class RoadIndex(PartitionHierarchy):
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """Flatten the Rnet hierarchy and shortcut matrices to numpy arrays.
 
-        The Route Overlay and the flat query-time lists are *derived*
-        structures, recomputed cheaply by ``from_arrays`` — only the
-        expensive Dijkstra products (shortcut matrices) are stored.
+        The Route Overlay is a *derived* structure, recomputed cheaply
+        by ``from_arrays`` — only the expensive Dijkstra products
+        (shortcut matrices) are stored.
         """
         out = self.topology_arrays()
         out["interior_size"] = np.asarray(
@@ -282,7 +236,7 @@ class RoadIndex(PartitionHierarchy):
             node.interior_size = int(arrays["interior_size"][i])
             node.border_pos = {int(b): j for j, b in enumerate(node.borders)}
             node.shortcut_matrix = unpack_matrix(arrays, "shortcut", i)
-        self._query_lists()
+        self._route_overlay()
         return self
 
 
@@ -306,40 +260,32 @@ class AssociationDirectory:
         # of decoupled indexing, Section 2.2).
         self._rnet_count = [0] * len(road.rnets)
         for o in self.objects:
-            self._add_to_hierarchy(int(o))
+            if not self._vertex_flag[o]:
+                self._occupy(int(o), 1)
         self._build_time = time.perf_counter() - start
 
-    def _add_to_hierarchy(self, vertex: int) -> None:
-        if self._vertex_flag[vertex]:
-            return
-        self._vertex_flag[vertex] = 1
-        node = self.road.rnets[int(self.road.leaf_of[vertex])]
-        while True:
-            self._rnet_count[node.id] += 1
-            if node.parent < 0:
-                break
-            node = self.road.rnets[node.parent]
+    def _occupy(self, vertex: int, delta: int) -> None:
+        """Flag or unflag ``vertex`` and move the object count of every
+        Rnet on its leaf-to-root chain by ``delta``."""
+        self._vertex_flag[vertex] = delta > 0
+        rnet = int(self.road.leaf_of[vertex])
+        while rnet >= 0:
+            self._rnet_count[rnet] += delta
+            rnet = self.road.rnets[rnet].parent
 
     def add_object(self, vertex: int) -> None:
         """Insert one object — O(hierarchy depth)."""
         vertex = int(vertex)
         if not self._vertex_flag[vertex]:
-            self._add_to_hierarchy(vertex)
+            self._occupy(vertex, 1)
             self.objects = np.sort(np.append(self.objects, vertex))
 
     def remove_object(self, vertex: int) -> None:
         """Remove one object — O(hierarchy depth)."""
         vertex = int(vertex)
-        if not self._vertex_flag[vertex]:
-            return
-        self._vertex_flag[vertex] = 0
-        self.objects = self.objects[self.objects != vertex]
-        node = self.road.rnets[int(self.road.leaf_of[vertex])]
-        while True:
-            self._rnet_count[node.id] -= 1
-            if node.parent < 0:
-                break
-            node = self.road.rnets[node.parent]
+        if self._vertex_flag[vertex]:
+            self._occupy(vertex, -1)
+            self.objects = self.objects[self.objects != vertex]
 
     def is_object(self, vertex: int) -> bool:
         return bool(self._vertex_flag[vertex])

@@ -6,7 +6,8 @@ individual settles — point-to-point distance, bounded SSSP,
 k-nearest-object search — the entire expansion can instead run inside
 ``scipy.sparse.csgraph.dijkstra`` over :meth:`Graph.to_csr_matrix`, with
 a geometrically expanding radius limit so the kernel settles roughly the
-same region the loop would, not the whole network.
+same region the loop would, not the whole network (or over another CSR
+on the same vertices: ROAD's object-set overlay).
 
 Settled-vertex accounting
 -------------------------
@@ -14,17 +15,19 @@ The reference loops count every vertex they settle.  These kernels report
 the *settle-equivalent* count: the number of vertices whose distance does
 not exceed the query's stopping distance, which is exactly the loop's
 count whenever no two vertices sit at the same distance (the stopping
-vertex is then the unique last settle).  On real-valued road networks
+vertex is then the unique last settle; vertices tied with it that the
+loop had not popped yet are counted too).  On real-valued road networks
 exact distance ties have measure zero; the production-vs-reference guard
-in ``tests/test_kernels.py`` asserts equality on every graph it touches,
+in ``tests/test_kernels.py`` asserts this rule on every graph it touches,
 so a divergence cannot slip through silently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.graph import Graph
@@ -46,24 +49,26 @@ def _fallback_radius(graph: Graph) -> float:
 
 
 def sssp_distances(
-    graph: Graph, source: int, limit: float = INF
+    graph: Graph, source: int, limit: float = INF, matrix: Optional[csr_matrix] = None
 ) -> np.ndarray:
-    """Exact distances from ``source`` to every vertex within ``limit``.
+    """Exact distances from ``source`` to every vertex within ``limit``,
+    over ``matrix`` (default: the graph's own CSR).
 
     Vertices further than ``limit`` report ``inf`` (the reference loop's
     bounded SSSP leaves tentative frontier values there instead — callers
     must only rely on entries at or below the cutoff).
     """
-    # Every SSSP flow (p2p, bounded, targets, nearest
+    # Every SSSP flow (p2p, bounded, targets, INE and ROAD nearest
     # objects) funnels through here, so one fault point covers them all.
     fault_check("kernel.sssp")
-    matrix = graph.to_csr_matrix()
+    if matrix is None:
+        matrix = graph.to_csr_matrix()
     if np.isfinite(limit):
         return _csgraph_dijkstra(matrix, directed=True, indices=source, limit=limit)
     return _csgraph_dijkstra(matrix, directed=True, indices=source)
 
 
-def _expand(graph: Graph, source: int, radius: float, done) -> np.ndarray:
+def _expand(graph: Graph, source: int, radius: float, done, matrix=None) -> np.ndarray:
     """Run expansion rounds until ``done(dist)`` or the sweep was full.
 
     ``done`` receives the distance array of the current round and returns
@@ -73,11 +78,11 @@ def _expand(graph: Graph, source: int, radius: float, done) -> np.ndarray:
     """
     radius = radius if radius > 0 and np.isfinite(radius) else _fallback_radius(graph)
     for _ in range(48):
-        dist = sssp_distances(graph, source, limit=radius)
+        dist = sssp_distances(graph, source, radius, matrix)
         if done(dist):
             return dist
         radius *= _GROWTH
-    return sssp_distances(graph, source)
+    return sssp_distances(graph, source, INF, matrix)
 
 
 def p2p_distance(
@@ -151,65 +156,57 @@ def nearest_objects(
     objects: np.ndarray,
     query: int,
     k: int,
-    counters: Counters = NULL_COUNTERS,
-    counter_name: str = "expand_settled",
-) -> list:
+    matrix: Optional[csr_matrix] = None,
+) -> Tuple[List[Tuple[float, int]], np.ndarray]:
     """The k network-nearest of ``objects`` from ``query`` (INE kernel).
 
-    ``objects`` is a sorted, deduplicated int64 array.  Returns
-    ``[(distance, vertex), ...]`` sorted by ``(distance, vertex)`` —
-    byte-identical to the reference INE loop's finalised answer — and
-    records the settle-equivalent count under ``counter_name``.
+    ``matrix`` is the CSR searched: the graph's own by default, or a
+    derived graph over the same vertices that keeps every object's
+    distance exact (ROAD's overlay); ``graph`` supplies the coordinates
+    that seed the radius.  ``objects`` is a sorted, deduplicated int64
+    array.  Returns ``[(distance, vertex), ...]`` sorted by ``(distance,
+    vertex)`` — byte-identical to the reference loops' finalised answer —
+    and the boolean mask of settle-equivalent vertices, from which each
+    caller derives its counters.
     """
-    m = len(objects)
-    if m == 0 or k <= 0 or k > m:
-        # A per-edge loop can never reach len(results) == k in these
-        # cases, so it settles everything reachable before finishing.
-        dist = sssp_distances(graph, query)
-        counters.add(counter_name, int(np.count_nonzero(np.isfinite(dist))))
-        if m == 0 or k <= 0:
-            return []
-        od = dist[objects]
-        hits = np.flatnonzero(np.isfinite(od))
-        order = np.lexsort((objects[hits], od[hits]))
-        return [
-            (float(od[hits[i]]), int(objects[hits[i]])) for i in order
-        ]
-    take = k
-    de = np.hypot(
-        graph.x[objects] - graph.x[query], graph.y[objects] - graph.y[query]
-    )
-    kth_euclid = float(np.partition(de, take - 1)[take - 1])
-    seed = kth_euclid / graph.max_speed() * 2.0
+    if 0 < k <= len(objects):
+        de = np.hypot(
+            graph.x[objects] - graph.x[query], graph.y[objects] - graph.y[query]
+        )
+        kth_euclid = float(np.partition(de, k - 1)[k - 1])
+        seed = kth_euclid / graph.max_speed() * 2.0
 
-    def enough(dist: np.ndarray) -> bool:
-        # Every vertex within the round's radius limit has its exact
-        # distance (shortest-path prefixes stay within the radius), so k
-        # finite object distances mean the true k nearest are all known.
-        return int(np.count_nonzero(np.isfinite(dist[objects]))) >= take
+        def enough(dist: np.ndarray) -> bool:
+            # Every vertex within the round's radius limit has its exact
+            # distance (shortest-path prefixes stay within the radius), so
+            # k finite object distances mean the true k nearest are known.
+            return int(np.count_nonzero(np.isfinite(dist[objects]))) >= k
 
-    dist = _expand(graph, query, seed, enough)
-    od = dist[objects]
-    finite_mask = np.isfinite(od)
-    if int(np.count_nonzero(finite_mask)) >= take:
-        idx = np.argpartition(od, take - 1)[:take]
-        dk = float(od[idx].max())
-        settled = int(np.count_nonzero(dist <= dk))
-        order = np.lexsort((objects[idx], od[idx]))
-        results = [
-            (float(od[idx[i]]), int(objects[idx[i]])) for i in order
-        ]
+        dist = _expand(graph, query, seed, enough, matrix)
     else:
-        # Fewer than k reachable objects: a per-edge loop drains the
-        # whole heap, settling every reachable vertex.
-        settled = int(np.count_nonzero(np.isfinite(dist)))
-        hits = np.flatnonzero(finite_mask)
-        order = np.lexsort((objects[hits], od[hits]))
-        results = [
-            (float(od[hits[i]]), int(objects[hits[i]])) for i in order
-        ]
-    counters.add(counter_name, settled)
-    return results
+        # A per-edge loop can never reach len(results) == k here.
+        dist = sssp_distances(graph, query, INF, matrix)
+    od = dist[objects]
+    finite = np.isfinite(od)
+    if 0 < k <= np.count_nonzero(finite):
+        idx = np.argpartition(od, k - 1)[:k]
+        dk = float(od[idx].max())
+        if np.count_nonzero(od <= dk) > k:
+            # Objects tie at the k-th distance: take them by vertex id
+            # (``objects`` ascends), as a loop popping (distance, vertex)
+            # pairs does.
+            closer = np.flatnonzero(od < dk)
+            idx = np.concatenate(
+                (closer, np.flatnonzero(od == dk)[: k - len(closer)])
+            )
+        settled = dist <= dk
+    else:
+        # Fewer than k reachable objects (or k <= 0): a per-edge loop
+        # drains the whole heap, settling every reachable vertex.
+        settled = np.isfinite(dist)
+        idx = np.flatnonzero(finite & (k > 0))  # none when k <= 0
+    order = idx[np.lexsort((objects[idx], od[idx]))]
+    return [(float(od[i]), int(objects[i])) for i in order], settled
 
 
 def prepared_objects(objects: Iterable[int]) -> np.ndarray:

@@ -6,7 +6,7 @@
 * :class:`DistanceBrowsing` — SILC-based interval refinement, in both the
   DB-ENN (R-tree candidates) and Object-Hierarchy variants.
 * :class:`GTreeKNN` — G-tree hierarchy traversal with occurrence lists.
-* :class:`RoadKNN` — ROAD expansion with Rnet bypassing.
+* :class:`RoadKNN` — ROAD's Rnet bypassing: the INE kernel over an overlay graph.
 
 All return ``[(network_distance, object_vertex), ...]`` sorted ascending,
 ties broken by vertex id.

@@ -51,9 +51,12 @@ class INE(KNNAlgorithm):
     def knn(
         self, query: int, k: int, counters: Counters = NULL_COUNTERS
     ) -> KNNResult:
-        return nearest_objects(
-            self.graph, self._objects_arr, query, k, counters
+        results, settled = nearest_objects(
+            self.graph, self._objects_arr, query, k
         )
+        if counters.enabled:
+            counters.add("expand_settled", int(np.count_nonzero(settled)))
+        return results
 
 
 def ine_knn(graph: Graph, objects: Sequence[int], query: int, k: int) -> KNNResult:

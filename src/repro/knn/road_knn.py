@@ -1,30 +1,86 @@
-"""ROAD kNN search (Algorithms 5 and 6).
+"""ROAD kNN search (Algorithms 5 and 6) on the INE kernel.
 
-An INE-style expansion that, on settling a vertex, consults the Route
-Overlay for the highest-level object-free Rnet the vertex borders and
-bypasses it: the Rnet's shortcuts are relaxed instead of its interior
-edges, plus the vertex's raw edges that leave the Rnet.  When every Rnet
-the vertex borders contains objects (or it borders none) the raw edges
-are relaxed exactly as in INE.
-
-Includes the paper's minor improvement (Appendix A.3): shortcuts leading
-to already-visited borders are not re-inserted into the queue.
+On settling a vertex, ROAD's expansion bypasses the shallowest
+object-free Rnet the vertex borders: it relaxes that Rnet's shortcuts
+plus its raw edges leaving the Rnet, or, with no such Rnet, all its raw
+edges — as in INE.  Which edges a vertex relaxes thus depends only on the
+vertex and the object set, never on the query, so :class:`RoadKNN`
+builds that directed graph once per object set as a CSR (the *overlay*)
+and searches it with :func:`repro.kernels.sssp.nearest_objects`.
+Shortcuts to visited borders are never relaxed (the Appendix A.3
+improvement is implicit in Dijkstra).  The per-settle loop lives in
+:class:`repro.reference.ReferenceRoadKNN`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.index.road import AssociationDirectory, RoadIndex
+from repro.kernels.sssp import nearest_objects
 from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.utils.counters import Counters, NULL_COUNTERS
-from repro.utils.pqueue import BinaryHeap
 
-INF = float("inf")
+
+class Overlay(NamedTuple):
+    """What a query reads for one object set, swapped in as one."""
+
+    matrix: csr_matrix  # the overlay graph
+    objects: np.ndarray  # sorted unique object vertices
+    bypassed: np.ndarray  # per vertex: interior size of the Rnet it bypasses
+
+
+def build_overlay(road: RoadIndex, ad: AssociationDirectory) -> Overlay:
+    """The overlay for ``ad``'s objects over ``road``'s current shortcut
+    matrices and the graph's current weights."""
+    graph, rnets, n = road.graph, road.rnets, road.graph.num_vertices
+    # bypass[u]: the shallowest object-free Rnet u borders, else -1.  Node
+    # ids are a DFS preorder, so in reverse every Rnet precedes its
+    # ancestors and the shallowest assignment lands last.
+    free = [
+        node for node in reversed(rnets)
+        if node.id != road.root and not ad.rnet_has_object(node.id)
+    ]
+    bypass = np.full(n, -1, dtype=np.int64)
+    for node in free:
+        bypass[node.borders] = node.id
+    # Raw edges, minus a bypassing vertex's edges into its Rnet (index -1
+    # reads the appended empty leaf interval).
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.vertex_start))
+    lo, hi = (np.asarray([getattr(nd, a) for nd in rnets] + [0]) for a in ("leaf_lo", "leaf_hi"))
+    li, via = road.leaf_index_of[graph.edge_target], bypass[src]
+    keep = (li < lo[via]) | (li >= hi[via])
+    rows, cols, data = [src[keep]], [graph.edge_target[keep]], [graph.edge_weight[keep]]
+    # Each bypassing border's shortcut row (finite, off the diagonal).
+    for node in free:
+        mine = np.flatnonzero(bypass[node.borders] == node.id)
+        block = node.shortcut_matrix[mine]
+        finite = np.isfinite(block)
+        finite[np.arange(len(mine)), mine] = False
+        r, c = np.nonzero(finite)
+        rows.append(node.borders[mine[r]])
+        cols.append(node.borders[c])
+        data.append(block[r, c])
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    # (data, indices, indptr) keeps parallel edges apart; COO would sum them.
+    matrix = csr_matrix(
+        (np.concatenate(data)[order], np.concatenate(cols)[order], indptr), shape=(n, n)
+    )
+    interior = np.asarray([nd.interior_size for nd in rnets] + [0], dtype=np.int64)
+    return Overlay(matrix, np.unique(ad.objects), interior[bypass])
 
 
 class RoadKNN(KNNAlgorithm):
-    """kNN driver over a :class:`RoadIndex` and Association Directory."""
+    """kNN driver over a :class:`RoadIndex` and Association Directory.
+
+    The overlay snapshots the shortcut matrices and weights at
+    construction; the engine drops its instances after a weight batch.
+    """
 
     name = "road"
 
@@ -33,7 +89,6 @@ class RoadKNN(KNNAlgorithm):
         road: RoadIndex,
         objects: Optional[Sequence[int]] = None,
         directory: Optional[AssociationDirectory] = None,
-        skip_visited_borders: bool = True,
     ) -> None:
         if directory is None:
             if objects is None:
@@ -41,88 +96,26 @@ class RoadKNN(KNNAlgorithm):
             directory = AssociationDirectory(road, objects)
         self.road = road
         self.ad = directory
-        self.skip_visited_borders = skip_visited_borders
+        self.overlay = build_overlay(road, directory)
 
     def update_objects(
         self, added: Sequence[int], removed: Sequence[int]
     ) -> None:
-        """Incrementally maintain the association directory."""
+        """Maintain the association directory and swap in the new overlay."""
         for o in removed:
             self.ad.remove_object(int(o))
         for o in added:
             self.ad.add_object(int(o))
+        self.overlay = build_overlay(self.road, self.ad)
 
     def knn(
         self, query: int, k: int, counters: Counters = NULL_COUNTERS
     ) -> KNNResult:
-        road = self.road
-        ad = self.ad
-        n = road.graph.num_vertices
-        dist = [INF] * n
-        visited = bytearray(n)
-        heap = BinaryHeap()
-        dist[query] = 0.0
-        heap.push(0.0, query)
-        results: List[Tuple[float, int]] = []
-        route_overlay = road.route_overlay
-        leaf_index = road._leaf_index_list
-        rnets = road.rnets
-        shortcut_lists = road._shortcut_lists
-        vs, et, ew = road._vs, road._et, road._ew
-        skip_visited = self.skip_visited_borders
-        count = counters.enabled
-        rnet_has_object = ad.rnet_has_object
-        is_object = ad.is_object
-
-        while heap and len(results) < k:
-            d, u = heap.pop()
-            if visited[u]:
-                continue
-            visited[u] = 1
-            if count:
-                counters.add("expand_settled")
-            if is_object(u):
-                results.append((d, u))
-                if len(results) == k:
-                    break
-            # Highest-level object-free Rnet that u borders.
-            bypass = -1
-            for rnet_id in route_overlay[u]:
-                if not rnet_has_object(rnet_id):
-                    bypass = rnet_id
-                    break
-            if bypass >= 0:
-                node = rnets[bypass]
-                if count:
-                    counters.add("expand_bypassed", node.interior_size)
-                row = shortcut_lists[bypass][node.border_pos[u]]
-                for b, w in row:
-                    if skip_visited and visited[b]:
-                        continue
-                    nd = d + w
-                    if nd < dist[b]:
-                        dist[b] = nd
-                        heap.push(nd, b)
-                # Raw edges leaving the bypassed Rnet.
-                lo, hi = node.leaf_lo, node.leaf_hi
-                for i in range(vs[u], vs[u + 1]):
-                    v = et[i]
-                    li = leaf_index[v]
-                    if lo <= li < hi:
-                        continue  # interior edge: subsumed by shortcuts
-                    if skip_visited and visited[v]:
-                        continue
-                    nd = d + ew[i]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        heap.push(nd, v)
-            else:
-                for i in range(vs[u], vs[u + 1]):
-                    v = et[i]
-                    if skip_visited and visited[v]:
-                        continue
-                    nd = d + ew[i]
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        heap.push(nd, v)
-        return self._finalise(results, k)
+        overlay = self.overlay
+        results, settled = nearest_objects(
+            self.road.graph, overlay.objects, query, k, overlay.matrix
+        )
+        if counters.enabled:
+            counters.add("expand_settled", int(np.count_nonzero(settled)))
+            counters.add("expand_bypassed", int(overlay.bypassed[settled].sum()))
+        return results

@@ -17,11 +17,15 @@ that Figure 7's implementation ladder plots —
   ``first_cut`` (decrease-key heap, dict distances, set settled,
   per-vertex adjacency objects), ``pqueue`` (+ no-decrease-key heap),
   ``settled`` (+ byte-array settled container) and ``graph`` (+ flat CSR
-  arrays; the paper's final rung).
+  arrays; the paper's final rung);
+* :class:`ReferenceRoadKNN` — ROAD's expansion (Algorithms 5 and 6) one
+  settle at a time, consulting the Route Overlay and Association
+  Directory per vertex, the loop :class:`~repro.knn.road_knn.RoadKNN`'s
+  overlay graph is checked against.
 
 They return the same answers and record the same ``sssp_settled`` /
-``expand_settled`` counters as the production code, which is what
-``tests/test_kernels.py`` asserts.
+``expand_settled`` / ``expand_bypassed`` counters as the production
+code, which is what ``tests/test_kernels.py`` asserts.
 
 Who may import this module: the tests, ``fig07_ine_ablation``, and the
 registry entry of the auxiliary method ``ine-graph`` — the engine's
@@ -32,11 +36,13 @@ kernels it stands in for.  Nothing under ``repro.knn``, ``repro.index``,
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.index.road import AssociationDirectory, RoadIndex
 from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.utils.bitset import BitArray
 from repro.utils.counters import Counters, NULL_COUNTERS
@@ -53,33 +59,8 @@ def dijkstra_distance(
     target: int,
     counters: Counters = NULL_COUNTERS,
 ) -> float:
-    """Point-to-point network distance."""
-    if source == target:
-        return 0.0
-    n = graph.num_vertices
-    dist = np.full(n, INF)
-    settled = np.zeros(n, dtype=bool)
-    heap = BinaryHeap()
-    dist[source] = 0.0
-    heap.push(0.0, source)
-    vertex_start = graph.vertex_start
-    edge_target = graph.edge_target
-    edge_weight = graph.edge_weight
-    while heap:
-        d, u = heap.pop()
-        if settled[u]:
-            continue
-        settled[u] = True
-        counters.add("sssp_settled")
-        if u == target:
-            return d
-        for i in range(vertex_start[u], vertex_start[u + 1]):
-            v = int(edge_target[i])
-            nd = d + edge_weight[i]
-            if nd < dist[v]:
-                dist[v] = nd
-                heap.push(nd, v)
-    return INF
+    """Point-to-point network distance: the single-target loop."""
+    return dijkstra_to_targets(graph, source, [target], counters)[int(target)]
 
 
 def dijkstra_sssp(
@@ -461,4 +442,80 @@ class ReferenceINE(KNNAlgorithm):
             for v, w in adjacency[u]:
                 if v not in settled:
                     heap.push(d + w, v)
+        return self._finalise(results, k)
+
+
+class ReferenceRoadKNN(KNNAlgorithm):
+    """ROAD kNN one settle at a time over flat lists (Algorithms 5, 6).
+
+    A settled vertex bypasses the shallowest object-free Rnet it borders
+    (that Rnet's shortcuts plus its raw edges leaving it), else relaxes
+    every raw edge; visited vertices are skipped (Appendix A.3).  The heap
+    pops ``(distance, vertex)``, so ties at the k-th distance go by id as
+    in the kernel; like :class:`ReferenceINE` it drains the heap when it
+    cannot find k objects.  Lists snapshot the index at construction.
+    """
+
+    name = "road"
+
+    def __init__(self, road: RoadIndex, objects: Sequence[int]) -> None:
+        self.road, self.ad = road, AssociationDirectory(road, objects)
+        graph = road.graph
+        self._vs, self._et, self._ew, self._leaf_index = (a.tolist() for a in (
+            graph.vertex_start, graph.edge_target, graph.edge_weight, road.leaf_index_of
+        ))
+        # Per Rnet, per border: its finite shortcuts as (border, w) pairs.
+        self._shortcuts = [[
+            [(b, w) for j, (b, w) in enumerate(zip(nd.borders.tolist(), row))
+             if j != i and w < INF]
+            for i, row in enumerate(nd.shortcut_matrix.tolist())
+        ] for nd in road.rnets]
+
+    def update_objects(
+        self, added: Sequence[int], removed: Sequence[int]
+    ) -> None:
+        for o in removed:
+            self.ad.remove_object(int(o))
+        for o in added:
+            self.ad.add_object(int(o))
+
+    def knn(
+        self, query: int, k: int, counters: Counters = NULL_COUNTERS
+    ) -> KNNResult:
+        road, ad = self.road, self.ad
+        dist = [INF] * len(self._leaf_index)
+        visited = bytearray(len(dist))
+        dist[query] = 0.0
+        heap = [(0.0, query)]
+        results: List[Tuple[float, int]] = []
+        vs, et, ew, leaf_index = self._vs, self._et, self._ew, self._leaf_index
+        count = counters.enabled
+        while heap:
+            d, u = heappop(heap)
+            if visited[u]:
+                continue
+            visited[u] = 1
+            if count:
+                counters.add("expand_settled")
+            if ad.is_object(u):
+                results.append((d, u))
+                if len(results) == k:
+                    break
+            free = [r for r in road.route_overlay[u] if not ad.rnet_has_object(r)]
+            edges, lo, hi = [], 0, 0  # [0, 0): no raw edge is interior
+            if free:
+                node = road.rnets[free[0]]
+                if count:
+                    counters.add("expand_bypassed", node.interior_size)
+                edges = self._shortcuts[node.id][node.border_pos[u]]
+                lo, hi = node.leaf_lo, node.leaf_hi
+            edges = edges + [
+                (et[i], ew[i]) for i in range(vs[u], vs[u + 1])
+                if not lo <= leaf_index[et[i]] < hi
+            ]
+            for v, w in edges:
+                nd = d + w
+                if not visited[v] and nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
         return self._finalise(results, k)

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 FAULT_POINTS = (
     "store.load",     # IndexStore.get — artifact read / integrity check
     "store.save",     # IndexStore.put — artifact write
-    "kernel.sssp",    # whole-frontier SSSP entry (INE / Dijkstra hot path)
+    "kernel.sssp",    # whole-frontier SSSP entry (INE / ROAD / Dijkstra hot path)
     "index.build",    # IndexCache build of a road-network index
     "index.repair",   # in-place index repair under a weight delta
     "worker.stall",   # server worker wedges (sleeps) instead of serving

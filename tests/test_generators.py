@@ -1,5 +1,7 @@
 """Synthetic road-network generator tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
@@ -70,6 +72,19 @@ class TestRoadNetwork:
         a = road_network(300, seed=9)
         b = road_network(300, seed=9)
         assert a.num_edges == b.num_edges
+
+    @pytest.mark.parametrize("n, digest", [
+        (2500, "6ceaa064aeb24101f18f371b7ae1fba1c4a826c719dc3d06b1781f6ef687dade"),
+        (10000, "63b1d6047c4347bcae31361c04e5926cd0ab593b1da3629856ea3874863285d7"),
+    ])
+    def test_pinned_bytes(self, n, digest):
+        # The benchmark's networks, byte for byte: a faster generator must
+        # still produce exactly these arrays.
+        g = road_network(n, 42)
+        h = hashlib.sha256()
+        for a in (g.vertex_start, g.edge_target, g.edge_weight, g.x, g.y):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
     def test_rejects_tiny(self):
         with pytest.raises(ValueError):

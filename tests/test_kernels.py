@@ -3,7 +3,9 @@
 The property tests are the regression guard the one-implementation
 design rests on: every production algorithm must return *byte-identical*
 answers and *identical settled-vertex counters* to the per-edge loops in
-:mod:`repro.reference` on seeded random grid/cluster graphs.  A fast
+:mod:`repro.reference` on seeded random grid/cluster graphs (where
+vertices tie at the stopping distance, the counters differ by exactly
+the kernel's documented tie rule).  A fast
 path that drifts — even in tie-breaking or counter accounting — fails
 here before any benchmark can advertise it.
 """
@@ -12,16 +14,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from repro import reference
 from repro.engine import QueryEngine
 from repro.graph.generators import grid_network, road_network
 from repro.index.gtree import GTree
+from repro.index.road import RoadIndex
 from repro.index.silc import SILCIndex
 from repro.kernels import bulk_sssp
 from repro.knn.distance_browsing import DistanceBrowsing
 from repro.knn.gtree_knn import GTreeKNN
 from repro.knn.ine import INE
+from repro.knn.road_knn import RoadKNN
 from repro.objects import uniform_objects
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.pathfinding.dijkstra import (
@@ -158,6 +163,102 @@ class TestINEKernelEquality:
         rp = INE(prop_graph, objects).knn(q, 3)
         assert rr == rp
         assert rp[0] == (0.0, q)
+
+
+class TestROADKernelEquality:
+    """RoadKNN (the overlay on the kernel) against the per-settle loop:
+    byte-identical answers; equal ``expand_settled`` / ``expand_bypassed``
+    where no other vertex shares the k-th distance, and otherwise the
+    loop's counts plus the tied vertices it had not popped yet (the
+    kernel's documented tie rule)."""
+
+    KS = (0, 1, 4, 10)
+
+    @staticmethod
+    def _tied_beyond(overlay, q, k, answer):
+        """(settles, bypassed interiors) of the vertices at the k-th
+        distance that the loop, popping ``(distance, vertex)`` in order,
+        had not reached when it stopped on the k-th object."""
+        if k < 1 or len(answer) < k:
+            return 0, 0  # the loop drained the heap: no stopping vertex
+        dk, last = answer[-1]
+        dist = csgraph_dijkstra(overlay.matrix, directed=True, indices=q)
+        tied = (dist == dk) & (np.arange(len(dist)) > last)
+        return int(tied.sum()), int(overlay.bypassed[tied].sum())
+
+    def _check(self, road, objects, queries, churn_seed=None):
+        prod = RoadKNN(road, objects)
+        ref = reference.ReferenceRoadKNN(road, objects)
+        rng = np.random.default_rng(churn_seed)
+        n = road.graph.num_vertices
+        for _ in range(3 if churn_seed is not None else 1):
+            ks = self.KS + (len(prod.overlay.objects) + 1,)
+            for q in queries:
+                for k in ks:
+                    cp, cr = Counters(), Counters()
+                    got = prod.knn(q, k, counters=cp)
+                    want = ref.knn(q, k, counters=cr)
+                    assert got == want, (q, k)
+                    settles, bypassed = self._tied_beyond(prod.overlay, q, k, want)
+                    assert cp["expand_settled"] == cr["expand_settled"] + settles
+                    assert cp["expand_bypassed"] == cr["expand_bypassed"] + bypassed
+            if churn_seed is None:
+                break
+            present = set(int(o) for o in prod.overlay.objects)
+            removed = [o for o in present if rng.random() < 0.3]
+            added = [
+                int(v) for v in rng.choice(n, size=4, replace=False)
+                if int(v) not in present
+            ]
+            prod.update_objects(added, removed)
+            ref.update_objects(added, removed)
+
+    @staticmethod
+    def _free_border(road, objects):
+        """A border vertex of an object-free Rnet with an interior."""
+        occupied = {int(road.leaf_of[o]) for o in objects}
+        for node in road.rnets[1:]:
+            leaves = range(node.leaf_lo, node.leaf_hi)
+            if len(node.borders) and node.interior_size and not any(
+                road.rnets[leaf].leaf_lo in leaves for leaf in occupied
+            ):
+                return int(node.borders[0])
+        raise AssertionError("every Rnet holds an object")
+
+    def _queries(self, road, objects):
+        n = road.graph.num_vertices
+        rng = np.random.default_rng(n)
+        return [int(v) for v in rng.integers(n, size=6)] + [
+            self._free_border(road, objects)
+        ]
+
+    @pytest.fixture(scope="class")
+    def prop_road(self, prop_graph):
+        return RoadIndex(prop_graph, levels=3, seed=0)
+
+    @pytest.mark.parametrize("density", (0.01, 0.05, 0.2))
+    def test_property_graphs(self, prop_graph, prop_road, density):
+        objects = uniform_objects(prop_graph, density, seed=3, minimum=2)
+        self._check(prop_road, objects, self._queries(prop_road, objects))
+
+    @pytest.mark.parametrize("name", ("disconnected", "unit-grid", "parallel"))
+    def test_adversarial_graphs(self, adversarial_graphs, name):
+        graph = adversarial_graphs[name]
+        road = RoadIndex(graph, levels=3, seed=0)
+        objects = list(range(0, graph.num_vertices, 13))
+        self._check(road, objects, self._queries(road, objects))
+
+    def test_empty_object_set(self, prop_graph, prop_road):
+        c = Counters()
+        assert RoadKNN(prop_road, []).knn(0, 3, counters=c) == []
+        assert c["expand_bypassed"] > 0
+        self._check(prop_road, [], [0, 7, self._free_border(prop_road, [])])
+
+    def test_after_object_churn(self, prop_graph, prop_road):
+        objects = uniform_objects(prop_graph, 0.02, seed=8, minimum=3)
+        self._check(
+            prop_road, objects, self._queries(prop_road, objects), churn_seed=4
+        )
 
 
 class TestGTreeKernelEquality:

@@ -174,11 +174,6 @@ class TestRoadKNN:
             for k in (1, 4, 10):
                 assert verify_knn_result(alg.knn(q, k), truth[(q, k)]), (q, k)
 
-    def test_without_border_skip(self, road_index400, objects400, queries400, truth):
-        alg = RoadKNN(road_index400, objects400, skip_visited_borders=False)
-        for q in queries400[:8]:
-            assert verify_knn_result(alg.knn(q, 10), truth[(q, 10)])
-
     def test_sparse_objects_bypass_rnets(self, road400, road_index400):
         c = Counters()
         alg = RoadKNN(road_index400, [0])

@@ -259,17 +259,26 @@ class TestIndexRepair:
             assert gt.distance(s, t) == rebuilt.distance(s, t)
 
     @staticmethod
-    def _assert_same_road(a, b):
-        """Shortcut matrices and the query-time lists kNN reads."""
+    def _overlay(road, objects=None):
+        """(indptr, indices, data) of the overlay a RoadKNN searches, for
+        a sparse object set by default (so Rnets are bypassed)."""
+        if objects is None:
+            objects = range(0, road.graph.num_vertices, 29)
+        m = RoadKNN(road, objects).overlay.matrix
+        return m.indptr, m.indices, m.data
+
+    @classmethod
+    def _assert_same_road(cls, a, b):
+        """Shortcut matrices and the overlay graph kNN searches."""
         for x, y in zip(a.rnets, b.rnets, strict=True):
             assert np.array_equal(x.shortcut_matrix, y.shortcut_matrix)
-        assert a._shortcut_lists == b._shortcut_lists
-        assert a._ew == b._ew
+        for x, y in zip(cls._overlay(a), cls._overlay(b), strict=True):
+            assert np.array_equal(x, y)
 
     def test_road_repair_bitwise_equals_rebuild(self):
         """After each of several batches, a built and a store-rehydrated
-        ROAD both equal a rebuild on the same partition — matrices, every
-        shortcut row and every weight slot."""
+        ROAD both equal a rebuild on the same partition — matrices and
+        every overlay entry."""
         g = fresh_graph(seed=29)
         rd = RoadIndex(g, levels=3, seed=0)
         loaded = RoadIndex.from_arrays(g, rd.to_arrays())
@@ -281,27 +290,24 @@ class TestIndexRepair:
             assert counters["shortcuts_changed"] > 0
             loaded.apply_weight_deltas(changed)
             rebuilt = RoadIndex(g, levels=3, seed=0, partition=rd.partition)
-            assert rebuilt._ew == g.edge_weight.tolist()
+            # With every vertex an object nothing is bypassed: the
+            # overlay is the graph with its current weights.
+            indptr, indices, data = self._overlay(rebuilt, range(g.num_vertices))
+            assert np.array_equal(indptr, g.vertex_start)
+            assert np.array_equal(indices, g.edge_target)
+            assert np.array_equal(data, g.edge_weight)
             self._assert_same_road(rd, rebuilt)
             self._assert_same_road(loaded, rebuilt)
 
     def test_road_repair_patches_query_lists_in_place(self):
-        """Repair re-derives only the changed Rnets' shortcut rows: every
-        other row list, and the topology lists, stay the same objects."""
+        """Repair re-solves only the changed Rnets: every other Rnet keeps
+        the same matrix object, and the Route Overlay stays the same."""
         g = fresh_graph(seed=53)
         rd = RoadIndex(g, levels=3, seed=0)
-
-        def lists():
-            return (
-                rd.route_overlay, rd._vs, rd._et, rd._leaf_index_list,
-                rd._ew, rd._shortcut_lists,
-            )
-
-        before = lists()
+        route_overlay = rd.route_overlay
         rng = np.random.default_rng(9)
         for _ in range(3):
             matrices = [node.shortcut_matrix for node in rd.rnets]
-            rows = list(rd._shortcut_lists)
             rd.apply_weight_deltas(
                 g.apply_weight_deltas(random_weight_deltas(g, rng, 3))
             )
@@ -310,16 +316,14 @@ class TestIndexRepair:
                 if node.shortcut_matrix is not matrices[node.id]
             }
             assert 0 < len(changed) < len(rd.rnets)
-            for i, row_list in enumerate(rows):
-                assert (rd._shortcut_lists[i] is row_list) == (i not in changed), i
-            assert all(x is y for x, y in zip(lists(), before, strict=True))
+            assert rd.route_overlay is route_overlay
 
     @pytest.mark.parametrize("name", ("disconnected", "unit-grid", "parallel"))
     def test_road_repair_on_adversarial_inputs(self, adversarial_graphs, name):
         """Repair on a private copy of each adversarial network: RoadKNN
-        agrees with INE after every batch, parallel copies of a changed
-        edge are all patched, unreachable shortcuts stay out of the rows,
-        and weights set back restore the lists they had."""
+        agrees with INE after every batch, the overlay carries the new
+        weight on every parallel copy of a changed edge, unreachable
+        shortcuts stay out of it, and weights set back restore it."""
         shared = adversarial_graphs[name]  # session-scoped: never mutate
         g = shared.with_weights(shared.edge_weight.copy(), shared.weight_kind)
         rd = RoadIndex(g, levels=3, seed=0)
@@ -332,17 +336,19 @@ class TestIndexRepair:
             changed = g.apply_weight_deltas(coalesce_weight_deltas(deltas))
             assert changed
             rd.apply_weight_deltas(changed)
+            # Every vertex an object: no bypass, every raw edge present.
+            indptr, indices, data = self._overlay(rd, range(g.num_vertices))
             copies = 0
             for u, v, _old, new in changed:
                 for a, b in ((u, v), (v, u)):
-                    slots = [
-                        j for j in range(rd._vs[a], rd._vs[a + 1]) if rd._et[j] == b
-                    ]
-                    assert slots and all(rd._ew[j] == new for j in slots)
+                    slots = indptr[a] + np.flatnonzero(
+                        indices[indptr[a]:indptr[a + 1]] == b
+                    )
+                    assert len(slots) and (data[slots] == new).all()
                     copies = max(copies, len(slots))
             assert (copies > 1) == (name == "parallel")
-            for rows in rd._shortcut_lists:
-                assert all(np.isfinite(w) for row in rows for _, w in row)
+            for every in (objects, ()):
+                assert np.isfinite(self._overlay(rd, every)[2]).all()
             self._assert_same_road(
                 rd, RoadIndex(g, levels=3, seed=0, partition=rd.partition)
             )
@@ -352,15 +358,15 @@ class TestIndexRepair:
             return changed
 
         first = repair_and_check(random_weight_deltas(g, rng, 12))
-        rows, ew = list(rd._shortcut_lists), list(rd._ew)
+        before = self._overlay(rd, objects)
         # The same edges moved again, then set back to their weights.
         repair_and_check([
             set_weight(u, v, new * float(rng.uniform(0.5, 2.0)))
             for u, v, _old, new in first
         ])
         repair_and_check([set_weight(u, v, new) for u, v, _old, new in first])
-        assert rd._ew == ew
-        assert rd._shortcut_lists == rows
+        for x, y in zip(self._overlay(rd, objects), before, strict=True):
+            assert np.array_equal(x, y)
 
     @staticmethod
     def _one_delta_per_leaf(g, index):
@@ -407,16 +413,16 @@ class TestIndexRepair:
         every = set(range(len(index.nodes)))
         assert index.every_node() == (every, every)
         before = {k: np.array(v) for k, v in index.to_arrays().items()}
-        lists = [list(getattr(index, a, ())) for a in ("_shortcut_lists", "_ew")]
+        road = isinstance(index, RoadIndex)
+        overlay = self._overlay(index) if road else ()
         counters = index._repair(*index.every_node())
         assert len(every) in counters.values()  # every node was re-solved
         assert counters.get("shortcuts_changed", 0) == 0
         assert counters.get("corrected_recomputed", 0) == 0
         for name, ref in before.items():
             assert np.array_equal(index.to_arrays()[name], ref), name
-        assert lists == [
-            list(getattr(index, a, ())) for a in ("_shortcut_lists", "_ew")
-        ]
+        for x, y in zip(self._overlay(index) if road else (), overlay, strict=True):
+            assert np.array_equal(x, y)
 
         changed = g.apply_weight_deltas(coalesce_weight_deltas(
             self._one_delta_per_leaf(g, index)

@@ -440,6 +440,20 @@ class TestEngineFallback:
             baseline.distances, rel=1e-9
         )
 
+    def test_kernel_fault_degrades_explicit_road(self, dense_engine):
+        # ROAD searches its overlay with the INE kernel, so it sits
+        # behind the same fault point.
+        baseline = dense_engine.query(7, 4, method="road")
+        assert baseline.method == "road" and not baseline.degraded
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec("kernel.sssp", probability=1.0),
+        ))
+        with plan_installed(plan):
+            result = dense_engine.query(7, 4, method="road")
+        assert result.degraded and result.fallback_from == "road"
+        assert result.method != "road"
+        assert result.vertices == baseline.vertices
+
     def test_avoid_methods_degrades_without_a_failure(self, dense_engine):
         baseline = dense_engine.query(7, 4)
         result = dense_engine.query(
