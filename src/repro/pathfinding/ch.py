@@ -1,25 +1,28 @@
 """Contraction Hierarchies (Geisberger et al., WEA 2008).
 
 One of the fast oracles IER is combined with in Section 5 ("CH"), and the
-local-query fallback inside Transit Node Routing.  Standard construction:
+hierarchy Transit Node Routing is built on.  Standard construction:
 
 * node ordering by *edge difference* + *deleted neighbours*, maintained
   lazily (re-evaluate the top of the priority queue before contracting);
 * *witness searches* (budgeted Dijkstra that ignores the contracted node)
   decide which shortcuts are necessary;
-* queries run a bidirectional Dijkstra over the upward graph; the answer
-  is the best meeting vertex.
-
-The hierarchy also exposes :meth:`distance_pruned`, a search variant
-pruned at a vertex set (TNR's exact locality fallback).
+* the upward graph (original edges and shortcuts towards higher rank) is
+  one scipy CSR matrix, :attr:`ContractionHierarchy.up`;
+* a query runs both upward searches to exhaustion in one C Dijkstra
+  (``csgraph.dijkstra`` with ``indices=[s, t]``); the answer is the best
+  meeting vertex.  :func:`repro.reference.ch_distance` is the
+  bidirectional dict-and-heap loop it is checked against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.graph import Graph
 from repro.updates import RepairUnavailable
@@ -92,27 +95,29 @@ class ContractionHierarchy:
     def _assemble_upward(
         self, shortcuts: List[Tuple[int, int, float]]
     ) -> None:
-        """Upward graph: original edges + shortcuts towards higher rank."""
-        n = self.graph.num_vertices
-        up: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        seen_edge: Dict[Tuple[int, int], float] = {}
-        for u in range(n):
-            targets, weights = self.graph.neighbor_slice(u)
-            for v, w in zip(targets.tolist(), weights.tolist()):
-                key = (u, v)
-                prev = seen_edge.get(key)
-                if prev is None or w < prev:
-                    seen_edge[key] = w
-        for u, v, w in shortcuts:
-            for a, b in ((u, v), (v, u)):
-                key = (a, b)
-                prev = seen_edge.get(key)
-                if prev is None or w < prev:
-                    seen_edge[key] = w
-        for (u, v), w in seen_edge.items():
-            if self.rank[v] > self.rank[u]:
-                up[u].append((v, w))
-        self.up = up
+        """Upward graph as one CSR: per vertex pair the lightest original
+        edge or shortcut, kept where it points towards higher rank."""
+        graph = self.graph
+        n = graph.num_vertices
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.vertex_start))
+        dst = graph.edge_target.astype(np.int64)
+        weight = np.asarray(graph.edge_weight, dtype=np.float64)
+        if shortcuts:
+            su, sv, sw = (np.asarray(col) for col in zip(*shortcuts))
+            src = np.concatenate([src, su, sv])
+            dst = np.concatenate([dst, sv, su])
+            weight = np.concatenate([weight, sw, sw])
+        upward = self.rank[dst] > self.rank[src]
+        src, dst, weight = src[upward], dst[upward], weight[upward]
+        order = np.lexsort((weight, dst, src))
+        src, dst, weight = src[order], dst[order], weight[order]
+        first = np.ones(len(src), dtype=bool)
+        first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        indptr = np.searchsorted(src[first], np.arange(n + 1))
+        self.up = csr_matrix(
+            (weight[first], dst[first].astype(np.int32), indptr.astype(np.int32)),
+            shape=(n, n),
+        )
         self.num_shortcuts = len(shortcuts)
 
     def _build(self) -> None:
@@ -284,68 +289,15 @@ class ContractionHierarchy:
     def distance(
         self, source: int, target: int, counters: Counters = NULL_COUNTERS
     ) -> float:
-        """Exact network distance via bidirectional upward search."""
+        """Exact network distance: both upward searches to exhaustion,
+        then the best meeting vertex.  ``bidir_settled`` counts the
+        vertices the two searches settle (their finite entries)."""
         if source == target:
             return 0.0
-        fwd = self._upward_sssp(source, counters)
-        bwd = self._upward_sssp(target, counters)
-        best = INF
-        small, large = (fwd, bwd) if len(fwd) <= len(bwd) else (bwd, fwd)
-        for v, d1 in small.items():
-            d2 = large.get(v)
-            if d2 is not None and d1 + d2 < best:
-                best = d1 + d2
-        return best
-
-    def _upward_sssp(
-        self,
-        source: int,
-        counters: Counters = NULL_COUNTERS,
-        prune_at: Optional[Set[int]] = None,
-    ) -> Dict[int, float]:
-        """Dijkstra over the upward graph.
-
-        When ``prune_at`` is given, edges out of those vertices are not
-        relaxed.
-        """
-        dist: Dict[int, float] = {source: 0.0}
-        settled: Set[int] = set()
-        heap = BinaryHeap()
-        heap.push(0.0, source)
-        up = self.up
-        while heap:
-            d, u = heap.pop()
-            if u in settled:
-                continue
-            settled.add(u)
-            counters.add("bidir_settled")
-            if prune_at is not None and u in prune_at and u != source:
-                continue
-            for v, w in up[u]:
-                nd = d + w
-                if nd < dist.get(v, INF):
-                    dist[v] = nd
-                    heap.push(nd, v)
-        return {u: dist[u] for u in settled}
-
-    def distance_pruned(self, source: int, target: int, prune_at: Set[int]) -> float:
-        """Bidirectional upward distance where searches stop at ``prune_at``.
-
-        Exactly the distance of the best s-t path whose CH up-down
-        representation avoids relaxing beyond ``prune_at`` vertices; used
-        by TNR as the local-path component.
-        """
-        if source == target:
-            return 0.0
-        fwd = self._upward_sssp(source, prune_at=prune_at)
-        bwd = self._upward_sssp(target, prune_at=prune_at)
-        best = INF
-        small, large = (fwd, bwd) if len(fwd) <= len(bwd) else (bwd, fwd)
-        for v, d1 in small.items():
-            d2 = large.get(v)
-            if d2 is not None and d1 + d2 < best:
-                best = d1 + d2
-        return best
+        dist = _csgraph_dijkstra(self.up, directed=True, indices=[source, target])
+        if counters.enabled:
+            counters.add("bidir_settled", int(np.count_nonzero(np.isfinite(dist))))
+        return float((dist[0] + dist[1]).min())
 
     # ------------------------------------------------------------------
     # Oracle protocol / bookkeeping
@@ -355,27 +307,18 @@ class ContractionHierarchy:
 
     def size_bytes(self) -> int:
         """Approximate in-memory footprint (upward edges + ranks)."""
-        edges = sum(len(lst) for lst in self.up)
-        return edges * 12 + self.rank.nbytes
+        return self.up.nnz * 12 + self.rank.nbytes
 
     # ------------------------------------------------------------------
     # Serialization (persistent index store)
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Ranks plus the upward graph in CSR form."""
-        targets, off = concat_ragged(
-            [np.asarray([v for v, _ in lst], dtype=np.int64) for lst in self.up],
-            np.int64,
-        )
-        weights, _ = concat_ragged(
-            [np.asarray([w for _, w in lst], dtype=np.float64) for lst in self.up],
-            np.float64,
-        )
+        """Ranks plus the upward graph's CSR arrays."""
         arrays = {
             "rank": self.rank,
-            "up_target": targets,
-            "up_weight": weights,
-            "up_off": off,
+            "up_target": self.up.indices,
+            "up_weight": self.up.data,
+            "up_off": self.up.indptr,
             "num_shortcuts": np.asarray(self.num_shortcuts),
             "witness_settle_limit": np.asarray(self.witness_settle_limit),
             "build_time": np.asarray(self._build_time),
@@ -410,24 +353,19 @@ class ContractionHierarchy:
     def from_arrays(
         cls, graph: Graph, arrays: Dict[str, np.ndarray]
     ) -> "ContractionHierarchy":
-        """Rehydrate without re-running contraction."""
+        """Rehydrate without re-running contraction; the upward CSR is
+        built over the stored arrays without copying them."""
         self = cls.__new__(cls)
         self.graph = graph
         self.witness_settle_limit = int(arrays["witness_settle_limit"])
         self.num_shortcuts = int(arrays["num_shortcuts"])
         self._build_time = float(arrays["build_time"])
         self.rank = np.asarray(arrays["rank"], dtype=np.int64)
-        off = arrays["up_off"]
-        self.up = [
-            [
-                (int(v), float(w))
-                for v, w in zip(
-                    ragged_row(arrays["up_target"], off, u),
-                    ragged_row(arrays["up_weight"], off, u),
-                )
-            ]
-            for u in range(graph.num_vertices)
-        ]
+        n = graph.num_vertices
+        self.up = csr_matrix(
+            (arrays["up_weight"], arrays["up_target"], arrays["up_off"]),
+            shape=(n, n),
+        )
         if "applied_off" in arrays:
             aoff = arrays["applied_off"]
             self._applied = [

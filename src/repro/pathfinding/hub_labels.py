@@ -146,12 +146,12 @@ class HubLabels:
         if source == target:
             return 0.0
         counters.add("label_scans")
-        return self._query_merge(
+        return float(self._query_merge(
             self._hubs[source],
             self._dists[source],
             self._hubs[target],
             self._dists[target],
-        )
+        ))
 
     def label(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """The (hub ranks, distances) label of vertex v."""

@@ -1,35 +1,46 @@
 """Transit Node Routing over Contraction Hierarchies.
 
-The paper combines IER with TNR (Bast et al., WEA 2007) using a grid of
-size 128; TNR answers long-range queries from a small all-pairs *distance
-table* between transit nodes, falling back to CH for local queries — which
-is why Figure 4 shows TNR and CH coincide at high densities.
+The paper combines IER with TNR (Bast et al., WEA 2007); TNR answers
+long-range queries from a small all-pairs *distance table* between
+transit nodes, falling back to CH for local queries — which is why
+Figure 4 shows TNR and CH coincide at high densities.
 
-This implementation follows the CH-based TNR construction:
+This implementation follows the CH-based TNR construction (Arz, Luxen
+and Sanders 2013):
 
 * transit nodes = the ``num_transit`` highest-ranked CH vertices;
-* per-vertex *access nodes*: transit nodes reached by an upward CH search
-  pruned at transit nodes, dominated entries removed via the table;
-* table: CH distances between all transit-node pairs;
-* query: minimum over access-node pairs through the table, combined with a
-  transit-pruned bidirectional CH search that exactly covers paths
-  avoiding all transit nodes.  The combination is exact for every query.
+* per-vertex *search space*: the vertices an upward CH search from it
+  settles when transit nodes are settled but not expanded (a transit
+  source still expands its own edges), with their distances;
+* per-vertex *access nodes*: the transit nodes in that search space,
+  dominated entries removed via the table;
+* table: distances between all transit-node pairs;
+* query: the minimum over access-node pairs through the table, combined
+  with the best meeting vertex of the two search spaces, which exactly
+  covers the paths avoiding all transit nodes.  The combination is exact
+  for every query.
 
-A uniform grid provides the paper's *locality filter*: far-apart cells
-skip the pruned local search, matching TNR's long-range fast path.
+Every search space is computed at build time in batched C Dijkstra
+sweeps and stored flat, so a query is array arithmetic;
+:func:`repro.reference.tnr_distance` is the table loop plus
+transit-pruned bidirectional search it is checked against.  Real TNR
+skips the local part for far-apart pairs via a locality filter; with
+rank-selected transit nodes that guarantee does not hold, so every query
+takes the (cheap) meeting-vertex minimum instead.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.graph.graph import Graph
 from repro.pathfinding.bulk import bulk_sssp
 from repro.pathfinding.ch import ContractionHierarchy
-from repro.utils.arrays import concat_ragged, ragged_row
 from repro.utils.counters import BUILD_COUNTERS, Counters, NULL_COUNTERS
 
 INF = float("inf")
@@ -50,8 +61,6 @@ class TransitNodeRouting:
         graph: Graph,
         ch: Optional[ContractionHierarchy] = None,
         num_transit: Optional[int] = None,
-        grid_size: int = 32,
-        locality_cells: int = 4,
     ) -> None:
         self.graph = graph
         BUILD_COUNTERS.add("build:tnr")
@@ -60,78 +69,49 @@ class TransitNodeRouting:
         if num_transit is None:
             num_transit = max(8, min(256, graph.num_vertices // 64))
         num_transit = min(num_transit, graph.num_vertices)
-        self.grid_size = grid_size
-        self.locality_cells = locality_cells
         self._build(num_transit)
         self._build_time = time.perf_counter() - start
 
     def _build(self, num_transit: int) -> None:
-        graph = self.graph
         order = np.argsort(-self.ch.rank)
         self.transit_nodes = [int(v) for v in order[:num_transit]]
-        self.transit_set: Set[int] = set(self.transit_nodes)
-        transit_index = {v: i for i, v in enumerate(self.transit_nodes)}
 
         # All-pairs transit table: one bulk multi-source sweep.
         tn = np.asarray(self.transit_nodes, dtype=np.int64)
-        table = bulk_sssp(graph, tn)[:, tn] if len(tn) else np.zeros((0, 0))
+        table = bulk_sssp(self.graph, tn)[:, tn] if len(tn) else np.zeros((0, 0))
         np.fill_diagonal(table, 0.0)
         self.table = table
+        self._search_spaces(tn)
 
-        # Access nodes per vertex (transit-pruned upward search, dominated
-        # entries removed).  The pruning is expressed as a graph transform
-        # — a transit node's *outgoing* upward edges are deleted, which is
-        # exactly "settle but do not expand" — so every per-vertex search
-        # runs inside one batched C Dijkstra sweep.
-        self.access = self._access_nodes_bulk(transit_index)
+    def _search_spaces(self, tn: np.ndarray) -> None:
+        """Every vertex's transit-pruned search space and access nodes.
 
-        # Locality grid.
-        self._gx0, self._gy0 = float(graph.x.min()), float(graph.y.min())
-        spanx = float(graph.x.max()) - self._gx0 or 1.0
-        spany = float(graph.y.max()) - self._gy0 or 1.0
-        self._cell_w = spanx / self.grid_size
-        self._cell_h = spany / self.grid_size
-        self.cell_x = np.minimum(
-            ((graph.x - self._gx0) / self._cell_w).astype(np.int64),
-            self.grid_size - 1,
-        )
-        self.cell_y = np.minimum(
-            ((graph.y - self._gy0) / self._cell_h).astype(np.int64),
-            self.grid_size - 1,
-        )
-
-    def _access_nodes_bulk(
-        self, transit_index: Dict[int, int]
-    ) -> List[List[Tuple[int, float]]]:
-        """All per-vertex access nodes from batched sweeps.
-
-        Reachability in the upward graph with transit out-edges removed
-        *is* the explored cone of a per-vertex upward search pruned at
-        transit nodes, at identical distances.
+        The pruning is a graph transform — a transit node's outgoing
+        upward edges are deleted, which is exactly "settle but do not
+        expand" — so every non-transit vertex's search runs inside one
+        batched C Dijkstra sweep.  A transit source expands its own
+        edges, so each gets its own sweep over the pruned graph with its
+        row restored (merging its neighbours' rows would add the same
+        weights in a different order).
         """
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-
         n = self.graph.num_vertices
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
-        for u, lst in enumerate(self.ch.up):
-            if u in self.transit_set:
-                continue
-            for v, w in lst:
-                rows.append(u)
-                cols.append(v)
-                data.append(w)
-        pruned_up = csr_matrix(
-            (np.asarray(data), (np.asarray(rows), np.asarray(cols))),
-            shape=(n, n),
-        )
-        tn = np.asarray(self.transit_nodes, dtype=np.int64)
-        access: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        sources = np.asarray(
-            [v for v in range(n) if v not in self.transit_set], dtype=np.int64
-        )
+        up = self.ch.up
+        is_transit = np.zeros(n, dtype=bool)
+        is_transit[tn] = True
+        row_of = np.repeat(np.arange(n), np.diff(up.indptr))
+
+        def pruned(expand: int = -1) -> csr_matrix:
+            keep = ~is_transit[row_of] | (row_of == expand)
+            indptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(row_of[keep], minlength=n), out=indptr[1:])
+            return csr_matrix(
+                (up.data[keep], up.indices[keep], indptr), shape=(n, n)
+            )
+
+        cone: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        access: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        pruned_up = pruned()
+        sources = np.flatnonzero(~is_transit)
         # scipy returns a dense (batch, n) float64 block per sweep; cap
         # it at ~64 MB so large graphs don't pay a multi-gigabyte
         # allocation.
@@ -139,29 +119,37 @@ class TransitNodeRouting:
         for lo in range(0, len(sources), batch):
             seg = sources[lo : lo + batch]
             dist = _csgraph_dijkstra(pruned_up, directed=True, indices=seg)
+            rows, cols = np.nonzero(np.isfinite(dist))
+            cone.append((seg[rows], cols, dist[rows, cols]))
             td = dist[:, tn]
             hr, hc = np.nonzero(np.isfinite(td))
             vals = td[hr, hc]
-            row_starts = np.searchsorted(hr, np.arange(len(seg)))
-            row_ends = np.searchsorted(hr, np.arange(len(seg)) + 1)
-            for r, v in enumerate(seg.tolist()):
-                a, b = int(row_starts[r]), int(row_ends[r])
-                if b - a <= 1:
-                    access[v] = [
-                        (int(hc[i]), float(vals[i])) for i in range(a, b)
-                    ]
-                else:
-                    access[v] = self._prune_dominated_bulk(
-                        hc[a:b], vals[a:b]
-                    )
-        for v in self.transit_nodes:
-            access[v] = [(transit_index[v], 0.0)]
-        return access
+            bounds = np.searchsorted(hr, np.arange(len(seg) + 1)).tolist()
+            keep = np.ones(len(hr), dtype=bool)
+            for r in range(len(seg)):
+                a, b = bounds[r], bounds[r + 1]
+                if b - a > 1:
+                    keep[a:b] = self._undominated(hc[a:b], vals[a:b])
+            access.append((seg[hr[keep]], hc[keep], vals[keep]))
+        for i, t in enumerate(tn.tolist()):
+            dist = _csgraph_dijkstra(pruned(t), directed=True, indices=t)
+            cols = np.flatnonzero(np.isfinite(dist))
+            cone.append((np.full(len(cols), t), cols, dist[cols]))
+            access.append((np.asarray([t]), np.asarray([i]), np.zeros(1)))
 
-    def _prune_dominated_bulk(
-        self, aidx: np.ndarray, da: np.ndarray
-    ) -> List[Tuple[int, float]]:
-        """Drop access node a when another a' proves
+        def flat(parts):
+            """(owner, key, value) parts as flat (key, value, offsets)
+            grouped by owner, each owner's entries in their order."""
+            owner, key, value = (np.concatenate(p) for p in zip(*parts))
+            order = np.argsort(owner, kind="stable")
+            off = np.searchsorted(owner[order], np.arange(n + 1))
+            return key[order].astype(np.int32), value[order].astype(np.float64), off
+
+        self.cone_vertex, self.cone_dist, self.cone_off = flat(cone)
+        self.access_node, self.access_dist, self.access_off = flat(access)
+
+    def _undominated(self, aidx: np.ndarray, da: np.ndarray) -> np.ndarray:
+        """Mask dropping access node a when another a' proves
         d(v,a') + T[a',a] <= d(v,a) (ties keep the earlier entry)."""
         m = len(aidx)
         through = da[:, None] + self.table[np.ix_(aidx, aidx)]
@@ -171,58 +159,46 @@ class TransitNodeRouting:
             order[:, None] < order[None, :]
         )
         np.fill_diagonal(dominates, False)
-        keep = ~dominates.any(axis=0)
-        return [
-            (int(a), float(d)) for a, d in zip(aidx[keep], da[keep])
-        ]
+        return ~dominates.any(axis=0)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def is_local(self, source: int, target: int) -> bool:
-        """Grid locality filter: nearby cells must use the local search."""
-        dx = abs(int(self.cell_x[source]) - int(self.cell_x[target]))
-        dy = abs(int(self.cell_y[source]) - int(self.cell_y[target]))
-        return max(dx, dy) <= self.locality_cells
+    def access_nodes(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Vertex ``v``'s (transit-table indices, distances)."""
+        lo, hi = self.access_off[v], self.access_off[v + 1]
+        return self.access_node[lo:hi], self.access_dist[lo:hi]
 
-    def table_distance(self, source: int, target: int) -> float:
-        """Distance through the best access-node pair (paths via transit)."""
-        best = INF
-        table = self.table
-        for a, da in self.access[source]:
-            row = table[a]
-            for b, db in self.access[target]:
-                total = da + row[b] + db
-                if total < best:
-                    best = total
-        return best
+    def search_space(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Vertex ``v``'s transit-pruned upward search space (its
+        *cone*, stored flat as ``cone_*``): (settled vertices ascending,
+        their distances)."""
+        lo, hi = self.cone_off[v], self.cone_off[v + 1]
+        return self.cone_vertex[lo:hi], self.cone_dist[lo:hi]
 
     def distance(
         self, source: int, target: int, counters: Counters = NULL_COUNTERS
     ) -> float:
         """Exact network distance.
 
-        The table covers every path through a transit node; the
-        transit-pruned bidirectional CH search covers every path avoiding
-        them.  The pruned search stays small because upward CH searches
-        die quickly once they hit the (high-rank) transit nodes, so
-        long-range queries are still dominated by the table scan — the
-        behaviour Figure 4 shows.  Real TNR guarantees by construction
-        that non-local shortest paths cross a transit node and can skip
-        the local search via the grid filter; with rank-selected transit
-        nodes that guarantee does not hold, so we always run the (cheap)
-        pruned search instead of trading exactness for the filter.
+        The table covers every path through a transit node; the best
+        meeting vertex of the two search spaces covers every path
+        avoiding them.
         """
         if source == target:
             return 0.0
-        best = self.table_distance(source, target)
         counters.add("table_lookups")
-        if self.is_local(source, target):
-            counters.add("local_searches")
-        local = self.ch.distance_pruned(source, target, self.transit_set)
-        if local < best:
-            best = local
-        return best
+        a_s, d_s = self.access_nodes(source)
+        a_t, d_t = self.access_nodes(target)
+        best = (
+            d_s[:, None] + self.table[np.ix_(a_s, a_t)] + d_t[None, :]
+        ).min(initial=INF)
+        v_s, c_s = self.search_space(source)
+        v_t, c_t = self.search_space(target)
+        pos = np.minimum(np.searchsorted(v_t, v_s), len(v_t) - 1)
+        meet = v_t[pos] == v_s
+        local = (c_s[meet] + c_t[pos[meet]]).min(initial=INF)
+        return float(min(best, local))
 
     # ------------------------------------------------------------------
     # Oracle protocol
@@ -231,41 +207,30 @@ class TransitNodeRouting:
         return self._build_time
 
     def size_bytes(self) -> int:
-        access_entries = sum(len(a) for a in self.access)
-        return int(self.table.nbytes) + access_entries * 12 + self.ch.size_bytes()
+        entries = len(self.access_node) + len(self.cone_vertex)
+        return int(self.table.nbytes) + entries * 12 + self.ch.size_bytes()
 
     def average_access_nodes(self) -> float:
-        return float(np.mean([len(a) for a in self.access]))
+        return float(np.mean(np.diff(self.access_off)))
 
     # ------------------------------------------------------------------
     # Serialization (persistent index store)
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Transit table, access nodes and locality grid as flat arrays.
+        """Transit table, access nodes and search spaces as flat arrays.
 
         The underlying CH is *not* embedded — it is its own store
         artifact; ``from_arrays`` receives it as a dependency.
         """
-        acc_nodes, off = concat_ragged(
-            [np.asarray([a for a, _ in lst], dtype=np.int64) for lst in self.access],
-            np.int64,
-        )
-        acc_dists, _ = concat_ragged(
-            [np.asarray([d for _, d in lst], dtype=np.float64) for lst in self.access],
-            np.float64,
-        )
         return {
             "transit_nodes": np.asarray(self.transit_nodes, dtype=np.int64),
             "table": self.table,
-            "access_node": acc_nodes,
-            "access_dist": acc_dists,
-            "access_off": off,
-            "cell_x": self.cell_x,
-            "cell_y": self.cell_y,
-            "grid_size": np.asarray(self.grid_size),
-            "locality_cells": np.asarray(self.locality_cells),
-            "grid_origin": np.asarray([self._gx0, self._gy0]),
-            "cell_span": np.asarray([self._cell_w, self._cell_h]),
+            "access_node": self.access_node,
+            "access_dist": self.access_dist,
+            "access_off": self.access_off,
+            "cone_vertex": self.cone_vertex,
+            "cone_dist": self.cone_dist,
+            "cone_off": self.cone_off,
             "build_time": np.asarray(self._build_time),
         }
 
@@ -280,25 +245,12 @@ class TransitNodeRouting:
         self = cls.__new__(cls)
         self.graph = graph
         self.ch = ch
-        self.grid_size = int(arrays["grid_size"])
-        self.locality_cells = int(arrays["locality_cells"])
         self._build_time = float(arrays["build_time"])
         self.transit_nodes = [int(v) for v in arrays["transit_nodes"]]
-        self.transit_set = set(self.transit_nodes)
         self.table = np.asarray(arrays["table"], dtype=np.float64)
-        off = arrays["access_off"]
-        self.access = [
-            [
-                (int(a), float(d))
-                for a, d in zip(
-                    ragged_row(arrays["access_node"], off, v),
-                    ragged_row(arrays["access_dist"], off, v),
-                )
-            ]
-            for v in range(graph.num_vertices)
-        ]
-        self._gx0, self._gy0 = (float(v) for v in arrays["grid_origin"])
-        self._cell_w, self._cell_h = (float(v) for v in arrays["cell_span"])
-        self.cell_x = np.asarray(arrays["cell_x"], dtype=np.int64)
-        self.cell_y = np.asarray(arrays["cell_y"], dtype=np.int64)
+        for name in (
+            "access_node", "access_dist", "access_off",
+            "cone_vertex", "cone_dist", "cone_off",
+        ):
+            setattr(self, name, arrays[name])
         return self

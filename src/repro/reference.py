@@ -21,23 +21,38 @@ that Figure 7's implementation ladder plots —
 * :class:`ReferenceRoadKNN` — ROAD's expansion (Algorithms 5 and 6) one
   settle at a time, consulting the Route Overlay and Association
   Directory per vertex, the loop :class:`~repro.knn.road_knn.RoadKNN`'s
-  overlay graph is checked against.
+  overlay graph is checked against;
+* :func:`upward_search`, :func:`ch_distance` — the bidirectional
+  dict-and-heap search over a contraction hierarchy's upward graph
+  (optionally settling but not expanding a vertex set), the loop
+  :meth:`ContractionHierarchy.distance
+  <repro.pathfinding.ch.ContractionHierarchy.distance>`'s one C sweep is
+  checked against;
+* :func:`tnr_distance` — TNR's access-node table loop plus the
+  transit-pruned bidirectional search, against which the stored search
+  spaces of :class:`~repro.pathfinding.tnr.TransitNodeRouting` are
+  checked.
 
 They return the same answers and record the same ``sssp_settled`` /
-``expand_settled`` / ``expand_bypassed`` counters as the production
-code, which is what ``tests/test_kernels.py`` asserts.
+``expand_settled`` / ``expand_bypassed`` / ``bidir_settled`` counters as
+the production code, which is what ``tests/test_kernels.py`` asserts.
 
-Who may import this module: the tests, ``fig07_ine_ablation``, and the
-registry entry of the auxiliary method ``ine-graph`` — the engine's
-terminal degradation rung, which must not share a code path with the
-kernels it stands in for.  Nothing under ``repro.knn``, ``repro.index``,
+Who may import this module: the tests (``tests/test_kernels.py`` for
+the equality guards, ``tests/test_oracles.py`` for the pruned CH
+search), ``fig07_ine_ablation``, and the registry entry of the
+auxiliary method ``ine-graph`` — the engine's terminal degradation
+rung, which must not share a code path with the kernels it stands in
+for.  Nothing under ``repro.knn``, ``repro.index``,
 ``repro.pathfinding``, ``repro.kernels`` or ``repro.server`` does.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Collection, Dict, Iterable, List, Optional, Sequence,
+    Set, Tuple,
+)
 
 import numpy as np
 
@@ -47,6 +62,10 @@ from repro.knn.base import KNNAlgorithm, KNNResult
 from repro.utils.bitset import BitArray
 from repro.utils.counters import Counters, NULL_COUNTERS
 from repro.utils.pqueue import BinaryHeap
+
+if TYPE_CHECKING:
+    from repro.pathfinding.ch import ContractionHierarchy
+    from repro.pathfinding.tnr import TransitNodeRouting
 
 INF = float("inf")
 
@@ -182,6 +201,87 @@ def dijkstra_restricted(
                 dist[v] = nd
                 heap.push(nd, v)
     return dist
+
+
+def upward_search(
+    ch: "ContractionHierarchy",
+    source: int,
+    counters: Counters = NULL_COUNTERS,
+    prune_at: Optional[Collection[int]] = None,
+) -> Dict[int, float]:
+    """Dijkstra over ``ch``'s upward graph to exhaustion: every settled
+    vertex and its distance.
+
+    Vertices in ``prune_at`` other than ``source`` are settled but not
+    expanded.
+    """
+    indptr, indices, data = ch.up.indptr, ch.up.indices, ch.up.data
+    dist: Dict[int, float] = {source: 0.0}
+    settled: Set[int] = set()
+    heap = BinaryHeap()
+    heap.push(0.0, source)
+    while heap:
+        d, u = heap.pop()
+        if u in settled:
+            continue
+        settled.add(u)
+        counters.add("bidir_settled")
+        if prune_at is not None and u in prune_at and u != source:
+            continue
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, w in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
+            nd = d + w
+            if nd < dist.get(v, INF):
+                dist[v] = nd
+                heap.push(nd, v)
+    return {u: dist[u] for u in settled}
+
+
+def ch_distance(
+    ch: "ContractionHierarchy",
+    source: int,
+    target: int,
+    counters: Counters = NULL_COUNTERS,
+    prune_at: Optional[Collection[int]] = None,
+) -> float:
+    """Bidirectional upward search: the best meeting vertex of the two
+    searches (both pruned at ``prune_at`` when given)."""
+    if source == target:
+        return 0.0
+    fwd = upward_search(ch, source, counters, prune_at)
+    bwd = upward_search(ch, target, counters, prune_at)
+    best = INF
+    small, large = (fwd, bwd) if len(fwd) <= len(bwd) else (bwd, fwd)
+    for v, d1 in small.items():
+        d2 = large.get(v)
+        if d2 is not None and d1 + d2 < best:
+            best = d1 + d2
+    return best
+
+
+def tnr_distance(
+    tnr: "TransitNodeRouting",
+    source: int,
+    target: int,
+    counters: Counters = NULL_COUNTERS,
+) -> float:
+    """TNR's query one access-node pair at a time: the best path through
+    the transit table, or the transit-pruned bidirectional search's."""
+    if source == target:
+        return 0.0
+    best = INF
+    nodes_t, dists_t = tnr.access_nodes(target)
+    for a, da in zip(*tnr.access_nodes(source)):
+        row = tnr.table[a]
+        for b, db in zip(nodes_t, dists_t):
+            total = da + row[b] + db
+            if total < best:
+                best = total
+    counters.add("table_lookups")
+    local = ch_distance(tnr.ch, source, target, prune_at=set(tnr.transit_nodes))
+    if local < best:
+        best = local
+    return float(best)
 
 
 class DecreaseKeyHeap:

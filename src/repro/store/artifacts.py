@@ -85,7 +85,7 @@ INDEX_KINDS: Dict[str, IndexKind] = {
     ),
     "tnr": IndexKind(
         "tnr", TransitNodeRouting,
-        lambda c: {"num_transit": None, "grid_size": 32, "locality_cells": 4},
+        lambda c: {"num_transit": None},
         depends=("ch",),
     ),
 }

@@ -79,7 +79,7 @@ from repro.resilience.faults import fault_check
 #: (different partitioning, contraction order, compression, ...): the
 #: version participates in every artifact key, so a bump makes all older
 #: artifacts clean misses, and ``gc`` reclaims them.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: The payload format :meth:`IndexStore.put` writes.  Reads honour the
 #: format recorded per manifest entry, so legacy ``npz`` entries load.

@@ -261,6 +261,17 @@ class TestBaseSignature:
             result = alg.knn(9, 3, counters=counters)
             assert len(result) == 3, name
 
+    def test_answers_are_python_floats_and_ints(self, engine):
+        # QueryEngine._execute converts on the way out, but direct
+        # callers of an algorithm (figures, byte-identity tests) see
+        # exactly what ``knn`` returns.
+        for name in known_methods():
+            result = engine.algorithm(name).knn(9, 4)
+            assert len(result) == 4, name
+            for d, v in result:
+                assert type(d) is float, (name, type(d))
+                assert type(v) is int, (name, type(v))
+
     def test_ine_ablation_variants_count_settled(self, road400, objects400):
         for variant in reference.VARIANTS:
             counters = Counters()

@@ -19,6 +19,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from repro import reference
 from repro.engine import QueryEngine
 from repro.graph.generators import grid_network, road_network
+from repro.graph.graph import Graph
 from repro.index.gtree import GTree
 from repro.index.road import RoadIndex
 from repro.index.silc import SILCIndex
@@ -343,6 +344,102 @@ class TestDisBrwKernelEquality:
                 assert lbs[t] == lb and ubs[t] == ub
 
 
+def _zero_edge_graph():
+    """A road network whose first edge (both arcs) weighs 0, written
+    straight into the CSR arrays so the edge stays an edge."""
+    base = road_network(300, seed=13)
+    u, v = 0, int(base.edge_target[base.vertex_start[0]])
+    src = np.repeat(np.arange(base.num_vertices), np.diff(base.vertex_start))
+    weight = base.edge_weight.copy()
+    dst = base.edge_target
+    weight[((src == u) & (dst == v)) | ((src == v) & (dst == u))] = 0.0
+    return Graph(
+        base.vertex_start, base.edge_target, weight, base.x, base.y,
+        name="zero-edge",
+    )
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestCHAndTNRKernelEquality:
+    """``ContractionHierarchy.distance`` (one C sweep over the upward
+    CSR) and ``TransitNodeRouting.distance`` (stored search spaces)
+    against the bidirectional dict loops of :mod:`repro.reference`:
+    bitwise-equal answers and equal ``bidir_settled``, with every
+    transit node as source and as target, and ``s == t``."""
+
+    @staticmethod
+    def _pairs(n, transit):
+        rng = np.random.default_rng(n)
+        others = [int(v) for v in rng.integers(n, size=4)]
+        pairs = [(int(a), int(b)) for a, b in rng.integers(n, size=(16, 2))]
+        pairs += [(t, o) for t in transit for o in others]
+        pairs += [(o, t) for t in transit for o in others]
+        pairs += list(zip(transit, transit[1:]))
+        pairs += [(v, v) for v in others[:2] + transit[:2]]
+        return pairs
+
+    @staticmethod
+    def _check_ch(ch, pairs):
+        for s, t in pairs:
+            cp, cr = Counters(), Counters()
+            got = ch.distance(s, t, counters=cp)
+            want = reference.ch_distance(ch, s, t, counters=cr)
+            assert type(got) is float
+            assert _same_bits(got, want), (s, t, got, want)
+            assert cp["bidir_settled"] == cr["bidir_settled"], (s, t)
+
+    def _check(self, graph):
+        ch = ContractionHierarchy(graph)
+        tnr = TransitNodeRouting(graph, ch=ch)
+        pairs = self._pairs(graph.num_vertices, tnr.transit_nodes)
+        self._check_ch(ch, pairs)
+        for s, t in pairs:
+            cp, cr = Counters(), Counters()
+            got = tnr.distance(s, t, counters=cp)
+            want = reference.tnr_distance(tnr, s, t, counters=cr)
+            assert type(got) is float
+            assert _same_bits(got, want), (s, t, got, want)
+            assert cp.as_dict() == cr.as_dict()
+
+    def test_property_graphs(self, prop_graph):
+        self._check(prop_graph)
+
+    @pytest.mark.parametrize("name", ("disconnected", "unit-grid", "parallel"))
+    def test_adversarial_graphs(self, adversarial_graphs, name):
+        self._check(adversarial_graphs[name])
+
+    def test_zero_weight_edge(self):
+        graph = _zero_edge_graph()
+        u, v = 0, int(graph.edge_target[graph.vertex_start[0]])
+        assert reference.dijkstra_distance(graph, u, v) == 0.0
+        self._check(graph)
+
+    @pytest.mark.parametrize("factor", (0.5, 1.8), ids=["decrease", "increase"])
+    def test_after_weight_repair(self, factor):
+        graph = road_network(300, seed=17)
+        ch = ContractionHierarchy(graph)
+        rng = np.random.default_rng(5)
+        src = np.repeat(np.arange(graph.num_vertices), np.diff(graph.vertex_start))
+        picks = rng.choice(len(graph.edge_weight), size=6, replace=False)
+        changed = graph.apply_weight_deltas([
+            set_weight(
+                int(src[i]), int(graph.edge_target[i]),
+                float(graph.edge_weight[i]) * factor,
+            )
+            for i in picks.tolist()
+        ])
+        ch.apply_weight_deltas(changed)
+        transit = [int(v) for v in np.argsort(-ch.rank)[:8]]
+        self._check_ch(ch, self._pairs(graph.num_vertices, transit))
+        for s, t in rng.integers(graph.num_vertices, size=(10, 2)).tolist():
+            assert ch.distance(s, t) == pytest.approx(
+                reference.dijkstra_distance(graph, s, t), rel=1e-12
+            )
+
+
 class TestTNRKernelEquality:
     def test_tables_access_and_distances_agree(self):
         graph = road_network(400, seed=19)
@@ -357,7 +454,7 @@ class TestTNRKernelEquality:
                 )
         # Every access node is a true distance to a transit node.
         for v in range(0, graph.num_vertices, 7):
-            for a, d in tnr.access[v]:
+            for a, d in zip(*tnr.access_nodes(v)):
                 assert d == pytest.approx(ch.distance(v, tn[a]), rel=1e-9)
         rng = np.random.default_rng(29)
         for _ in range(20):

@@ -295,6 +295,39 @@ def test_warm_index_has_the_built_in_memory_form(graph250, built_store):
         )
 
 
+def _mapping_of(array):
+    """The ``np.memmap`` a store-loaded array is a view of, or None."""
+    base = array.base
+    while base is not None and not isinstance(base, np.memmap):
+        base = base.base
+    return base
+
+
+def test_warm_ch_and_tnr_answer_from_the_stored_arrays(graph250, built_store):
+    """A store-loaded CH wraps its upward CSR around the mapped arrays
+    (no per-vertex Python lists, no copies), TNR's search spaces stay
+    mapped too, and both answer byte-identically to fresh builds."""
+    cold = IndexCache(graph250)
+    warm = IndexCache(graph250, store=built_store)
+    up = warm.ch.up
+    for array in (up.data, up.indices, up.indptr):
+        mapping = _mapping_of(array)
+        assert mapping is not None and np.shares_memory(array, mapping)
+    for name in ("access_node", "access_dist", "cone_vertex", "cone_dist"):
+        assert _mapping_of(getattr(warm.tnr, name)) is not None, name
+    rng = np.random.default_rng(6)
+    transit = warm.tnr.transit_nodes
+    pairs = rng.integers(0, graph250.num_vertices, size=(40, 2)).tolist()
+    pairs += [[t, int(v)] for t, v in zip(transit, rng.integers(250, size=8))]
+    pairs += [[int(v), t] for t, v in zip(transit, rng.integers(250, size=8))]
+    for s, t in pairs:
+        for kind in ("ch", "tnr"):
+            a = getattr(cold, kind).distance(s, t)
+            b = getattr(warm, kind).distance(s, t)
+            assert type(b) is float
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), (kind, s, t)
+
+
 def test_warm_start_performs_zero_builds(graph250, built_store):
     before = BUILD_COUNTERS.as_dict()
     warm = IndexCache(graph250, store=built_store)
@@ -324,7 +357,7 @@ class TestIndexKindTable:
             "silc": {"grid_bits": 11},
             "ch": {"witness_settle_limit": 40},
             "hub_labels": {"order": "ch-rank"},
-            "tnr": {"num_transit": None, "grid_size": 32, "locality_cells": 4},
+            "tnr": {"num_transit": None},
         }
 
     def test_every_kind_is_required_and_round_trips(
