@@ -870,9 +870,14 @@ class GTreeOracle:
     IER issues many distance queries from the *same* source; the oracle
     keeps the per-source materialization cache across calls (reset when
     the source changes), which is what makes "IER-Gt" competitive.
+    :meth:`distances` is :meth:`distance` per target over that cache:
+    a query's cost is its per-target min-plus assembly, which a batch
+    does not share.
     """
 
     name = "mgtree"
+    #: :meth:`distances` costs one :meth:`distance` per target.
+    per_target = True
 
     def __init__(self, gtree: GTree, counters: Counters = NULL_COUNTERS) -> None:
         self.gtree = gtree
@@ -890,6 +895,10 @@ class GTreeOracle:
         return self.gtree.distance(
             source, target, cache=self._cache, counters=self.counters
         )
+
+    def distances(self, source: int, targets: Sequence[int]) -> np.ndarray:
+        distance = self.distance
+        return np.array([distance(source, t) for t in targets], dtype=np.float64)
 
     def build_time(self) -> float:
         return self.gtree.build_time()

@@ -22,6 +22,13 @@ smaller networks, matching Figure 8).
 The degree-2 *chain optimisation* of Appendix A.1.2 is implemented in
 :meth:`path_next`/:meth:`refine`: while the current vertex lies on a
 chain, the next hop is forced and no quadtree lookup is needed.
+
+Distance Browsing runs hundreds of refinement steps per query, so a step
+reads plain-list mirrors of the adjacency, the coordinates, the Morton
+positions and the degrees, and only the block lookup itself is a
+``searchsorted`` on the source's block arrays.
+:class:`repro.reference.ReferenceSILC` is the same step on numpy
+scalars, which it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ class _SourceBlocks:
 
     def block_of(self, pos: int) -> int:
         """Index of the block containing Morton position ``pos``."""
-        return int(np.searchsorted(self.starts, pos, side="right")) - 1
+        return int(self.starts.searchsorted(pos, side="right")) - 1
 
     def size_bytes(self) -> int:
         total = (
@@ -137,7 +144,7 @@ class SILCIndex:
         self._codes_sorted = codes[self._order]
         self._pos_of = np.empty(n, dtype=np.int64)
         self._pos_of[self._order] = np.arange(n)
-        self._degree = np.diff(graph.vertex_start)
+        self._mirror()
 
         self._sources: List[Optional[_SourceBlocks]] = [None] * n
         xs = graph.x
@@ -149,6 +156,22 @@ class SILCIndex:
                 hops = self._first_hops_from_pred(s, pred[row])
                 eu = np.hypot(xs - xs[s], ys - ys[s])
                 self._sources[s] = self._compress(s, hops, dist[row], eu)
+
+    def _mirror(self) -> None:
+        """Plain-list copies of what a refinement step reads per hop: the
+        graph's adjacency and coordinates, Morton positions and degrees.
+        A list read is a python object; an array read builds a numpy
+        scalar whose every operation is a ufunc call.  The graph's
+        weights are copied, so a weight change needs a new index (the
+        engine drops SILC on every weight batch)."""
+        graph = self.graph
+        self._vs = graph.vertex_start.tolist()
+        self._et = graph.edge_target.tolist()
+        self._ew = graph.edge_weight.tolist()
+        self._xs = graph.x.tolist()
+        self._ys = graph.y.tolist()
+        self._pos = self._pos_of.tolist()
+        self._degree = np.diff(graph.vertex_start).tolist()
 
     @staticmethod
     def _first_hops_from_pred(source: int, pred: np.ndarray) -> np.ndarray:
@@ -262,11 +285,10 @@ class SILCIndex:
             return source
         blocks = self._sources[source]
         if blocks.exceptions is not None:
-            hit = blocks.exceptions.get(int(target))
+            hit = blocks.exceptions.get(target)
             if hit is not None:
                 return hit
-        pos = int(self._pos_of[target])
-        return int(blocks.colors[blocks.block_of(pos)])
+        return blocks.colors.item(blocks.block_of(self._pos[target]))
 
     def path_next(
         self, current: int, previous: int, target: int, use_chains: bool
@@ -277,20 +299,20 @@ class SILCIndex:
         degree-2 optimisation skips the quadtree lookup when the next hop
         is forced (Appendix A.1.2).
         """
-        graph = self.graph
-        if use_chains and previous >= 0 and self._degree[current] <= 2:
-            targets, weights = graph.neighbor_slice(current)
-            for t, w in zip(targets, weights):
-                if int(t) != previous:
-                    return int(t), float(w)
-            return previous, float(weights[0])  # dead end: backtrack
+        lo, hi = self._vs[current], self._vs[current + 1]
+        et, ew = self._et, self._ew
+        if use_chains and previous >= 0 and hi - lo <= 2:
+            for i in range(lo, hi):
+                if et[i] != previous:
+                    return et[i], ew[i]
+            return previous, ew[lo]  # dead end: backtrack
         nxt = self.first_hop(current, target)
-        w = graph.edge_weight_between(current, nxt)
-        if w is None:
-            raise RuntimeError(
-                f"SILC first hop {nxt} is not adjacent to {current}"
-            )
-        return nxt, w
+        for i in range(lo, hi):
+            if et[i] == nxt:
+                return nxt, ew[i]
+        raise RuntimeError(
+            f"SILC first hop {nxt} is not adjacent to {current}"
+        )
 
     def path(
         self, source: int, target: int, use_chains: bool = False
@@ -317,25 +339,23 @@ class SILCIndex:
         if vertex == target:
             return 0.0, 0.0
         blocks = self._sources[vertex]
-        b = blocks.block_of(int(self._pos_of[target]))
+        b = blocks.block_of(self._pos[target])
         # np.hypot, not math.hypot: CPython's hypot rounds differently in
         # the last ulp, and the scalar path must agree bit-for-bit with
         # the vectorised :meth:`intervals_from` (the construction-time
         # lambda ratios are np.hypot-based too).
-        de = float(
-            np.hypot(
-                self.graph.x[vertex] - self.graph.x[target],
-                self.graph.y[vertex] - self.graph.y[target],
-            )
-        )
-        # fmax/fmin drop a NaN side (an all-infinite-ratio block at zero
-        # Euclidean distance makes lam * de = inf * 0 = NaN), falling
-        # back to the always-valid per-block network-distance bounds —
-        # a NaN key would otherwise reach the priority queues.
-        with np.errstate(invalid="ignore"):
-            lb = np.fmax(blocks.lam_minus[b] * de, blocks.dn_min[b])
-            ub = np.fmin(blocks.lam_plus[b] * de, blocks.dn_max[b])
-        return float(lb), float(ub)
+        xs, ys = self._xs, self._ys
+        de = float(np.hypot(xs[vertex] - xs[target], ys[vertex] - ys[target]))
+        # np.fmax/np.fmin in float comparisons: a NaN side (an
+        # all-infinite-ratio block at zero Euclidean distance makes
+        # lam * de = inf * 0 = NaN) falls back to the always-valid
+        # per-block network-distance bound — a NaN key would otherwise
+        # reach the priority queues.
+        lam, dn = blocks.lam_minus.item(b) * de, blocks.dn_min.item(b)
+        lb = dn if lam != lam or lam < dn else lam
+        lam, dn = blocks.lam_plus.item(b) * de, blocks.dn_max.item(b)
+        ub = dn if lam != lam or lam > dn else lam
+        return lb, ub
 
     def intervals_from(
         self, vertex: int, targets: np.ndarray
@@ -507,7 +527,7 @@ class SILCIndex:
         self._order = np.asarray(arrays["order"], dtype=np.int64)
         self._codes_sorted = np.asarray(arrays["codes_sorted"], dtype=np.int64)
         self._pos_of = np.asarray(arrays["pos_of"], dtype=np.int64)
-        self._degree = np.diff(graph.vertex_start)
+        self._mirror()
 
         exceptions: Dict[int, Dict[int, int]] = {}
         for s, t, c in zip(

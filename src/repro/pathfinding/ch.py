@@ -11,14 +11,15 @@ hierarchy Transit Node Routing is built on.  Standard construction:
   one scipy CSR matrix, :attr:`ContractionHierarchy.up`;
 * a query runs both upward searches to exhaustion in one C Dijkstra
   (``csgraph.dijkstra`` with ``indices=[s, t]``); the answer is the best
-  meeting vertex.  :func:`repro.reference.ch_distance` is the
-  bidirectional dict-and-heap loop it is checked against.
+  meeting vertex.  A batch of targets shares one sweep
+  (``indices=[s, t1, t2, ...]``).  :func:`repro.reference.ch_distance`
+  is the bidirectional dict-and-heap loop it is checked against.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -286,18 +287,42 @@ class ContractionHierarchy:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def distances(
+        self,
+        source: int,
+        targets: Sequence[int],
+        counters: Counters = NULL_COUNTERS,
+    ) -> np.ndarray:
+        """Exact network distances from ``source`` to each of ``targets``:
+        the upward searches from the source and from every target run to
+        exhaustion in one C Dijkstra, then each target's best meeting
+        vertex.  ``bidir_settled`` counts, per target other than the
+        source, the vertices its two searches settle (their finite
+        entries)."""
+        targets = np.asarray(targets, dtype=np.int64)
+        out = np.zeros(len(targets))
+        others = targets != source
+        if not others.any():
+            return out
+        rest = targets[others]
+        dist = _csgraph_dijkstra(
+            self.up, directed=True, indices=np.concatenate(([source], rest))
+        )
+        if counters.enabled:
+            finite = np.isfinite(dist)
+            counters.add(
+                "bidir_settled",
+                len(rest) * int(np.count_nonzero(finite[0]))
+                + int(np.count_nonzero(finite[1:])),
+            )
+        out[others] = (dist[0] + dist[1:]).min(axis=1)
+        return out
+
     def distance(
         self, source: int, target: int, counters: Counters = NULL_COUNTERS
     ) -> float:
-        """Exact network distance: both upward searches to exhaustion,
-        then the best meeting vertex.  ``bidir_settled`` counts the
-        vertices the two searches settle (their finite entries)."""
-        if source == target:
-            return 0.0
-        dist = _csgraph_dijkstra(self.up, directed=True, indices=[source, target])
-        if counters.enabled:
-            counters.add("bidir_settled", int(np.count_nonzero(np.isfinite(dist))))
-        return float((dist[0] + dist[1]).min())
+        """Exact network distance (:meth:`distances` for one target)."""
+        return float(self.distances(source, (target,), counters)[0])
 
     # ------------------------------------------------------------------
     # Oracle protocol / bookkeeping

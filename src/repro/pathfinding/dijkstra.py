@@ -14,7 +14,7 @@ stays an interpreter loop.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +70,10 @@ def dijkstra_path(
 class DijkstraOracle:
     """Distance-oracle facade over plain Dijkstra (the "Dijk" IER variant).
 
-    Implements the shared oracle protocol: ``distance(s, t)`` plus optional
-    source-side state reuse via ``start_source``/``distance_from_source``
-    (Dijkstra has nothing to reuse; each query runs cold, which is exactly
-    why IER-Dijk is slow in Figure 4).
+    Implements the shared oracle protocol: ``distances(s, targets)`` is
+    one expansion from ``s`` that stops once every target is settled;
+    nothing is reused across calls, which is exactly why IER-Dijk is
+    slow in Figure 4.
     """
 
     name = "dijkstra"
@@ -81,8 +81,12 @@ class DijkstraOracle:
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
 
+    def distances(self, source: int, targets: Sequence[int]) -> np.ndarray:
+        found = distances_to_targets(self.graph, source, targets)
+        return np.array([found[int(t)] for t in targets], dtype=np.float64)
+
     def distance(self, source: int, target: int) -> float:
-        return dijkstra_distance(self.graph, source, target)
+        return float(self.distances(source, (target,))[0])
 
     def build_time(self) -> float:
         return 0.0

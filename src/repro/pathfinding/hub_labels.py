@@ -9,9 +9,16 @@ labelling framework; we implement the general pruned (landmark) labelling:
 * from each hub run a *pruned* Dijkstra: a vertex u reached at distance d
   is labelled (hub, d) only if the current labels cannot already prove
   dist(hub, u) <= d; pruned vertices are not expanded;
-* a query merges the two sorted label arrays and minimises over common
-  hubs — O(|label|) with no graph traversal, microsecond-scale, which is
-  the property the IER-PHL experiments exercise.
+* a query minimises ``d(s, h) + d(h, t)`` over the hubs the two labels
+  share — O(|label|) with no graph traversal, microsecond-scale, which
+  is the property the IER-PHL experiments exercise.
+
+The labels are stored flat (``hubs``/``dists`` concatenated in vertex
+order, ``label_off`` the offsets), which is also the store layout.
+:meth:`HubLabels.distances` answers a source against many targets at
+once: the source's label is scattered into a length-V array indexed by
+hub rank, every target's label slice is gathered against it, and one
+``np.minimum.reduceat`` takes each target's minimum.
 
 Like PHL, the index is large (the paper's Figure 8 point) — label sizes
 are reported by :meth:`size_bytes` / :meth:`average_label_size`.
@@ -25,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graph.graph import Graph
-from repro.utils.arrays import concat_ragged, ragged_row
+from repro.utils.arrays import concat_ragged, ragged_min
 from repro.utils.counters import BUILD_COUNTERS, Counters, NULL_COUNTERS
 from repro.utils.pqueue import BinaryHeap
 
@@ -65,9 +72,9 @@ class HubLabels:
     def _build(self, order: List[int]) -> None:
         n = self.graph.num_vertices
         # Per-vertex labels: parallel (hub-rank, distance) lists kept
-        # sorted by hub rank so queries are merge joins.
-        label_hubs: List[List[int]] = [[] for _ in range(n)]
-        label_dists: List[List[float]] = [[] for _ in range(n)]
+        # sorted by hub rank so the pruning test is a merge join.
+        hub_lists: List[List[int]] = [[] for _ in range(n)]
+        dist_lists: List[List[float]] = [[] for _ in range(n)]
         hub_rank = np.full(n, -1, dtype=np.int64)
         for r, v in enumerate(order):
             hub_rank[v] = r
@@ -87,20 +94,20 @@ class HubLabels:
             settled = set()
             heap = BinaryHeap()
             heap.push(0.0, hub)
-            hub_labels_h = label_hubs[hub]
-            hub_dists_h = label_dists[hub]
+            hub_labels_h = hub_lists[hub]
+            hub_dists_h = dist_lists[hub]
             while heap:
                 d, u = heap.pop()
                 if u in settled:
                     continue
                 settled.add(u)
                 # Prune: can existing labels already certify d(hub, u) <= d?
-                if self._query_merge(
-                    hub_labels_h, hub_dists_h, label_hubs[u], label_dists[u]
+                if self._merge(
+                    hub_labels_h, hub_dists_h, hub_lists[u], dist_lists[u]
                 ) <= d:
                     continue
-                label_hubs[u].append(r)
-                label_dists[u].append(d)
+                hub_lists[u].append(r)
+                dist_lists[u].append(d)
                 for i in range(vs_l[u], vs_l[u + 1]):
                     v = et_l[i]
                     nd = d + ew_l[i]
@@ -108,18 +115,19 @@ class HubLabels:
                         dist[v] = nd
                         heap.push(nd, v)
 
-        # Freeze into numpy arrays (compact, mirrors PHL's array labels).
-        self._hubs = [np.asarray(h, dtype=np.int32) for h in label_hubs]
-        self._dists = [np.asarray(d, dtype=np.float64) for d in label_dists]
+        # Freeze into flat arrays (compact, mirrors PHL's array labels).
+        self.hubs, self.label_off = concat_ragged(hub_lists, np.int32)
+        self.dists, _ = concat_ragged(dist_lists, np.float64)
 
     @staticmethod
-    def _query_merge(
+    def _merge(
         hubs_a: Sequence[int],
         dists_a: Sequence[float],
         hubs_b: Sequence[int],
         dists_b: Sequence[float],
     ) -> float:
-        """Merge-join two labels sorted by hub rank."""
+        """Merge-join two label lists sorted by hub rank (the build's
+        pruning test)."""
         i = j = 0
         best = INF
         na, nb = len(hubs_a), len(hubs_b)
@@ -140,43 +148,56 @@ class HubLabels:
     # ------------------------------------------------------------------
     # Oracle protocol
     # ------------------------------------------------------------------
+    def distances(
+        self,
+        source: int,
+        targets: Sequence[int],
+        counters: Counters = NULL_COUNTERS,
+    ) -> np.ndarray:
+        """Exact network distances from ``source`` to each of ``targets``.
+
+        ``d(s, s)`` needs no special case: every label holds a hub at
+        distance 0 (the vertex itself, or the earlier hub whose label
+        pruned it at distance 0).
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        hubs, dists, off = self.hubs, self.dists, self.label_off
+        lo, hi = off[source], off[source + 1]
+        via = np.full(self.graph.num_vertices, INF)
+        via[hubs[lo:hi]] = dists[lo:hi]
+        out = ragged_min(off, targets, lambda at: via[hubs[at]] + dists[at])
+        if counters.enabled:
+            counters.add("label_scans", int(np.count_nonzero(targets != source)))
+        return out
+
     def distance(
         self, source: int, target: int, counters: Counters = NULL_COUNTERS
     ) -> float:
-        if source == target:
-            return 0.0
-        counters.add("label_scans")
-        return float(self._query_merge(
-            self._hubs[source],
-            self._dists[source],
-            self._hubs[target],
-            self._dists[target],
-        ))
+        return float(self.distances(source, (target,), counters)[0])
 
     def label(self, v: int) -> Tuple[np.ndarray, np.ndarray]:
         """The (hub ranks, distances) label of vertex v."""
-        return self._hubs[v], self._dists[v]
+        lo, hi = self.label_off[v], self.label_off[v + 1]
+        return self.hubs[lo:hi], self.dists[lo:hi]
 
     def average_label_size(self) -> float:
-        return float(np.mean([len(h) for h in self._hubs]))
+        return float(np.mean(np.diff(self.label_off)))
 
     def build_time(self) -> float:
         return self._build_time
 
     def size_bytes(self) -> int:
-        return sum(h.nbytes + d.nbytes for h, d in zip(self._hubs, self._dists))
+        return int(self.hubs.nbytes + self.dists.nbytes)
 
     # ------------------------------------------------------------------
     # Serialization (persistent index store)
     # ------------------------------------------------------------------
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Per-vertex labels flattened into hub/distance arrays + offsets."""
-        hubs, off = concat_ragged(self._hubs, np.int32)
-        dists, _ = concat_ragged(self._dists, np.float64)
+        """The flat labels: hub/distance arrays + per-vertex offsets."""
         return {
-            "hubs": hubs,
-            "dists": dists,
-            "label_off": off,
+            "hubs": self.hubs,
+            "dists": self.dists,
+            "label_off": self.label_off,
             "build_time": np.asarray(self._build_time),
         }
 
@@ -186,11 +207,7 @@ class HubLabels:
         self = cls.__new__(cls)
         self.graph = graph
         self._build_time = float(arrays["build_time"])
-        off = arrays["label_off"]
-        self._hubs = [
-            ragged_row(arrays["hubs"], off, v) for v in range(graph.num_vertices)
-        ]
-        self._dists = [
-            ragged_row(arrays["dists"], off, v) for v in range(graph.num_vertices)
-        ]
+        self.hubs = arrays["hubs"]
+        self.dists = arrays["dists"]
+        self.label_off = arrays["label_off"]
         return self

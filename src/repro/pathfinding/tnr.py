@@ -32,7 +32,7 @@ takes the (cheap) meeting-vertex minimum instead.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,6 +41,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from repro.graph.graph import Graph
 from repro.pathfinding.bulk import bulk_sssp
 from repro.pathfinding.ch import ContractionHierarchy
+from repro.utils.arrays import ragged_min
 from repro.utils.counters import BUILD_COUNTERS, Counters, NULL_COUNTERS
 
 INF = float("inf")
@@ -176,29 +177,51 @@ class TransitNodeRouting:
         lo, hi = self.cone_off[v], self.cone_off[v + 1]
         return self.cone_vertex[lo:hi], self.cone_dist[lo:hi]
 
-    def distance(
-        self, source: int, target: int, counters: Counters = NULL_COUNTERS
-    ) -> float:
-        """Exact network distance.
+    def distances(
+        self,
+        source: int,
+        targets: Sequence[int],
+        counters: Counters = NULL_COUNTERS,
+    ) -> np.ndarray:
+        """Exact network distances from ``source`` to each of ``targets``.
 
         The table covers every path through a transit node; the best
         meeting vertex of the two search spaces covers every path
-        avoiding them.
+        avoiding them.  Both terms run over all targets' rows at once:
+        the table term against the concatenated access nodes, the meet
+        term against the concatenated search spaces looked up in the
+        source's search space scattered into a length-V array.
         """
-        if source == target:
-            return 0.0
-        counters.add("table_lookups")
+        targets = np.asarray(targets, dtype=np.int64)
+        out = np.zeros(len(targets))
+        others = targets != source
+        if not others.any():
+            return out
+        rest = targets[others]
+        counters.add("table_lookups", len(rest))
         a_s, d_s = self.access_nodes(source)
-        a_t, d_t = self.access_nodes(target)
-        best = (
-            d_s[:, None] + self.table[np.ix_(a_s, a_t)] + d_t[None, :]
-        ).min(initial=INF)
+        table = self.table[a_s]
+        best = ragged_min(
+            self.access_off, rest,
+            lambda at: (
+                d_s[:, None] + table[:, self.access_node[at]]
+                + self.access_dist[at][None, :]
+            ).min(axis=0, initial=INF),
+        )
         v_s, c_s = self.search_space(source)
-        v_t, c_t = self.search_space(target)
-        pos = np.minimum(np.searchsorted(v_t, v_s), len(v_t) - 1)
-        meet = v_t[pos] == v_s
-        local = (c_s[meet] + c_t[pos[meet]]).min(initial=INF)
-        return float(min(best, local))
+        via = np.full(self.graph.num_vertices, INF)
+        via[v_s] = c_s
+        local = ragged_min(
+            self.cone_off, rest, lambda at: via[self.cone_vertex[at]] + self.cone_dist[at]
+        )
+        out[others] = np.minimum(best, local)
+        return out
+
+    def distance(
+        self, source: int, target: int, counters: Counters = NULL_COUNTERS
+    ) -> float:
+        """Exact network distance (:meth:`distances` for one target)."""
+        return float(self.distances(source, (target,), counters)[0])
 
     # ------------------------------------------------------------------
     # Oracle protocol

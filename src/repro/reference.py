@@ -31,7 +31,17 @@ that Figure 7's implementation ladder plots —
 * :func:`tnr_distance` — TNR's access-node table loop plus the
   transit-pruned bidirectional search, against which the stored search
   spaces of :class:`~repro.pathfinding.tnr.TransitNodeRouting` are
-  checked.
+  checked;
+* :func:`hub_label_distance` — a hub-label query one shared hub at a
+  time, against which :meth:`HubLabels.distances
+  <repro.pathfinding.hub_labels.HubLabels.distances>`' gather is checked;
+* :class:`ReferenceIER` — IER verifying one Euclidean candidate per
+  ``oracle.distance`` call, the loop :class:`~repro.knn.ier.IER`'s
+  batched rounds replay;
+* :class:`ReferenceSILC` — SILC's refinement step (``first_hop``,
+  ``path_next``, ``interval_from``, ``refine``) on numpy arrays and
+  numpy scalars, against which :class:`~repro.index.silc.SILCIndex`'s
+  list-mirror step is checked.
 
 They return the same answers and record the same ``sssp_settled`` /
 ``expand_settled`` / ``expand_bypassed`` / ``bidir_settled`` counters as
@@ -58,13 +68,16 @@ import numpy as np
 
 from repro.graph.graph import Graph
 from repro.index.road import AssociationDirectory, RoadIndex
+from repro.index.silc import SILCIndex
 from repro.knn.base import KNNAlgorithm, KNNResult
+from repro.knn.ier import IER
 from repro.utils.bitset import BitArray
 from repro.utils.counters import Counters, NULL_COUNTERS
 from repro.utils.pqueue import BinaryHeap
 
 if TYPE_CHECKING:
     from repro.pathfinding.ch import ContractionHierarchy
+    from repro.pathfinding.hub_labels import HubLabels
     from repro.pathfinding.tnr import TransitNodeRouting
 
 INF = float("inf")
@@ -282,6 +295,22 @@ def tnr_distance(
     if local < best:
         best = local
     return float(best)
+
+
+def hub_label_distance(
+    labels: "HubLabels", source: int, target: int
+) -> float:
+    """The minimum of ``d(source, h) + d(h, target)`` over the hubs the
+    two labels share, one hub at a time."""
+    if source == target:
+        return 0.0
+    via = dict(zip(*(a.tolist() for a in labels.label(source))))
+    best = INF
+    for hub, d_t in zip(*(a.tolist() for a in labels.label(target))):
+        d_s = via.get(hub)
+        if d_s is not None and d_s + d_t < best:
+            best = d_s + d_t
+    return best
 
 
 class DecreaseKeyHeap:
@@ -619,3 +648,106 @@ class ReferenceRoadKNN(KNNAlgorithm):
                     dist[v] = nd
                     heappush(heap, (nd, v))
         return self._finalise(results, k)
+
+
+class ReferenceIER(IER):
+    """IER verifying one Euclidean candidate per ``oracle.distance``
+    call, stopping at the first candidate whose lower bound cannot beat
+    the k-th distance (Section 3.2 as written)."""
+
+    def knn(
+        self, query: int, k: int, counters: Counters = NULL_COUNTERS
+    ) -> KNNResult:
+        if k <= 0:
+            return []
+        graph = self.graph
+        speed = graph.max_speed()
+        cursor = self.rtree.nearest_cursor(float(graph.x[query]), float(graph.y[query]))
+        candidates = BinaryHeap()
+        d_k = INF
+        while True:
+            nxt = cursor.next()
+            if nxt is None:
+                break
+            de, obj = nxt
+            lower_bound = de / speed
+            if len(candidates) >= k and lower_bound >= d_k:
+                break
+            d = self.oracle.distance(query, obj)
+            counters.add("verify_network_computations")
+            if len(candidates) < k:
+                candidates.push(-d, obj)
+                if len(candidates) == k:
+                    d_k = -candidates.peek_key()
+            elif d < d_k:
+                candidates.pop()
+                candidates.push(-d, obj)
+                d_k = -candidates.peek_key()
+                counters.add("euclid_candidate_replacements")
+            else:
+                counters.add("verify_false_hits")
+        results: List[Tuple[float, int]] = []
+        while candidates:
+            neg_d, obj = candidates.pop()
+            results.append((-neg_d, obj))
+        return self._finalise(results, k)
+
+
+class ReferenceSILC(SILCIndex):
+    """A :class:`SILCIndex` whose refinement step (``refine`` over these
+    ``path_next`` / ``first_hop`` / ``interval_from``) reads the graph and
+    the block arrays element by element, as numpy scalars; :meth:`of`
+    shares an index's blocks without copying them."""
+
+    @classmethod
+    def of(cls, silc: SILCIndex) -> "ReferenceSILC":
+        ref = cls.__new__(cls)
+        ref.__dict__.update(silc.__dict__)
+        return ref
+
+    def first_hop(self, source: int, target: int) -> int:
+        if source == target:
+            return source
+        blocks = self._sources[source]
+        if blocks.exceptions is not None:
+            hit = blocks.exceptions.get(int(target))
+            if hit is not None:
+                return hit
+        pos = int(self._pos_of[target])
+        b = int(np.searchsorted(blocks.starts, pos, side="right")) - 1
+        return int(blocks.colors[b])
+
+    def path_next(
+        self, current: int, previous: int, target: int, use_chains: bool
+    ) -> Tuple[int, float]:
+        graph = self.graph
+        if use_chains and previous >= 0 and self._degree[current] <= 2:
+            targets, weights = graph.neighbor_slice(current)
+            for t, w in zip(targets, weights):
+                if int(t) != previous:
+                    return int(t), float(w)
+            return previous, float(weights[0])
+        nxt = self.first_hop(current, target)
+        w = graph.edge_weight_between(current, nxt)
+        if w is None:
+            raise RuntimeError(
+                f"SILC first hop {nxt} is not adjacent to {current}"
+            )
+        return nxt, w
+
+    def interval_from(self, vertex: int, target: int) -> Tuple[float, float]:
+        if vertex == target:
+            return 0.0, 0.0
+        blocks = self._sources[vertex]
+        pos = int(self._pos_of[target])
+        b = int(np.searchsorted(blocks.starts, pos, side="right")) - 1
+        de = float(
+            np.hypot(
+                self.graph.x[vertex] - self.graph.x[target],
+                self.graph.y[vertex] - self.graph.y[target],
+            )
+        )
+        with np.errstate(invalid="ignore"):
+            lb = np.fmax(blocks.lam_minus[b] * de, blocks.dn_min[b])
+            ub = np.fmin(blocks.lam_plus[b] * de, blocks.dn_max[b])
+        return float(lb), float(ub)

@@ -175,6 +175,16 @@ class TestQueryValidation:
         assert BUILD_COUNTERS.as_dict() == before
         assert engine.query(299, 0, method="gtree").neighbors == ()
 
+    def test_every_method_answers_k_zero_itself(self):
+        # k=0 is a valid request: no neighbours, answered by the method
+        # asked for, not by a fallback rung after a method error.
+        graph = road_network(400, seed=8)
+        engine = QueryEngine(graph, uniform_objects(graph, 0.05, seed=1))
+        for method in known_methods():
+            result = engine.query(17, 0, method=method)
+            assert result.neighbors == (), method
+            assert result.degraded is False and result.method == method
+
 
 class TestAutoPlanner:
     def test_high_density_plans_ine(self, road400):

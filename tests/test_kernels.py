@@ -19,24 +19,28 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from repro import reference
 from repro.engine import QueryEngine
 from repro.graph.generators import grid_network, road_network
-from repro.graph.graph import Graph
-from repro.index.gtree import GTree
+from repro.graph.graph import Graph, from_edge_list
+from repro.index.gtree import GTree, GTreeOracle
 from repro.index.road import RoadIndex
 from repro.index.silc import SILCIndex
 from repro.kernels import bulk_sssp
 from repro.knn.distance_browsing import DistanceBrowsing
 from repro.knn.gtree_knn import GTreeKNN
+from repro.knn.ier import IER
 from repro.knn.ine import INE
 from repro.knn.road_knn import RoadKNN
 from repro.objects import uniform_objects
 from repro.pathfinding.ch import ContractionHierarchy
 from repro.pathfinding.dijkstra import (
+    DijkstraOracle,
     dijkstra_distance,
     dijkstra_sssp,
     dijkstra_to_targets,
 )
+from repro.pathfinding.hub_labels import HubLabels
 from repro.pathfinding.tnr import TransitNodeRouting
 from repro.updates import set_weight
+from repro.utils.arrays import ragged_min
 from repro.utils.counters import Counters
 
 INF = float("inf")
@@ -343,6 +347,93 @@ class TestDisBrwKernelEquality:
                 lb, ub = silc.interval_from(v, int(t))
                 assert lbs[t] == lb and ubs[t] == ub
 
+    @staticmethod
+    def _check_steps(silc, sources):
+        """The list-mirror step against the numpy-scalar one, bitwise:
+        ``interval_from`` and a first ``refine`` (with and without chain
+        jumps) from every source to every target."""
+        ref = reference.ReferenceSILC.of(silc)
+        n = silc.graph.num_vertices
+        for v in sources:
+            for t in range(n):
+                got, want = silc.interval_from(v, t), ref.interval_from(v, t)
+                assert all(map(_same_bits, got, want)), (v, t, got, want)
+                if v == t:
+                    continue
+                for chains in (True, False):
+                    vn, d, prev, lb, ub = silc.refine(v, 0.0, -1, t, chains)
+                    wvn, wd, wprev, wlb, wub = ref.refine(v, 0.0, -1, t, chains)
+                    assert type(vn) is int and (vn, prev) == (wvn, wprev)
+                    assert all(map(_same_bits, (d, lb, ub), (wd, wlb, wub)))
+
+    def test_steps_match_reference_on_every_pair(self, silc_setup):
+        graph, silc, _ = silc_setup
+        self._check_steps(silc, range(graph.num_vertices))
+
+    def test_steps_match_reference_on_zero_euclidean_blocks(self):
+        # Twins: three grid vertices each get a neighbour at the very same
+        # coordinates, so some block holds only infinite distance ratios
+        # and lam * de is inf * 0 = NaN on the twin pair.
+        coords = [(float(c), float(r)) for r in range(5) for c in range(5)]
+        edges = [(i, i + 1, 1.0) for i in range(25) if i % 5 < 4]
+        edges += [(i, i + 5, 1.0) for i in range(20)]
+        for j, v in enumerate((0, 12, 24)):
+            coords.append(coords[v])
+            edges.append((v, 25 + j, 0.5))
+        graph = from_edge_list(coords, edges, name="twins")
+        silc = SILCIndex(graph, grid_bits=4)
+        nan = 0
+        for v in range(graph.num_vertices):
+            blocks = silc._sources[v]
+            for t in range(graph.num_vertices):
+                b = blocks.block_of(silc.morton_position(t))
+                if v != t and (graph.x[v], graph.y[v]) == (graph.x[t], graph.y[t]):
+                    nan += blocks.lam_plus[b] == INF
+        assert nan > 0
+        self._check_steps(silc, range(graph.num_vertices))
+
+    def test_steps_match_reference_with_parallel_edges(self, adversarial_graphs):
+        graph = adversarial_graphs["parallel"]
+        silc = SILCIndex(graph, grid_bits=8)
+        self._check_steps(silc, range(0, graph.num_vertices, 6))
+
+    @pytest.mark.parametrize("source", ["enn", "hierarchy"])
+    def test_browsing_matches_reference_steps(self, silc_setup, source):
+        graph, silc, objects = silc_setup
+        fast = DistanceBrowsing(silc, objects, candidate_source=source)
+        slow = DistanceBrowsing(
+            reference.ReferenceSILC.of(silc), objects, candidate_source=source
+        )
+        rng = np.random.default_rng(41)
+        for q in rng.integers(graph.num_vertices, size=16).tolist():
+            for k in (1, 4, len(objects) + 1):
+                cf, cs = Counters(), Counters()
+                assert fast.knn(q, k, cf) == slow.knn(q, k, cs), (q, k)
+                assert cf.as_dict() == cs.as_dict(), (q, k)
+
+    def test_answers_match_ine_after_a_weight_batch(self):
+        graph = grid_network(12, 12, seed=4)
+        objects = uniform_objects(graph, 0.08, seed=3, minimum=6)
+        engine = QueryEngine(graph, objects)
+        queries = np.random.default_rng(43).integers(144, size=10).tolist()
+        before = engine.workbench.silc
+        src = np.repeat(np.arange(144), np.diff(graph.vertex_start))
+        picks = np.random.default_rng(7).choice(len(src), size=8, replace=False)
+        engine.apply_updates([
+            set_weight(int(src[i]), int(graph.edge_target[i]),
+                       float(graph.edge_weight[i]) * 3.0)
+            for i in picks.tolist()
+        ])
+        # The list mirrors copy the weights: a weight batch drops SILC.
+        assert engine.workbench.silc is not before
+        for q in queries:
+            got = engine.query(q, 4, method="disbrw").neighbors
+            want = engine.query(q, 4, method="ine").neighbors
+            assert [n.vertex for n in got] == [n.vertex for n in want]
+            assert [n.distance for n in got] == pytest.approx(
+                [n.distance for n in want], rel=1e-9
+            )
+
 
 def _zero_edge_graph():
     """A road network whose first edge (both arcs) weighs 0, written
@@ -438,6 +529,132 @@ class TestCHAndTNRKernelEquality:
             assert ch.distance(s, t) == pytest.approx(
                 reference.dijkstra_distance(graph, s, t), rel=1e-12
             )
+
+
+def _oracles(graph):
+    """Every IER oracle on ``graph`` beside its per-target reference
+    distance ``f(s, t)``."""
+    ch = ContractionHierarchy(graph)
+    tnr = TransitNodeRouting(graph, ch=ch)
+    labels = HubLabels(graph)
+    gtree = GTree(graph)
+    return {
+        "dijkstra": (DijkstraOracle(graph),
+                     lambda s, t: reference.dijkstra_distance(graph, s, t)),
+        "mgtree": (GTreeOracle(gtree), gtree.distance),
+        "hub_labels": (labels,
+                       lambda s, t: reference.hub_label_distance(labels, s, t)),
+        "ch": (ch, lambda s, t: reference.ch_distance(ch, s, t)),
+        "tnr": (tnr, lambda s, t: reference.tnr_distance(tnr, s, t)),
+    }
+
+
+class TestBatchedOracles:
+    """``oracle.distances(s, targets)`` against the reference distance
+    per target, bitwise, for every IER oracle; and IER's batched rounds
+    against :class:`repro.reference.ReferenceIER`'s one call per
+    candidate: the same answers and the same three counters."""
+
+    COUNTERS = (
+        "verify_network_computations", "verify_false_hits",
+        "euclid_candidate_replacements",
+    )
+
+    @staticmethod
+    def _target_lists(n):
+        rng = np.random.default_rng(n)
+        s = int(rng.integers(n))
+        some = [int(t) for t in rng.integers(n, size=12)]
+        return [
+            (s, some),
+            (s, some[:3] + [s] + some[3:]),  # the source among the targets
+            (s, some[:4] + some[:4]),  # duplicates
+            (s, []),
+            (s, [s]),
+            (some[0], list(range(0, n, max(1, n // 40)))),
+        ]
+
+    def _check(self, graph):
+        for name, (oracle, want) in _oracles(graph).items():
+            for s, targets in self._target_lists(graph.num_vertices):
+                got = oracle.distances(s, targets)
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                assert len(got) == len(targets), name
+                for t, d in zip(targets, got.tolist()):
+                    assert _same_bits(d, want(s, t)), (name, s, t, d)
+                    assert _same_bits(oracle.distance(s, t), d), (name, s, t)
+
+    def test_property_graphs(self, prop_graph):
+        self._check(prop_graph)
+
+    @pytest.mark.parametrize("name", ("disconnected", "parallel"))
+    def test_adversarial_graphs(self, adversarial_graphs, name):
+        self._check(adversarial_graphs[name])
+
+    def test_disconnected_targets_are_inf(self, adversarial_graphs):
+        graph = adversarial_graphs["disconnected"]
+        for name, (oracle, _) in _oracles(graph).items():
+            got = oracle.distances(3, [5, 90, 100, 3]).tolist()
+            assert got[1:3] == [INF, INF] and got[3] == 0.0, name
+            assert 0.0 < got[0] < INF, name
+
+    def test_zero_weight_edge(self):
+        graph = _zero_edge_graph()
+        u, v = 0, int(graph.edge_target[graph.vertex_start[0]])
+        for name, (oracle, _) in _oracles(graph).items():
+            assert oracle.distances(u, [v, u]).tolist() == [0.0, 0.0], name
+        self._check(graph)
+
+    @pytest.mark.parametrize("graph_name", ("road", "disconnected"))
+    def test_ier_rounds_replay_the_reference_loop(
+        self, adversarial_graphs, graph_name
+    ):
+        graph = (
+            road_network(500, seed=7) if graph_name == "road"
+            else adversarial_graphs["disconnected"]
+        )
+        objects = uniform_objects(graph, 0.04, seed=9, minimum=5)
+        rng = np.random.default_rng(31)
+        queries = [int(q) for q in rng.integers(graph.num_vertices, size=25)]
+        queries.append(int(objects[0]))
+        past_stop = 0
+        for name, (oracle, _) in _oracles(graph).items():
+            ier = IER(graph, objects, oracle)
+            ref = reference.ReferenceIER(graph, objects, oracle)
+            for k in (1, 10, len(objects) + 2):
+                for q in queries:
+                    cp, cr = Counters(), Counters()
+                    assert ier.knn(q, k, cp) == ref.knn(q, k, cr), (name, q, k)
+                    for counter in self.COUNTERS:
+                        assert cp[counter] == cr[counter], (name, q, k, counter)
+                    if getattr(oracle, "per_target", False):
+                        assert cp["verify_past_stop"] == 0, (name, q, k)
+                    past_stop += cp["verify_past_stop"]
+        if graph_name == "road":
+            # Some second round ran past the loop's stop: the replay, not
+            # the round, decided where verification ended.
+            assert past_stop > 0
+
+    def test_ragged_min_over_empty_rows(self):
+        # Rows 0 and 3 are empty; reduceat alone would hand them a
+        # neighbour's value instead of inf.
+        offsets = np.asarray([0, 0, 2, 5, 5, 6])
+        flat = np.asarray([4.0, 1.0, 7.0, 3.0, 9.0, 2.0])
+        rows = np.asarray([0, 1, 2, 3, 4, 3, 0])
+        got = ragged_min(offsets, rows, lambda at: flat[at])
+        assert got.tolist() == [INF, 1.0, 3.0, INF, 2.0, INF, INF]
+        assert ragged_min(offsets, rows[:0], lambda at: flat[at]).tolist() == []
+        assert ragged_min(offsets, rows[[0, 3]], lambda at: flat[at]).tolist() == [INF, INF]
+
+    def test_k_zero_makes_no_oracle_call(self):
+        graph = road_network(200, seed=3)
+        objects = uniform_objects(graph, 0.05, seed=1)
+
+        class Refusing:
+            def distances(self, source, targets):
+                raise AssertionError("oracle called for k=0")
+
+        assert IER(graph, objects, Refusing()).knn(5, 0) == []
 
 
 class TestTNRKernelEquality:
